@@ -10,8 +10,7 @@ import argparse
 import sys
 
 from .errors import CorpusError, LookupFailure, PatternError
-from .lexicon import open_lexicon
-from .records import Record
+from .lexicon import _is_record, open_lexicon
 from . import render
 from .store import ENV_DATA_DIR
 
@@ -308,7 +307,7 @@ _REPL_LISTS = {
 
 def _stack_find(stack, kind):
     for _, entity in reversed(stack):
-        if isinstance(entity, Record) and entity.get("_type") == kind:
+        if _is_record(entity, kind):
             return entity
     return None
 

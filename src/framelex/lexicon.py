@@ -1,19 +1,46 @@
 """The user-facing query surface over an open corpus store.
 
-One FrameLexicon wraps one Store.  Name lookups take regular expression
-patterns with unanchored search semantics (embed ``(?i)`` for case
-insensitivity); exact-match lookups take a name or numeric ID and raise
-LookupFailure when nothing matches.  All list results have fixed orders.
+One FrameLexicon wraps one Store and answers every query: frames, lexical
+units, frame elements, relations, semantic types and annotated sentences.
+Name lookups take regular expression patterns with unanchored search
+semantics (embed ``(?i)`` for case insensitivity); exact-match lookups take a
+name or numeric ID and raise LookupFailure when nothing matches.  All list
+results have fixed orders, so repeated calls are identical.
 """
 
-from .corpus import CorpusMixin, compile_pattern
-from .errors import LookupFailure
-from .records import Record
-from .relations import RelationsMixin
+import re
+
+from .errors import LookupFailure, PatternError
+from .records import LOCK, Record
 from .store import open_store
 
 
-class FrameLexicon(RelationsMixin, CorpusMixin):
+def compile_pattern(pattern):
+    """Compile a user-supplied lookup pattern; unanchored search semantics."""
+    try:
+        return re.compile(pattern)
+    except re.error as exc:
+        raise PatternError(f"bad pattern {pattern!r}: {exc}") from None
+
+
+def _match(rows, pattern, key):
+    """The rows whose ``row[key]`` the pattern matches; all rows if None."""
+    if pattern is None:
+        return list(rows)
+    search = compile_pattern(pattern).search
+    return [row for row in rows if search(row[key])]
+
+
+def _sorted_matches(rows, pattern=None):
+    """The index rows whose name matches, ID ascending."""
+    return sorted(_match(rows, pattern, "name"), key=lambda row: row["ID"])
+
+
+def _is_record(obj, kind):
+    return isinstance(obj, Record) and obj.get("_type") == kind
+
+
+class FrameLexicon:
     def __init__(self, store):
         self._store = store
 
@@ -30,15 +57,12 @@ class FrameLexicon(RelationsMixin, CorpusMixin):
 
     def frames(self, name_pattern=None):
         """Frames whose name matches the pattern (all frames if None), ID ascending."""
-        entries = self._store.frame_index()
-        if name_pattern is not None:
-            rx = compile_pattern(name_pattern)
-            entries = [(fid, name) for fid, name in entries if rx.search(name)]
+        entries = _match(self._store.frame_index(), name_pattern, 1)
         return [self._store.get_frame(fid) for fid, _ in sorted(entries)]
 
     def frame(self, key):
         """One frame, by exact name or numeric ID."""
-        if isinstance(key, Record) and key.get("_type") == "frame":
+        if _is_record(key, "frame"):
             return key
         if isinstance(key, str) and key.isdigit():
             key = int(key)
@@ -46,15 +70,11 @@ class FrameLexicon(RelationsMixin, CorpusMixin):
 
     def frame_ids_and_names(self, name_pattern=None):
         """{frame ID: frame name} for matching frames, from the index alone."""
-        entries = self._store.frame_index()
-        if name_pattern is not None:
-            rx = compile_pattern(name_pattern)
-            entries = [(fid, name) for fid, name in entries if rx.search(name)]
-        return dict(sorted(entries))
+        return dict(sorted(_match(self._store.frame_index(), name_pattern, 1)))
 
     def frames_by_lemma(self, pattern):
         """Frames defining at least one LU whose name matches, ID ascending."""
-        frame_ids = {row.frameID for row in self._lu_rows(pattern)}
+        frame_ids = {row["frameID"] for row in _match(self._store.lu_index(), pattern, "name")}
         return [self._store.get_frame(fid) for fid in sorted(frame_ids)]
 
     # ------------------------------------------------------------ lexical units
@@ -66,7 +86,7 @@ class FrameLexicon(RelationsMixin, CorpusMixin):
         frame record, an exact frame name, or a name pattern (a restriction
         matching no frame yields an empty list, not an error).
         """
-        rows = self._lu_rows(name_pattern)
+        rows = _sorted_matches(self._store.lu_index(), name_pattern)
         if frame is not None:
             allowed = self._frame_restriction_ids(frame)
             rows = [row for row in rows if row.frameID in allowed]
@@ -74,7 +94,7 @@ class FrameLexicon(RelationsMixin, CorpusMixin):
 
     def lu(self, lu_id):
         """One lexical unit, by numeric ID."""
-        if isinstance(lu_id, Record) and lu_id.get("_type") == "lu":
+        if _is_record(lu_id, "lu"):
             return lu_id
         if isinstance(lu_id, str) and lu_id.isdigit():
             lu_id = int(lu_id)
@@ -83,16 +103,13 @@ class FrameLexicon(RelationsMixin, CorpusMixin):
         return self._store.get_lu(lu_id)
 
     def _frame_restriction_ids(self, frame):
-        if isinstance(frame, Record) and frame.get("_type") == "frame":
+        if _is_record(frame, "frame"):
             return {frame["ID"]}
         if isinstance(frame, int):
             return {frame}
-        allowed = set()
-        rx = compile_pattern(frame)
-        for fid, name in self._store.frame_index():
-            if name == frame or rx.search(name):
-                allowed.add(fid)
-        return allowed
+        index = self._store.frame_index()
+        exact = {fid for fid, name in index if name == frame}
+        return exact.union(fid for fid, _ in _match(index, frame, 1))
 
     # ------------------------------------------------------------ frame elements
 
@@ -106,18 +123,182 @@ class FrameLexicon(RelationsMixin, CorpusMixin):
             frame_ids = sorted(fid for fid, _ in self._store.frame_index())
         else:
             frame_ids = sorted(self._frame_restriction_ids(frame))
-        rx = compile_pattern(name_pattern) if name_pattern is not None else None
-        found = []
-        for fid in frame_ids:
-            if not self._store.frame_defined(fid):
-                continue
-            fes = self._store.get_frame(fid)["FE"].values()
-            found.extend(
-                fe
-                for fe in sorted(fes, key=lambda fe: fe["ID"])
-                if rx is None or rx.search(fe["name"])
-            )
-        return found
+        # A generator, so a bad pattern fails before any frame file is read.
+        fes = (
+            fe
+            for fid in frame_ids
+            if self._store.frame_defined(fid)
+            for fe in sorted(self._store.get_frame(fid)["FE"].values(), key=lambda fe: fe["ID"])
+        )
+        return _match(fes, name_pattern, "name")
+
+    # ------------------------------------------------------------ relations
+
+    def frame_relation_types(self):
+        """All frame relation types, registry file order."""
+        return self._store.relation_types()
+
+    def frame_relations(self, frame=None, frame2=None, type=None):
+        """Frame-to-frame relations, optionally filtered.
+
+        ``frame`` keeps relations with that frame on either side; ``frame2``
+        additionally requires the other side to match it (either orientation);
+        ``type`` keeps one relation type, given by name or record.
+        """
+        if frame2 is not None and frame is None:
+            raise ValueError("frame_relations: frame2 requires frame")
+        if frame is None:
+            relations = self._store.frame_relations_all()
+        else:
+            relations = self._store.frame_relations_involving(self._frame_id(frame))
+        if frame2 is not None:
+            fid, fid2 = self._frame_id(frame), self._frame_id(frame2)
+            relations = [
+                rel
+                for rel in relations
+                if {rel["supID"], rel["subID"]} == {fid, fid2}
+            ]
+        if type is not None:
+            rtype = self._relation_type(type)
+            relations = [rel for rel in relations if rel["type"] is rtype]
+        return relations
+
+    def fe_relations(self):
+        """Every FE-to-FE mapping across all frame relations, registry order."""
+        return self._store.fe_relations_all()
+
+    def _frame_id(self, key):
+        if _is_record(key, "frame"):
+            return key["ID"]
+        if isinstance(key, int):
+            if not self._store.frame_defined(key):
+                raise LookupFailure(f"no frame with ID {key}")
+            return key
+        return self.frame(key)["ID"]
+
+    def _relation_type(self, key):
+        if _is_record(key, "framerelationtype"):
+            return key
+        for rtype in self._store.relation_types():
+            if rtype["name"] == key or rtype["ID"] == key:
+                return rtype
+        raise LookupFailure(f"no frame relation type matching {key!r}")
+
+    # ------------------------------------------------------------ semtypes
+
+    def semtypes(self):
+        """All semantic types, ID ascending."""
+        return self._store.semtypes()
+
+    def semtype(self, key):
+        """One semantic type, by name, abbreviation, or numeric ID."""
+        if _is_record(key, "semtype"):
+            return key
+        return self._store.get_semtype(key)
+
+    def semtype_inherits(self, st, ancestor):
+        """Whether ``st`` is ``ancestor`` or lies below it in the hierarchy."""
+        node = self.semtype(st)
+        target = self.semtype(ancestor)
+        while node is not None:
+            if node is target:
+                return True
+            node = node["superType"]
+        return False
+
+    def propagate_semtypes(self):
+        """Copy FE semantic types downward across every FE-to-FE mapping.
+
+        Runs to a fixed point: an unlabeled sub-FE takes its super-FE's type,
+        including types that arrived in an earlier pass.  Existing labels are
+        never replaced, whether compatible or conflicting.  Returns the number
+        of FEs newly labeled; a second call on an unchanged store returns 0.
+
+        Requires exclusive use of the store for the duration of the call.
+        """
+        added = 0
+        with LOCK:
+            mappings = self._store.fe_relations_all()
+            changed = True
+            while changed:
+                changed = False
+                for mapping in mappings:
+                    st = mapping["superFE"]["semType"]
+                    if st is None:
+                        continue
+                    sub_fe = mapping["subFE"]
+                    if sub_fe["semType"] is None:
+                        sub_fe["semType"] = st
+                        added += 1
+                        changed = True
+        return added
+
+    # ------------------------------------------------------------ annotated sentences
+
+    def _iter_exemplars(self, pattern=None):
+        for row in _sorted_matches(self._store.lu_index(), pattern):
+            lu = self._store.get_lu(row.ID)
+            yield from sorted(lu["exemplars"], key=lambda s: s["ID"])
+
+    def exemplars(self, pattern=None):
+        """Lexicographic sentences whose LU name matches, by (LU ID, sentence ID)."""
+        return list(self._iter_exemplars(pattern))
+
+    def ft_sents(self, name_pattern=None):
+        """Full-text sentences of matching documents, in document order."""
+        sentences = []
+        for row in _sorted_matches(self._store.doc_index(), name_pattern):
+            sentences.extend(self._store.get_document(row.ID)["sentences"])
+        return sentences
+
+    def sents(self):
+        """Every annotated sentence, exemplars first, lazily.
+
+        A generator: consuming only the leading exemplar sentences never opens
+        a full-text file.
+        """
+        yield from self._iter_exemplars()
+        for row in _sorted_matches(self._store.doc_index()):
+            yield from self._store.get_document(row.ID)["sentences"]
+
+    def doc(self, doc_id):
+        """One full-text document, by numeric ID."""
+        return self._store.get_document(doc_id)
+
+    def docs(self, name_pattern=None):
+        """Full-text documents whose name matches, ID ascending."""
+        rows = _sorted_matches(self._store.doc_index(), name_pattern)
+        return [self._store.get_document(row.ID) for row in rows]
+
+    def annotations(self, luNamePattern=None, exemplars=True, full_text=True):
+        """Frame annotation sets whose LU name matches the pattern.
+
+        Exemplar-sourced sets come first, then full-text sets; within each
+        source, ordered by (sentence ID, set ID).  Full-text sets include
+        UNANN ones (target annotated, FEs not).  With both sources disabled
+        the result is empty.
+        """
+        rx = compile_pattern(luNamePattern) if luNamePattern is not None else None
+        result = []
+        if exemplars:
+            part = []
+            for sent in self._iter_exemplars(luNamePattern):
+                for aset in sent["annotationSet"][1:]:
+                    part.append(aset)
+            part.sort(key=lambda a: (a["sent"]["ID"], a["ID"]))
+            result.extend(part)
+        if full_text:
+            part = []
+            for row in _sorted_matches(self._store.doc_index()):
+                for sent in self._store.get_document(row.ID)["sentences"]:
+                    for aset in sent["annotationSet"][1:]:
+                        name = aset.get("luName")
+                        if rx is not None and (name is None or not rx.search(name)):
+                            continue
+                        part.append(aset)
+            part.sort(key=lambda a: (a["sent"]["ID"], a["ID"]))
+            result.extend(part)
+        return result
 
     # ------------------------------------------------------------ help
 

@@ -10,8 +10,15 @@ stable across calls and processes.
 Values that are expensive to obtain (exemplar sentences, cross-file
 references) are stored as ``Lazy`` thunks.  The thunk is resolved on first
 read and the resolved value is written back, so repeated reads return the
-identical object.
+identical object.  A first resolution runs under ``LOCK``, so threads that
+first touch a value together resolve it once.  The store loads files under
+the same re-entrant lock: resolving a value may load a file and loading a
+file may resolve values, so two locks could deadlock against each other.
 """
+
+import threading
+
+LOCK = threading.RLock()
 
 # Closed set of entity kind tags.
 ENTITY_KINDS = frozenset(
@@ -43,9 +50,11 @@ class Lazy:
 
     def resolve(self):
         if not self._done:
-            self._value = self._thunk()
-            self._done = True
-            self._thunk = None
+            with LOCK:
+                if not self._done:
+                    self._value = self._thunk()
+                    self._thunk = None
+                    self._done = True
         return self._value
 
 

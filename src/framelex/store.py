@@ -9,18 +9,19 @@ documents when requested.
 
 Every file actually opened is appended to ``fileAccessLog`` (path relative to
 the corpus root, posix separators), which makes load behavior observable and
-replayable.  A single re-entrant lock serializes loads, so concurrent first
-accesses to the same entity parse its file exactly once and repeated lookups
-return the identical cached record.
+replayable.  Every load goes through one memo, ``Store._load``.  A cache hit
+takes no lock; a miss builds under ``records.LOCK``, the package's single
+re-entrant lock, which also covers the resolution of lazy record values such
+as exemplar sentences.  So concurrent first accesses to the same entity parse
+its file exactly once and repeated lookups return the identical cached record.
 """
 
 import os
-import threading
 from pathlib import Path
 
 from . import xmlio
 from .errors import CorpusError, IntegrityError, LookupFailure
-from .records import Lazy, Record
+from .records import LOCK, Lazy, Record
 
 ENV_DATA_DIR = "FRAMELEX_DATA"
 
@@ -41,84 +42,82 @@ class Store:
     def __init__(self, root):
         self.root = Path(root)
         self.fileAccessLog = []
-        self._lock = threading.RLock()
-        self._frame_index = None      # list of (ID, name)
-        self._frame_name_by_id = {}
-        self._frame_id_by_name = {}
-        self._frames = {}             # frame ID -> frame record
-        self._lu_index = None         # list of index rows
-        self._lu_row_by_id = {}
-        self._problem_lus = {}        # luID -> placeholder record
-        self._doc_index = None
-        self._doc_row_by_id = {}
-        self._docs = {}               # document ID -> document record
-        self._relation_types = None
-        self._relations_flat = None
-        self._semtypes = None
-        self._semtype_by_id = {}
-        self._semtype_by_name = {}
-        self._semtype_by_abbrev = {}
+        self._cache = {}
         if not self.root.is_dir():
             raise CorpusError(f"not a corpus directory: {self.root}")
-        self._load_frame_index()
+        self._frame_index()
 
-    # ------------------------------------------------------------ file IO
+    # ------------------------------------------------------------ loading
+
+    def _load(self, key, build, *args):
+        """The cache entry under ``key``, made by ``build(*args)`` on first use."""
+        value = self._cache.get(key)
+        if value is None:
+            with LOCK:
+                value = self._cache.get(key)
+                if value is None:
+                    value = self._cache[key] = build(*args)
+        return value
 
     def _read(self, relpath):
         path = self.root / relpath
         try:
             data = path.read_bytes()
-        except FileNotFoundError:
-            raise CorpusError(f"missing corpus file: {path}") from None
+        except OSError as exc:
+            raise CorpusError(f"cannot read corpus file {path}: {exc.strerror}") from None
         self.fileAccessLog.append(relpath)
         return data
 
+    def _parse_rows(self, relpath, parse):
+        """An index or registry file's records as {ID: record}, file order."""
+        return {row["ID"]: row for row in parse(self._read(relpath))}
+
     # ------------------------------------------------------------ frames
 
-    def _load_frame_index(self):
-        with self._lock:
-            entries = xmlio.parse_frame_index(self._read("frameIndex.xml"))
-            self._frame_index = entries
-            self._frame_name_by_id = {fid: name for fid, name in entries}
-            self._frame_id_by_name = {name: fid for fid, name in entries}
+    def _frame_index(self):
+        """({frame ID: name}, {name: frame ID}), in index order."""
+        return self._load("frameIndex.xml", self._parse_frame_index)
+
+    def _parse_frame_index(self):
+        names = dict(xmlio.parse_frame_index(self._read("frameIndex.xml")))
+        return names, {name: fid for fid, name in names.items()}
 
     def frame_index(self):
         """All (frame ID, frame name) pairs, from the index alone."""
-        return list(self._frame_index)
+        return list(self._frame_index()[0].items())
 
     def frame_defined(self, name_or_id):
-        if isinstance(name_or_id, int):
-            return name_or_id in self._frame_name_by_id
-        return name_or_id in self._frame_id_by_name
+        names, ids = self._frame_index()
+        return name_or_id in (names if isinstance(name_or_id, int) else ids)
 
     def get_frame(self, name_or_id):
         """The frame record for a name or ID, loading its file on first use."""
+        names, ids = self._frame_index()
         if isinstance(name_or_id, int):
             fid = name_or_id
-            if fid not in self._frame_name_by_id:
+            if fid not in names:
                 raise LookupFailure(f"no frame with ID {fid}")
         else:
-            try:
-                fid = self._frame_id_by_name[name_or_id]
-            except KeyError:
-                raise LookupFailure(f"no frame named {name_or_id!r}") from None
-        with self._lock:
-            if fid not in self._frames:
-                name = self._frame_name_by_id[fid]
-                frame = xmlio.parse_frame_file(
-                    self._read(f"frame/{name}.xml"),
-                    source=f"frame/{name}.xml",
-                    relation_query=self.frame_relations_involving,
-                    semtype_lookup=self._resolve_semtype_ref,
-                    exemplar_loader=self._load_exemplars,
-                )
-                if frame["ID"] != fid or frame["name"] != name:
-                    raise IntegrityError(
-                        f"frame/{name}.xml: header ({frame['ID']}, {frame['name']!r}) "
-                        f"disagrees with the index ({fid}, {name!r})"
-                    )
-                self._frames[fid] = frame
-            return self._frames[fid]
+            fid = ids.get(name_or_id)
+            if fid is None:
+                raise LookupFailure(f"no frame named {name_or_id!r}")
+        return self._load(("frame", fid), self._parse_frame, fid, names[fid])
+
+    def _parse_frame(self, fid, name):
+        relpath = f"frame/{name}.xml"
+        frame = xmlio.parse_frame_file(
+            self._read(relpath),
+            source=relpath,
+            relation_query=self.frame_relations_involving,
+            semtype_lookup=self._resolve_semtype_ref,
+            exemplar_loader=self._load_exemplars,
+        )
+        if frame["ID"] != fid or frame["name"] != name:
+            raise IntegrityError(
+                f"{relpath}: header ({frame['ID']}, {frame['name']!r}) "
+                f"disagrees with the index ({fid}, {name!r})"
+            )
+        return frame
 
     def _resolve_semtype_ref(self, st_id, st_name):
         try:
@@ -130,29 +129,21 @@ class Store:
 
     # ------------------------------------------------------------ lexical units
 
-    def _ensure_lu_index(self):
-        with self._lock:
-            if self._lu_index is None:
-                rows = xmlio.parse_lu_index(self._read("luIndex.xml"))
-                self._lu_index = rows
-                self._lu_row_by_id = {row.ID: row for row in rows}
+    def _lu_rows(self):
+        return self._load("luIndex.xml", self._parse_rows, "luIndex.xml", xmlio.parse_lu_index)
 
     def lu_index(self):
         """All LU index rows (ID, name, frameID, frameName, status)."""
-        self._ensure_lu_index()
-        return list(self._lu_index)
+        return list(self._lu_rows().values())
 
     def lu_defined(self, lu_id):
-        self._ensure_lu_index()
-        return lu_id in self._lu_row_by_id
+        return lu_id in self._lu_rows()
 
     def get_lu(self, lu_id):
         """The LU record for an ID: the owning frame's stub, index-routed."""
-        self._ensure_lu_index()
-        try:
-            row = self._lu_row_by_id[lu_id]
-        except KeyError:
-            raise LookupFailure(f"no lexical unit with ID {lu_id}") from None
+        row = self._lu_rows().get(lu_id)
+        if row is None:
+            raise LookupFailure(f"no lexical unit with ID {lu_id}")
         frame = self.get_frame(row.frameID)
         lu = frame["lexUnit"].get(row.name)
         if lu is None or lu["ID"] != lu_id:
@@ -163,10 +154,10 @@ class Store:
         return lu
 
     def _load_exemplars(self, lu_stub):
+        # Runs as a lazy value's thunk, so already under the lock.
         lu_id = lu_stub["ID"]
         relpath = f"lu/lu{lu_id}.xml"
-        with self._lock:
-            got_id, subcorpora = xmlio.parse_lu_file(self._read(relpath), source=relpath)
+        got_id, subcorpora = xmlio.parse_lu_file(self._read(relpath), source=relpath)
         if got_id != lu_id:
             raise IntegrityError(f"{relpath}: file header carries ID {got_id}")
         frame = lu_stub["frame"]
@@ -188,133 +179,113 @@ class Store:
         """
         if lu_id is not None and self.lu_defined(lu_id):
             return self.get_lu(lu_id)
-        with self._lock:
-            key = (lu_id, lu_name)
-            if key not in self._problem_lus:
-                lu = Record()
-                lu["status"] = "Problem"
-                lu["POS"] = (lu_name or "").rpartition(".")[2].upper()
-                lu["name"] = lu_name or ""
-                lu["ID"] = lu_id
-                lu["_type"] = "lu"
-                lu["definition"] = ""
-                lu["definitionMarkup"] = ""
-                lu["lexemes"] = []
-                lu["sentenceCount"] = Record(annotated=0, total=0)
-                lu["frame"] = Lazy(lambda: self._frame_for_annotation(frame_id, frame_name))
-                lu["URL"] = xmlio.lu_url(lu_id)
-                lu["subCorpus"] = []
-                lu["exemplars"] = []
-                self._problem_lus[key] = lu
-            return self._problem_lus[key]
+        key = ("problem LU", lu_id, lu_name)
+        return self._load(key, self._problem_lu, lu_id, lu_name, frame_id, frame_name)
+
+    def _problem_lu(self, lu_id, lu_name, frame_id, frame_name):
+        lu = Record()
+        lu["status"] = "Problem"
+        lu["POS"] = (lu_name or "").rpartition(".")[2].upper()
+        lu["name"] = lu_name or ""
+        lu["ID"] = lu_id
+        lu["_type"] = "lu"
+        lu["definition"] = ""
+        lu["definitionMarkup"] = ""
+        lu["lexemes"] = []
+        lu["sentenceCount"] = Record(annotated=0, total=0)
+        lu["frame"] = Lazy(lambda: self._frame_for_annotation(frame_id, frame_name))
+        lu["URL"] = xmlio.lu_url(lu_id)
+        lu["subCorpus"] = []
+        lu["exemplars"] = []
+        return lu
 
     def _frame_for_annotation(self, frame_id, frame_name):
-        if frame_id is not None:
-            return self.get_frame(frame_id)
-        return self.get_frame(frame_name)
+        return self.get_frame(frame_id if frame_id is not None else frame_name)
 
     # ------------------------------------------------------------ documents
 
-    def _ensure_doc_index(self):
-        with self._lock:
-            if self._doc_index is None:
-                rows = xmlio.parse_fulltext_index(self._read("fulltextIndex.xml"))
-                self._doc_index = rows
-                self._doc_row_by_id = {row.ID: row for row in rows}
+    def _doc_rows(self):
+        return self._load(
+            "fulltextIndex.xml", self._parse_rows, "fulltextIndex.xml", xmlio.parse_fulltext_index
+        )
 
     def doc_index(self):
         """All document index rows (ID, name, description, corpus)."""
-        self._ensure_doc_index()
-        return list(self._doc_index)
+        return list(self._doc_rows().values())
 
     def get_document(self, doc_id):
         """The document record for an ID, loading its file on first use."""
-        self._ensure_doc_index()
-        try:
-            row = self._doc_row_by_id[doc_id]
-        except KeyError:
-            raise LookupFailure(f"no full-text document with ID {doc_id}") from None
-        with self._lock:
-            if doc_id not in self._docs:
-                candidates = [
-                    f"fulltext/{row.name}.xml",
-                    f"fulltext/{row.corpusName}__{row.name}.xml",
-                ]
-                relpath = next(
-                    (c for c in candidates if (self.root / c).is_file()), candidates[0]
-                )
-                doc = xmlio.parse_fulltext_file(
-                    self._read(relpath),
-                    source=relpath,
-                    lu_resolver=self.resolve_annotation_lu,
-                    frame_resolver=self._frame_for_annotation,
-                )
-                if doc["ID"] != doc_id:
-                    raise IntegrityError(f"{relpath}: file header carries ID {doc['ID']}")
-                self._docs[doc_id] = doc
-            return self._docs[doc_id]
+        row = self._doc_rows().get(doc_id)
+        if row is None:
+            raise LookupFailure(f"no full-text document with ID {doc_id}")
+        return self._load(("document", doc_id), self._parse_document, row)
+
+    def _parse_document(self, row):
+        candidates = [
+            f"fulltext/{row.name}.xml",
+            f"fulltext/{row.corpusName}__{row.name}.xml",
+        ]
+        relpath = next((c for c in candidates if (self.root / c).is_file()), candidates[0])
+        doc = xmlio.parse_fulltext_file(
+            self._read(relpath),
+            source=relpath,
+            lu_resolver=self.resolve_annotation_lu,
+            frame_resolver=self._frame_for_annotation,
+        )
+        if doc["ID"] != row.ID:
+            raise IntegrityError(f"{relpath}: file header carries ID {doc['ID']}")
+        return doc
 
     # ------------------------------------------------------------ relations
 
-    def _ensure_relations(self):
-        with self._lock:
-            if self._relation_types is None:
-                types = xmlio.parse_relations_file(
-                    self._read("frRelation.xml"),
-                    frame_resolver=lambda fid, name: self.get_frame(fid),
-                )
-                self._relation_types = types
-                self._relations_flat = [
-                    rel for rtype in types for rel in rtype["frameRelations"]
-                ]
+    def _relation_types(self):
+        return self._load("frRelation.xml", self._parse_relations)
+
+    def _parse_relations(self):
+        return xmlio.parse_relations_file(
+            self._read("frRelation.xml"),
+            frame_resolver=lambda fid, name: self.get_frame(fid),
+        )
 
     def relation_types(self):
         """All frame relation types, registry file order."""
-        self._ensure_relations()
-        return list(self._relation_types)
+        return list(self._relation_types())
 
     def frame_relations_all(self):
         """Every frame-to-frame relation, registry file order."""
-        self._ensure_relations()
-        return list(self._relations_flat)
+        return [rel for rtype in self._relation_types() for rel in rtype["frameRelations"]]
 
     def frame_relations_involving(self, frame_id):
         """Relations with the given frame on either side, registry order."""
-        self._ensure_relations()
         return [
             rel
-            for rel in self._relations_flat
+            for rel in self.frame_relations_all()
             if rel["supID"] == frame_id or rel["subID"] == frame_id
         ]
 
     def fe_relations_all(self):
         """Every FE-to-FE mapping across all relations, registry order."""
-        self._ensure_relations()
-        return [fe for rel in self._relations_flat for fe in rel["feRelations"]]
+        return [fe for rel in self.frame_relations_all() for fe in rel["feRelations"]]
 
     # ------------------------------------------------------------ semtypes
 
-    def _ensure_semtypes(self):
-        with self._lock:
-            if self._semtypes is None:
-                types = xmlio.parse_semtypes_file(self._read("semTypes.xml"))
-                self._semtypes = types
-                self._semtype_by_id = {st["ID"]: st for st in types}
-                self._semtype_by_name = {st["name"]: st for st in types}
-                self._semtype_by_abbrev = {st["abbrev"]: st for st in types}
+    def _semtypes(self):
+        return self._load(
+            "semTypes.xml", self._parse_rows, "semTypes.xml", xmlio.parse_semtypes_file
+        )
 
     def semtypes(self):
         """All semantic types, ID ascending."""
-        self._ensure_semtypes()
-        return sorted(self._semtypes, key=lambda st: st["ID"])
+        return sorted(self._semtypes().values(), key=lambda st: st["ID"])
 
     def get_semtype(self, key):
         """A semantic type by ID, name, or abbreviation."""
-        self._ensure_semtypes()
+        types = self._semtypes()
         if isinstance(key, int):
-            st = self._semtype_by_id.get(key)
+            st = types.get(key)
         else:
-            st = self._semtype_by_name.get(key) or self._semtype_by_abbrev.get(key)
+            fields = ("name", "abbrev")
+            st = next((st for f in fields for st in types.values() if st[f] == key), None)
         if st is None:
             raise LookupFailure(f"no semantic type matching {key!r}")
         return st

@@ -92,17 +92,15 @@ def _req_attr(elt, name, source):
     return value
 
 
-def _req_int(elt, name, source):
-    value = _req_attr(elt, name, source)
+def _int(elt, name, source, default=...):
+    """An integer attribute: ``default`` if absent, required if no default."""
+    value = _req_attr(elt, name, source) if default is ... else elt.get(name)
+    if value is None:
+        return default
     try:
         return int(value)
     except ValueError:
         raise ParseError(f"{source}: <{elt.tag}> attribute {name!r} is not an integer: {value!r}")
-
-
-def _opt_int(elt, name):
-    value = elt.get(name)
-    return None if value is None else int(value)
 
 
 def _child_text(elt, tag):
@@ -121,7 +119,7 @@ def parse_frame_index(data, source="frameIndex.xml"):
     seen = set()
     entries = []
     for elt in root.iter("frame"):
-        fid = _req_int(elt, "ID", source)
+        fid = _int(elt, "ID", source)
         name = _req_attr(elt, "name", source)
         if fid in seen:
             raise IntegrityError(f"{source}: duplicate frame ID {fid}")
@@ -136,7 +134,7 @@ def parse_lu_index(data, source="luIndex.xml"):
     seen = set()
     rows = []
     for elt in root.iter("lu"):
-        lu_id = _req_int(elt, "ID", source)
+        lu_id = _int(elt, "ID", source)
         if lu_id in seen:
             raise IntegrityError(f"{source}: duplicate lexical unit ID {lu_id}")
         seen.add(lu_id)
@@ -144,7 +142,7 @@ def parse_lu_index(data, source="luIndex.xml"):
             Record(
                 ID=lu_id,
                 name=_req_attr(elt, "name", source),
-                frameID=_req_int(elt, "frameID", source),
+                frameID=_int(elt, "frameID", source),
                 frameName=_req_attr(elt, "frameName", source),
                 status=elt.get("status", ""),
             )
@@ -158,10 +156,10 @@ def parse_fulltext_index(data, source="fulltextIndex.xml"):
     rows = []
     seen = set()
     for corpus in root.iter("corpus"):
-        corpus_id = _opt_int(corpus, "ID")
+        corpus_id = _int(corpus, "ID", source, None)
         corpus_name = corpus.get("name", "")
         for doc in corpus.iter("document"):
-            doc_id = _req_int(doc, "ID", source)
+            doc_id = _int(doc, "ID", source)
             if doc_id in seen:
                 raise IntegrityError(f"{source}: duplicate document ID {doc_id}")
             seen.add(doc_id)
@@ -198,7 +196,7 @@ def parse_frame_file(
     """
     root = _parse_root(data, source, "frame")
     name = _req_attr(root, "name", source)
-    frame_id = _req_int(root, "ID", source)
+    frame_id = _int(root, "ID", source)
     markup = _child_text(root, "definition")
 
     frame = Record()
@@ -258,7 +256,7 @@ def _semtype_ref_list(elt, source, semtype_lookup):
     refs = []
     for child in elt:
         if child.tag == "semType":
-            refs.append((_req_int(child, "ID", source), _req_attr(child, "name", source)))
+            refs.append((_int(child, "ID", source), _req_attr(child, "name", source)))
     if not refs:
         return []
     if semtype_lookup is None:
@@ -278,13 +276,13 @@ def _parse_fe(elt, source, frame, semtype_lookup):
     fe["cDate"] = elt.get("cDate", "")
     fe["abbrev"] = elt.get("abbrev", "")
     fe["name"] = _req_attr(elt, "name", source)
-    fe["ID"] = _req_int(elt, "ID", source)
+    fe["ID"] = _int(elt, "ID", source)
     fe["_type"] = "fe"
     fe["coreType"] = core_type
     fe["definition"] = strip_markup(markup)
     fe["definitionMarkup"] = markup
     refs = [
-        (_req_int(child, "ID", source), _req_attr(child, "name", source))
+        (_int(child, "ID", source), _req_attr(child, "name", source))
         for child in elt
         if child.tag == "semType"
     ]
@@ -302,8 +300,8 @@ def _parse_fe(elt, source, frame, semtype_lookup):
 def _parse_lu_stub(elt, source, frame, exemplar_loader):
     markup = _child_text(elt, "definition")
     count = elt.find("sentenceCount")
-    annotated = int(count.get("annotated", 0)) if count is not None else 0
-    total = int(count.get("total", 0)) if count is not None else 0
+    annotated = _int(count, "annotated", source, 0) if count is not None else 0
+    total = _int(count, "total", source, 0) if count is not None else 0
     if annotated > total:
         raise IntegrityError(
             f"{source}: lexical unit {elt.get('name')!r} has annotated > total sentence count"
@@ -314,7 +312,7 @@ def _parse_lu_stub(elt, source, frame, exemplar_loader):
             POS=lex.get("POS", ""),
             headword=lex.get("headword", "false") == "true",
             breakBefore=lex.get("breakBefore", "false") == "true",
-            order=int(lex.get("order", 1)),
+            order=_int(lex, "order", source, 1),
         )
         for lex in elt
         if lex.tag == "lexeme"
@@ -324,7 +322,7 @@ def _parse_lu_stub(elt, source, frame, exemplar_loader):
     lu["status"] = elt.get("status", "")
     lu["POS"] = elt.get("POS", "")
     lu["name"] = _req_attr(elt, "name", source)
-    lu["ID"] = _req_int(elt, "ID", source)
+    lu["ID"] = _int(elt, "ID", source)
     lu["_type"] = "lu"
     lu["definition"] = strip_markup(markup)
     lu["definitionMarkup"] = markup
@@ -350,8 +348,8 @@ def _parse_lu_stub(elt, source, frame, exemplar_loader):
 
 
 def _parse_label(elt, source, layer_name, strict_span):
-    start = _opt_int(elt, "start")
-    end = _opt_int(elt, "end")
+    start = _int(elt, "start", source, None)
+    end = _int(elt, "end", source, None)
     name = _req_attr(elt, "name", source)
     itype = elt.get("itype")
     if (start is None) != (end is None):
@@ -377,7 +375,7 @@ def _parse_label(elt, source, layer_name, strict_span):
     label["name"] = name
     if itype is not None:
         label["itype"] = itype
-    fe_id = _opt_int(elt, "feID")
+    fe_id = _int(elt, "feID", source, None)
     if fe_id is not None:
         label["feID"] = fe_id
     return label
@@ -401,7 +399,7 @@ def _parse_layers(elt, source):
             if label.tag == "label"
         ]
         layers.append(
-            Record(rank=int(child.get("rank", 1)), name=layer_name, label=labels)
+            Record(rank=_int(child, "rank", source, 1), name=layer_name, label=labels)
         )
     return layers
 
@@ -466,12 +464,12 @@ def _flatten_annotation_set(aset, layers):
 
 def _parse_annotation_set(elt, source, fulltext, lu_resolver, frame_resolver):
     aset = Record()
-    aset["ID"] = _req_int(elt, "ID", source)
+    aset["ID"] = _int(elt, "ID", source)
     aset["status"] = elt.get("status", "")
     aset["_type"] = "annotationset"
     if fulltext:
         for key in ("luID", "frameID"):
-            value = _opt_int(elt, key)
+            value = _int(elt, key, source, None)
             if value is not None:
                 aset[key] = value
         for key in ("luName", "frameName"):
@@ -509,13 +507,13 @@ def _parse_annotation_set(elt, source, fulltext, lu_resolver, frame_resolver):
 def _parse_sentence(elt, source, fulltext, lu_resolver=None, frame_resolver=None):
     sent = Record()
     if fulltext:
-        sent["corpID"] = _opt_int(elt, "corpID")
-        sent["docID"] = _opt_int(elt, "docID")
-    sent["sentNo"] = _opt_int(elt, "sentNo")
+        sent["corpID"] = _int(elt, "corpID", source, None)
+        sent["docID"] = _int(elt, "docID", source, None)
+    sent["sentNo"] = _int(elt, "sentNo", source, None)
     if fulltext:
-        sent["paragNo"] = _opt_int(elt, "paragNo")
-    sent["aPos"] = _opt_int(elt, "aPos")
-    sent["ID"] = _req_int(elt, "ID", source)
+        sent["paragNo"] = _int(elt, "paragNo", source, None)
+    sent["aPos"] = _int(elt, "aPos", source, None)
+    sent["ID"] = _int(elt, "ID", source)
     sent["_type"] = "fulltext_sentence" if fulltext else "sentence"
     text_elt = elt.find("text")
     if text_elt is None:
@@ -571,7 +569,7 @@ def _check_spans(sent, source):
 def parse_lu_file(data, source=None):
     """One LU exemplar file -> (LU ID, list of subcorpus records)."""
     root = _parse_root(data, source, "lexUnit")
-    lu_id = _req_int(root, "ID", source)
+    lu_id = _int(root, "ID", source)
     subcorpora = []
     for sub in root:
         if sub.tag != "subCorpus":
@@ -595,11 +593,11 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
         raise ParseError(f"{source}: missing header/corpus/document element")
 
     doc = Record()
-    doc["ID"] = _req_int(doc_elt, "ID", source)
+    doc["ID"] = _int(doc_elt, "ID", source)
     doc["name"] = _req_attr(doc_elt, "name", source)
     doc["description"] = doc_elt.get("description", "")
     doc["corpusName"] = corpus.get("name", "")
-    doc["corpusID"] = _opt_int(corpus, "ID")
+    doc["corpusID"] = _int(corpus, "ID", source, None)
     doc["_type"] = "document"
     sentences = [
         _parse_sentence(
@@ -649,7 +647,7 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
         if type_elt.tag != "frameRelationType":
             continue
         rtype = Record()
-        rtype["ID"] = _req_int(type_elt, "ID", source)
+        rtype["ID"] = _int(type_elt, "ID", source)
         rtype["name"] = _req_attr(type_elt, "name", source)
         rtype["superFrameName"] = _req_attr(type_elt, "superFrameName", source)
         rtype["subFrameName"] = _req_attr(type_elt, "subFrameName", source)
@@ -659,12 +657,12 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
             if rel_elt.tag != "frameRelation":
                 continue
             rel = Record()
-            rel["ID"] = _req_int(rel_elt, "ID", source)
+            rel["ID"] = _int(rel_elt, "ID", source)
             rel["type"] = rtype
             rel["superFrameName"] = _req_attr(rel_elt, "superFrameName", source)
             rel["subFrameName"] = _req_attr(rel_elt, "subFrameName", source)
-            rel["supID"] = _req_int(rel_elt, "supID", source)
-            rel["subID"] = _req_int(rel_elt, "subID", source)
+            rel["supID"] = _int(rel_elt, "supID", source)
+            rel["subID"] = _int(rel_elt, "subID", source)
             rel["_type"] = "framerelation"
             rel["superFrame"] = frame_ref(rel["supID"], rel["superFrameName"])
             rel["subFrame"] = frame_ref(rel["subID"], rel["subFrameName"])
@@ -673,11 +671,11 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
                 if fe_elt.tag != "FERelation":
                     continue
                 ferel = Record()
-                ferel["ID"] = _req_int(fe_elt, "ID", source)
+                ferel["ID"] = _int(fe_elt, "ID", source)
                 ferel["superFEName"] = _req_attr(fe_elt, "superFEName", source)
                 ferel["subFEName"] = _req_attr(fe_elt, "subFEName", source)
-                ferel["supID"] = _req_int(fe_elt, "supID", source)
-                ferel["subID"] = _req_int(fe_elt, "subID", source)
+                ferel["supID"] = _int(fe_elt, "supID", source)
+                ferel["subID"] = _int(fe_elt, "subID", source)
                 ferel["_type"] = "ferelation"
                 ferel["frameRelation"] = rel
                 ferel["superFE"] = fe_ref(rel, "superFrame", ferel["superFEName"])
@@ -707,7 +705,7 @@ def parse_semtypes_file(data, source="semTypes.xml"):
         st = Record()
         st["abbrev"] = elt.get("abbrev", "")
         st["name"] = _req_attr(elt, "name", source)
-        st["ID"] = _req_int(elt, "ID", source)
+        st["ID"] = _int(elt, "ID", source)
         st["_type"] = "semtype"
         st["definition"] = strip_markup(_child_text(elt, "definition"))
         st["superType"] = None
@@ -718,7 +716,7 @@ def parse_semtypes_file(data, source="semTypes.xml"):
         types.append(st)
         sup = elt.find("superType")
         if sup is not None:
-            parent_of[st["ID"]] = _req_int(sup, "supID", source)
+            parent_of[st["ID"]] = _int(sup, "supID", source)
 
     for st_id, sup_id in parent_of.items():
         if sup_id not in by_id:

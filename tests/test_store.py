@@ -1,10 +1,14 @@
+import io
+import re
 import shutil
+import sys
 import threading
 
 import pytest
 
-from framelex import Store, open_store
-from framelex.errors import CorpusError, IntegrityError, LookupFailure
+from framelex import Store, open_lexicon, open_store
+from framelex.cli import run
+from framelex.errors import CorpusError, IntegrityError, LookupFailure, ParseError
 
 
 def test_open_reads_only_the_frame_index(store):
@@ -158,6 +162,32 @@ def test_concurrent_loads_parse_once(data_dir):
     assert st.fileAccessLog.count("frame/Revenge.xml") == 1
 
 
+def test_concurrent_first_touch_of_exemplars_reads_once(data_dir):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            lex = open_lexicon(data_dir)
+            results = []
+            barrier = threading.Barrier(4)
+
+            def work():
+                barrier.wait()
+                results.append(lex.lu(6067).exemplars)
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 4
+            assert all(r is results[0] for r in results)
+            assert lex.store.fileAccessLog.count("lu/lu6067.xml") == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _corrupt_copy(data_dir, tmp_path, relpath, old, new):
     clone = tmp_path / "corpus"
     shutil.copytree(data_dir, clone)
@@ -177,10 +207,52 @@ def test_index_header_id_mismatch(data_dir, tmp_path):
         st.get_frame("Revenge")
 
 
-def test_missing_file_is_a_corpus_error(data_dir, tmp_path):
+def _cli_code(clone, *args):
+    out, err = io.StringIO(), io.StringIO()
+    return run(["--data", str(clone), *args], stdin=io.StringIO(), stdout=out, stderr=err)
+
+
+@pytest.mark.parametrize("damage", ["deleted", "directory"])
+def test_missing_file_is_a_corpus_error(data_dir, tmp_path, damage):
     clone = tmp_path / "corpus"
     shutil.copytree(data_dir, clone)
-    (clone / "frame" / "Revenge.xml").unlink()
+    target = clone / "frame" / "Omen.xml"
+    target.unlink()
+    if damage == "directory":
+        target.mkdir()
     st = Store(clone)
     with pytest.raises(CorpusError):
-        st.get_frame("Revenge")
+        st.get_frame("Omen")
+    assert _cli_code(clone, "frame", "Omen") == 3
+
+
+# Per damaged file: the library call and the CLI command that parse it.
+_TOUCH = {
+    "lu/lu6067.xml": (lambda lex: lex.lu(6067).exemplars, ("lu", "6067")),
+    "frame/Revenge.xml": (lambda lex: lex.frame("Revenge"), ("frame", "Revenge")),
+    "fulltext/Tiger_Of_San_Pedro.xml": (lambda lex: lex.doc(23802), ("doc", "23802")),
+}
+
+
+@pytest.mark.parametrize(
+    "attr, relpath",
+    [
+        ("aPos", "lu/lu6067.xml"),
+        ("sentNo", "lu/lu6067.xml"),
+        ("paragNo", "fulltext/Tiger_Of_San_Pedro.xml"),
+        ("rank", "lu/lu6067.xml"),
+        ("annotated", "frame/Revenge.xml"),
+        ("total", "frame/Revenge.xml"),
+        ("order", "frame/Revenge.xml"),
+        ("start", "lu/lu6067.xml"),
+        ("feID", "lu/lu6067.xml"),
+        ("luID", "fulltext/Tiger_Of_San_Pedro.xml"),
+    ],
+)
+def test_malformed_integer_is_a_parse_error(data_dir, tmp_path, attr, relpath):
+    touch, command = _TOUCH[relpath]
+    value = re.search(rf'\b{attr}="\d+"', (data_dir / relpath).read_text()).group(0)
+    clone = _corrupt_copy(data_dir, tmp_path, relpath, value, value[:-1] + 'x"')
+    with pytest.raises(ParseError):
+        touch(open_lexicon(clone))
+    assert _cli_code(clone, *command) == 3
