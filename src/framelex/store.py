@@ -5,7 +5,8 @@ loads on first touch and stays cached for the life of the store: frame files
 when a frame is requested, the LU index on the first LU lookup, per-LU
 exemplar files when an LU's sentences are first touched, the relation and
 semantic type registries on first relation or type access, and full-text
-documents when requested.
+documents when requested.  The parsers link exemplar sentences to the LU
+record that loaded them, so the store returns their records unchanged.
 
 Every file actually opened is appended to ``fileAccessLog`` (path relative to
 the corpus root, posix separators), which makes load behavior observable and
@@ -144,6 +145,10 @@ class Store:
         row = self._lu_rows().get(lu_id)
         if row is None:
             raise LookupFailure(f"no lexical unit with ID {lu_id}")
+        if not self.frame_defined(row.frameID):
+            raise IntegrityError(
+                f"luIndex.xml: entry {lu_id} ({row.name!r}) names unknown frame ID {row.frameID}"
+            )
         frame = self.get_frame(row.frameID)
         lu = frame["lexUnit"].get(row.name)
         if lu is None or lu["ID"] != lu_id:
@@ -157,17 +162,9 @@ class Store:
         # Runs as a lazy value's thunk, so already under the lock.
         lu_id = lu_stub["ID"]
         relpath = f"lu/lu{lu_id}.xml"
-        got_id, subcorpora = xmlio.parse_lu_file(self._read(relpath), source=relpath)
+        got_id, subcorpora = xmlio.parse_lu_file(self._read(relpath), source=relpath, lu=lu_stub)
         if got_id != lu_id:
             raise IntegrityError(f"{relpath}: file header carries ID {got_id}")
-        frame = lu_stub["frame"]
-        for sub in subcorpora:
-            for sent in sub.sentence:
-                dict.__setitem__(sent, "LU", lu_stub)
-                dict.__setitem__(sent, "frame", frame)
-                for aset in sent["annotationSet"]:
-                    dict.__setitem__(aset, "LU", lu_stub)
-                    dict.__setitem__(aset, "frame", frame)
         return subcorpora
 
     def resolve_annotation_lu(self, lu_id, lu_name, frame_id, frame_name):

@@ -12,12 +12,18 @@ a file (editorial attributes, embedded relation references inside frame files,
 unknown child elements) is ignored without error, except that unknown
 annotation layers are kept verbatim on their annotation set.
 
+Records are complete when a parser returns them.  Back-links are set at
+parse time (set to sentence, full-text sentence to document, exemplar
+sentence and set to the ``lu`` given to ``parse_lu_file``), and spans are
+checked as they are read, in one walk over each annotation set's layers.
+
 Span convention: label offsets are 0-based with inclusive ends, exactly as
 stored in the files.  No adjustment happens at parse time.
 """
 
 import html
 import re
+from operator import itemgetter
 from xml.etree import ElementTree
 
 from .errors import IntegrityError, ParseError
@@ -72,6 +78,9 @@ def _parse_root(data, source, expected_tag):
         raise ParseError(
             f"{source or '<data>'}: line {line}: not well-formed XML ({exc.msg})"
         ) from None
+    except (LookupError, ValueError) as exc:
+        # An unknown or unsupported encoding declaration.
+        raise ParseError(f"{source or '<data>'}: cannot decode XML ({exc})") from None
     for elt in root.iter():
         if "}" in elt.tag:
             elt.tag = elt.tag.split("}", 1)[1]
@@ -347,26 +356,35 @@ def _parse_lu_stub(elt, source, frame, exemplar_loader):
 # ---------------------------------------------------------------- sentences
 
 
-def _parse_label(elt, source, layer_name, strict_span):
+# Views of the frame annotation set that a lexicographic sentence mirrors.
+_MIRRORED_VIEWS = ("Target", "FE", "GF", "PT") + POS_SPECIFIC_LAYERS
+
+# Layers whose labels need a span or an itype.
+_STRICT_SPAN_LAYERS = frozenset(_MIRRORED_VIEWS + POS_TAGSET_LAYERS)
+
+_START_END = itemgetter(0, 1)
+
+
+def _parse_label(elt, source, layer_name, text_len, sent_id):
     start = _int(elt, "start", source, None)
     end = _int(elt, "end", source, None)
     name = _req_attr(elt, "name", source)
     itype = elt.get("itype")
-    if (start is None) != (end is None):
+    problem = None
+    if start is None and end is None:
+        if itype is None and layer_name in _STRICT_SPAN_LAYERS:
+            problem = "has neither span nor itype"
+    elif start is None or end is None:
+        problem = "has half a span"
+    elif end < start:
+        problem = f"has end {end} < start {start}"
+    elif itype is not None:
+        problem = "has both a span and itype"
+    elif end >= text_len:
+        problem = "spans past the end of the text"
+    if problem is not None:
         raise IntegrityError(
-            f"{source}: label {name!r} on layer {layer_name!r} has half a span"
-        )
-    if start is not None and end < start:
-        raise IntegrityError(
-            f"{source}: label {name!r} on layer {layer_name!r} has end {end} < start {start}"
-        )
-    if itype is not None and start is not None:
-        raise IntegrityError(
-            f"{source}: label {name!r} on layer {layer_name!r} has both a span and itype"
-        )
-    if strict_span and itype is None and start is None:
-        raise IntegrityError(
-            f"{source}: label {name!r} on layer {layer_name!r} has neither span nor itype"
+            f"{source}: sentence {sent_id}: label {name!r} on layer {layer_name!r} {problem}"
         )
     label = Record()
     if start is not None:
@@ -381,93 +399,159 @@ def _parse_label(elt, source, layer_name, strict_span):
     return label
 
 
-_STRICT_SPAN_LAYERS = frozenset(
-    ("Target", "FE", "GF", "PT") + POS_SPECIFIC_LAYERS + POS_TAGSET_LAYERS
-)
+def _parse_layers(elt, source, text_len, sent_id):
+    """A set's layer records, and its labels grouped by layer name.
 
-
-def _parse_layers(elt, source):
+    ``groups[name]`` lists one ``(rank, spans, unspanned labels)`` per layer of
+    that name; ``spans`` are the ``(start, end, label name)`` of its spanned
+    labels.  Everything is in file order.
+    """
     layers = []
+    groups = {}
     for child in elt:
         if child.tag != "layer":
             continue
         layer_name = _req_attr(child, "name", source)
-        strict = layer_name in _STRICT_SPAN_LAYERS
-        labels = [
-            _parse_label(label, source, layer_name, strict and layer_name != "FE")
-            for label in child
-            if label.tag == "label"
-        ]
-        layers.append(
-            Record(rank=_int(child, "rank", source, 1), name=layer_name, label=labels)
-        )
-    return layers
-
-
-def _span_list(layers, name):
-    spans = []
-    for layer in layers:
-        if layer.name != name:
-            continue
-        for label in layer.label:
+        labels, spans, unspanned = [], [], []
+        for label_elt in child:
+            if label_elt.tag != "label":
+                continue
+            label = _parse_label(label_elt, source, layer_name, text_len, sent_id)
+            labels.append(label)
             if "start" in label:
                 spans.append((label["start"], label["end"], label["name"]))
-    spans.sort(key=lambda s: (s[0], s[1]))
-    return spans
+            else:
+                unspanned.append(label)
+        rank = _int(child, "rank", source, 1)
+        layers.append(Record(rank=rank, name=layer_name, label=labels))
+        groups.setdefault(layer_name, []).append((rank, spans, unspanned))
+    return layers, groups
 
 
-def _flatten_fe_layers(layers):
-    """Merge FE layers of every rank into one (overt, ni, niDetail) triple."""
-    overt = []
-    ni = {}
-    ni_detail = {}
-    for layer in sorted((l for l in layers if l.name == "FE"), key=lambda l: l.rank):
-        rank_spans = []
-        for label in layer.label:
-            if "start" in label:
-                rank_spans.append((label["start"], label["end"], label["name"]))
-            elif "itype" in label:
+def _add_views(aset, groups):
+    """Attach convenience views of the known layers to an annotation set."""
+
+    def spans(name):
+        merged = [span for _, layer_spans, _ in groups[name] for span in layer_spans]
+        return sorted(merged, key=_START_END)
+
+    if "Target" in groups:
+        aset["Target"] = [(start, end) for start, end, _ in spans("Target")]
+    if "FE" in groups:
+        # Ranks merge in rank order: overt spans, then {name: itype}, {name: label}.
+        overt, ni, ni_detail = [], {}, {}
+        for _, layer_spans, unspanned in sorted(groups["FE"], key=itemgetter(0)):
+            overt.extend(sorted(layer_spans, key=_START_END))
+            for label in unspanned:
                 ni.setdefault(label["name"], label["itype"])
                 ni_detail.setdefault(label["name"], label)
-            else:
-                raise IntegrityError(
-                    f"FE label {label['name']!r} has neither span nor itype"
-                )
-        rank_spans.sort(key=lambda s: (s[0], s[1]))
-        overt.extend(rank_spans)
-    return overt, ni, ni_detail
-
-
-def _flatten_annotation_set(aset, layers):
-    """Attach convenience views of the known layers to an annotation set."""
-    names = {layer.name for layer in layers}
-    if "Target" in names:
-        aset["Target"] = [
-            (start, end) for start, end, _ in _span_list(layers, "Target")
-        ]
-    if "FE" in names:
-        aset["FE"] = _flatten_fe_layers(layers)
+        aset["FE"] = (overt, ni, ni_detail)
     for known in ("GF", "PT"):
-        if known in names:
-            aset[known] = _span_list(layers, known)
-    for tagset in POS_TAGSET_LAYERS:
-        if tagset in names:
-            aset["POS"] = _span_list(layers, tagset)
-            aset["POS_tagset"] = tagset
-            break
+        if known in groups:
+            aset[known] = spans(known)
+    tagset = next((name for name in POS_TAGSET_LAYERS if name in groups), None)
+    if tagset is not None:
+        aset["POS"] = spans(tagset)
+        aset["POS_tagset"] = tagset
     for pos_layer in POS_SPECIFIC_LAYERS:
-        if pos_layer in names:
-            spans = _span_list(layers, pos_layer)
-            if spans:
-                aset[pos_layer] = spans
+        if pos_layer in groups:
+            pos_spans = spans(pos_layer)
+            if pos_spans:
+                aset[pos_layer] = pos_spans
 
 
-def _parse_annotation_set(elt, source, fulltext, lu_resolver, frame_resolver):
+def _parse_annotation_set(elt, source, sent, link):
     aset = Record()
     aset["ID"] = _int(elt, "ID", source)
     aset["status"] = elt.get("status", "")
     aset["_type"] = "annotationset"
+    link(elt, aset)
+    aset["sent"] = sent
+    layers, groups = _parse_layers(elt, source, len(sent["text"]), sent["ID"])
+    aset["layer"] = layers
+    _add_views(aset, groups)
+    return aset
+
+
+def _parse_sentence(elt, source, link, doc=None):
+    """A sentence record; ``doc`` is the owning document of a full-text one.
+
+    ``link(elt, record)`` adds the LU and frame references to each annotation
+    set, and to a lexicographic sentence itself.
+    """
+    fulltext = doc is not None
+    sent = Record()
     if fulltext:
+        sent["corpID"] = _int(elt, "corpID", source, None)
+        sent["docID"] = _int(elt, "docID", source, None)
+    sent["sentNo"] = _int(elt, "sentNo", source, None)
+    if fulltext:
+        sent["paragNo"] = _int(elt, "paragNo", source, None)
+    sent["aPos"] = _int(elt, "aPos", source, None)
+    sent["ID"] = _int(elt, "ID", source)
+    sent["_type"] = "fulltext_sentence" if fulltext else "sentence"
+    text_elt = elt.find("text")
+    if text_elt is None:
+        raise ParseError(f"{source}: sentence {sent['ID']} has no <text> element")
+    sent["text"] = text_elt.text or ""
+    if not fulltext:
+        link(elt, sent)
+
+    asets = [
+        _parse_annotation_set(child, source, sent, link)
+        for child in elt
+        if child.tag == "annotationSet"
+    ]
+    sent["annotationSet"] = asets
+    first_set = asets[0] if asets else {}
+    sent["POS"] = first_set.get("POS", [])
+    sent["POS_tagset"] = first_set.get("POS_tagset", "")
+    if fulltext:
+        sent["doc"] = doc
+    else:
+        # The frame annotation set's views are mirrored onto the sentence.
+        frame_set = asets[1] if len(asets) > 1 else {}
+        sent.update({"Target": [], "FE": ([], {}, {}), "GF": [], "PT": []})
+        sent.update((key, frame_set[key]) for key in _MIRRORED_VIEWS if key in frame_set)
+    return sent
+
+
+def parse_lu_file(data, source=None, *, lu=None):
+    """One LU exemplar file -> (LU ID, list of subcorpus records).
+
+    Every sentence and annotation set links to ``lu`` and its frame; with no
+    ``lu`` those links fail if forced.
+    """
+    root = _parse_root(data, source, "lexUnit")
+    lu_id = _int(root, "ID", source)
+    lu_ref = lu if lu is not None else unbound_lazy("the exemplars' lexical unit")
+    frame_ref = lu["frame"] if lu is not None else unbound_lazy("the exemplars' frame")
+
+    def link(elt, record):
+        record["LU"] = lu_ref
+        record["frame"] = frame_ref
+
+    subcorpora = []
+    for sub in root:
+        if sub.tag != "subCorpus":
+            continue
+        sentences = [
+            _parse_sentence(child, source, link) for child in sub if child.tag == "sentence"
+        ]
+        subcorpora.append(Record(name=sub.get("name", ""), sentence=sentences))
+    return lu_id, subcorpora
+
+
+def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=None):
+    """One full-text document file -> a document record with its sentences."""
+    root = _parse_root(data, source, "fullTextAnnotation")
+    header = root.find("header")
+    corpus = header.find("corpus") if header is not None else None
+    doc_elt = corpus.find("document") if corpus is not None else None
+    if doc_elt is None:
+        raise ParseError(f"{source}: missing header/corpus/document element")
+
+    def link(elt, aset):
         for key in ("luID", "frameID"):
             value = _int(elt, key, source, None)
             if value is not None:
@@ -493,104 +577,6 @@ def _parse_annotation_set(elt, source, fulltext, lu_resolver, frame_resolver):
                 aset["frame"] = Lazy(
                     lambda: frame_resolver(aset.get("frameID"), aset.get("frameName"))
                 )
-    else:
-        # The owning store links these to the loaded lexical unit.
-        aset["LU"] = unbound_lazy("the annotation set's lexical unit")
-        aset["frame"] = unbound_lazy("the annotation set's frame")
-    aset["sent"] = None
-    layers = _parse_layers(elt, source)
-    aset["layer"] = layers
-    _flatten_annotation_set(aset, layers)
-    return aset
-
-
-def _parse_sentence(elt, source, fulltext, lu_resolver=None, frame_resolver=None):
-    sent = Record()
-    if fulltext:
-        sent["corpID"] = _int(elt, "corpID", source, None)
-        sent["docID"] = _int(elt, "docID", source, None)
-    sent["sentNo"] = _int(elt, "sentNo", source, None)
-    if fulltext:
-        sent["paragNo"] = _int(elt, "paragNo", source, None)
-    sent["aPos"] = _int(elt, "aPos", source, None)
-    sent["ID"] = _int(elt, "ID", source)
-    sent["_type"] = "fulltext_sentence" if fulltext else "sentence"
-    text_elt = elt.find("text")
-    if text_elt is None:
-        raise ParseError(f"{source}: sentence {sent['ID']} has no <text> element")
-    sent["text"] = text_elt.text or ""
-    if not fulltext:
-        sent["LU"] = unbound_lazy("the sentence's lexical unit")
-        sent["frame"] = unbound_lazy("the sentence's frame")
-
-    asets = [
-        _parse_annotation_set(child, source, fulltext, lu_resolver, frame_resolver)
-        for child in elt
-        if child.tag == "annotationSet"
-    ]
-    for aset in asets:
-        dict.__setitem__(aset, "sent", sent)
-    sent["annotationSet"] = asets
-
-    sent["POS"] = []
-    sent["POS_tagset"] = ""
-    if asets and "POS" in asets[0]:
-        sent["POS"] = asets[0]["POS"]
-        sent["POS_tagset"] = asets[0]["POS_tagset"]
-
-    if not fulltext:
-        # The frame annotation set's layers are mirrored onto the sentence.
-        frame_set = asets[1] if len(asets) > 1 else None
-        sent["Target"] = frame_set.get("Target", []) if frame_set else []
-        sent["FE"] = frame_set.get("FE", ([], {}, {})) if frame_set else ([], {}, {})
-        sent["GF"] = frame_set.get("GF", []) if frame_set else []
-        sent["PT"] = frame_set.get("PT", []) if frame_set else []
-        if frame_set:
-            for pos_layer in POS_SPECIFIC_LAYERS:
-                if pos_layer in frame_set:
-                    sent[pos_layer] = frame_set[pos_layer]
-
-    _check_spans(sent, source)
-    return sent
-
-
-def _check_spans(sent, source):
-    length = len(sent["text"])
-    for aset in sent["annotationSet"]:
-        for layer in aset["layer"]:
-            for label in layer.label:
-                if "start" in label and label["end"] >= length:
-                    raise IntegrityError(
-                        f"{source}: sentence {sent['ID']}: label {label['name']!r} "
-                        f"spans past the end of the text"
-                    )
-
-
-def parse_lu_file(data, source=None):
-    """One LU exemplar file -> (LU ID, list of subcorpus records)."""
-    root = _parse_root(data, source, "lexUnit")
-    lu_id = _int(root, "ID", source)
-    subcorpora = []
-    for sub in root:
-        if sub.tag != "subCorpus":
-            continue
-        sentences = [
-            _parse_sentence(child, source, fulltext=False)
-            for child in sub
-            if child.tag == "sentence"
-        ]
-        subcorpora.append(Record(name=sub.get("name", ""), sentence=sentences))
-    return lu_id, subcorpora
-
-
-def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=None):
-    """One full-text document file -> a document record with its sentences."""
-    root = _parse_root(data, source, "fullTextAnnotation")
-    header = root.find("header")
-    corpus = header.find("corpus") if header is not None else None
-    doc_elt = corpus.find("document") if corpus is not None else None
-    if doc_elt is None:
-        raise ParseError(f"{source}: missing header/corpus/document element")
 
     doc = Record()
     doc["ID"] = _int(doc_elt, "ID", source)
@@ -599,17 +585,9 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
     doc["corpusName"] = corpus.get("name", "")
     doc["corpusID"] = _int(corpus, "ID", source, None)
     doc["_type"] = "document"
-    sentences = [
-        _parse_sentence(
-            child, source, fulltext=True,
-            lu_resolver=lu_resolver, frame_resolver=frame_resolver,
-        )
-        for child in root
-        if child.tag == "sentence"
+    doc["sentences"] = [
+        _parse_sentence(child, source, link, doc) for child in root if child.tag == "sentence"
     ]
-    for sent in sentences:
-        sent["doc"] = doc
-    doc["sentences"] = sentences
     return doc
 
 

@@ -1,4 +1,5 @@
 import io
+import random
 import re
 import shutil
 import sys
@@ -256,3 +257,56 @@ def test_malformed_integer_is_a_parse_error(data_dir, tmp_path, attr, relpath):
     with pytest.raises(ParseError):
         touch(open_lexicon(clone))
     assert _cli_code(clone, *command) == 3
+
+
+@pytest.mark.parametrize("encoding", ["foo", "shift_jis"])
+def test_unusable_encoding_declaration_is_a_parse_error(data_dir, tmp_path, encoding):
+    clone = _corrupt_copy(
+        data_dir, tmp_path, "frame/Revenge.xml", "encoding='UTF-8'", f"encoding='{encoding}'"
+    )
+    with pytest.raises(ParseError):
+        open_lexicon(clone).frame("Revenge")
+    assert _cli_code(clone, "frame", "Revenge") == 3
+
+
+def test_lu_index_row_naming_unknown_frame(data_dir, tmp_path):
+    clone = _corrupt_copy(
+        data_dir, tmp_path, "luIndex.xml",
+        '<lu ID="6067" name="revenge.n" frameID="347"',
+        '<lu ID="6067" name="revenge.n" frameID="99999"',
+    )
+    with pytest.raises(IntegrityError, match=r"luIndex\.xml: entry 6067 .*99999"):
+        Store(clone).get_lu(6067)
+    assert _cli_code(clone, "lu", "6067") == 3
+
+
+_ATTRIBUTE = re.compile(r'\s([\w:]+)="[^"]*"')
+
+
+def test_seeded_attribute_mutations_keep_the_error_contract(data_dir, tmp_path):
+    """About 6 attributes per fixture file, each set to "x" or "-1" in turn.
+
+    ``stats`` touches every file, so each mutation is parsed; whatever the
+    damage, the CLI must exit 0 (the attribute is not read or still valid)
+    or 3 (data error), and no exception may escape.
+    """
+    clone = tmp_path / "corpus"
+    shutil.copytree(data_dir, clone)
+    rng = random.Random(17)
+    runs = 0
+    for path in sorted(clone.rglob("*.xml")):
+        body = path.read_text()
+        spots = [
+            m for m in _ATTRIBUTE.finditer(body)
+            if not m.group(1).startswith(("xmlns", "xsi"))
+        ]
+        for spot in rng.sample(spots, min(6, len(spots))):
+            value = rng.choice(["x", "-1"])
+            mutated = f' {spot.group(1)}="{value}"'
+            path.write_text(body[: spot.start()] + mutated + body[spot.end() :])
+            code = _cli_code(clone, "stats")
+            where = f"{path.relative_to(clone)} offset {spot.start()}: {mutated.strip()}"
+            assert code in (0, 3), where
+            runs += 1
+        path.write_text(body)
+    assert runs == 120

@@ -7,8 +7,8 @@ them by construction.
 
 import pytest
 
-from framelex.errors import IntegrityError, ParseError
-from framelex.records import Record
+from framelex.errors import CorpusError, IntegrityError, ParseError
+from framelex.records import Record, attribute_names
 from framelex.xmlio import (
     parse_frame_file,
     parse_frame_index,
@@ -298,3 +298,213 @@ def test_semtype_cycle_rejected():
     ).encode()
     with pytest.raises(IntegrityError):
         parse_semtypes_file(data)
+
+
+# ------------------------------------------------------------ record shapes
+
+# Attribute lists as the parser has always produced them; a change in key
+# names or key order shows up here first.
+EXEMPLAR_SENTENCE_KEYS = [
+    "sentNo", "aPos", "ID", "text", "LU", "frame", "annotationSet",
+    "POS", "POS_tagset", "Target", "FE", "GF", "PT", "Noun",
+]
+FULLTEXT_SENTENCE_KEYS = [
+    "corpID", "docID", "sentNo", "paragNo", "aPos", "ID", "text", "annotationSet",
+    "POS", "POS_tagset", "doc",
+]
+EXEMPLAR_SET_KEYS = [
+    ["ID", "status", "LU", "frame", "sent", "layer", "POS", "POS_tagset"],
+    ["ID", "status", "LU", "frame", "sent", "layer", "Target", "FE", "GF", "PT", "Noun"],
+]
+FULLTEXT_SET_KEYS = [
+    ["ID", "status", "sent", "layer", "POS", "POS_tagset"],
+    [
+        "ID", "status", "luID", "frameID", "luName", "frameName", "LU", "frame",
+        "sent", "layer", "Target", "FE", "GF", "PT",
+    ],
+]
+
+
+def test_record_attribute_names(data_dir):
+    _, subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x")
+    sent = next(s for sub in subcorpora for s in sub.sentence if s.ID == 929548)
+    assert attribute_names(sent) == EXEMPLAR_SENTENCE_KEYS
+    assert [attribute_names(a) for a in sent.annotationSet] == EXEMPLAR_SET_KEYS
+    assert attribute_names(sent.annotationSet[1].layer[0]) == ["rank", "name", "label"]
+
+    doc = parse_fulltext_file(raw(data_dir, "fulltext/Tiger_Of_San_Pedro.xml"), "x")
+    ft_sent = doc.sentences[1]
+    assert attribute_names(ft_sent) == FULLTEXT_SENTENCE_KEYS
+    assert [attribute_names(a) for a in ft_sent.annotationSet[:2]] == FULLTEXT_SET_KEYS
+
+    fe_layer = next(layer for layer in sent.annotationSet[1].layer if layer.name == "FE")
+    assert {tuple(attribute_names(label)) for label in fe_layer.label} == {
+        ("start", "end", "name", "feID"),
+        ("name", "itype", "feID"),
+    }
+    target = next(layer for layer in sent.annotationSet[1].layer if layer.name == "Target")
+    assert attribute_names(target.label[0]) == ["start", "end", "name"]
+
+
+def test_lu_file_links_sentences_to_the_given_lu(data_dir):
+    frame = Record(_type="frame", ID=347, name="Revenge")
+    stub = Record(_type="lu", ID=6067, name="revenge.n", frame=frame)
+    _, subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x", lu=stub)
+    sents = [s for sub in subcorpora for s in sub.sentence]
+    assert sents
+    for sent in sents:
+        assert sent.LU is stub
+        assert sent.frame is frame
+        for aset in sent.annotationSet:
+            assert aset.LU is stub
+            assert aset.frame is frame
+            assert aset.sent is sent
+
+
+def test_lu_file_without_lu_leaves_links_unbound(data_dir):
+    _, subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x")
+    sent = subcorpora[0].sentence[0]
+    with pytest.raises(CorpusError):
+        sent.LU
+    with pytest.raises(CorpusError):
+        sent.annotationSet[1].frame
+
+
+# ------------------------------------------------------------ raw-XML view oracle
+
+SUPPORT_LAYERS = ("Verb", "Noun", "Adj", "Adv", "Prep", "Scon", "Art")
+VIEW_KEYS = ("Target", "FE", "GF", "PT", "POS", "POS_tagset") + SUPPORT_LAYERS
+
+
+def _local(tag):
+    return tag.rsplit("}", 1)[-1]
+
+
+def _children(elt, tag):
+    return [child for child in elt if _local(child.tag) == tag]
+
+
+def _oracle_views(set_elt):
+    """The layer views of one <annotationSet>, from ElementTree alone."""
+    layers = [
+        (layer.get("name"), int(layer.get("rank", "1")), _children(layer, "label"))
+        for layer in _children(set_elt, "layer")
+    ]
+
+    def spans(name):
+        found = [
+            (int(label.get("start")), int(label.get("end")), label.get("name"))
+            for layer_name, _, labels in layers
+            if layer_name == name
+            for label in labels
+            if label.get("start") is not None
+        ]
+        return sorted(found, key=lambda span: span[:2])
+
+    names = [name for name, _, _ in layers]
+    views = {}
+    if "Target" in names:
+        views["Target"] = [span[:2] for span in spans("Target")]
+    if "FE" in names:
+        overt, ni = [], {}
+        for _, _, labels in sorted((l for l in layers if l[0] == "FE"), key=lambda l: l[1]):
+            rank_spans = [
+                (int(label.get("start")), int(label.get("end")), label.get("name"))
+                for label in labels
+                if label.get("start") is not None
+            ]
+            overt.extend(sorted(rank_spans, key=lambda span: span[:2]))
+            for label in labels:
+                if label.get("itype") is not None:
+                    ni.setdefault(label.get("name"), label.get("itype"))
+        views["FE"] = (overt, ni)
+    for name in ("GF", "PT"):
+        if name in names:
+            views[name] = spans(name)
+    for tagset in ("BNC", "PENN"):
+        if tagset in names:
+            views["POS"] = spans(tagset)
+            views["POS_tagset"] = tagset
+            break
+    for name in SUPPORT_LAYERS:
+        support = spans(name)
+        if support:
+            views[name] = support
+    return views
+
+
+def _parsed_views(aset):
+    views = {key: aset[key] for key in VIEW_KEYS if key in aset}
+    if "FE" in views:
+        overt, ni, ni_detail = views["FE"]
+        assert list(ni_detail) == list(ni)
+        assert all(ni_detail[name].itype == ni[name] for name in ni)
+        views["FE"] = (overt, ni)
+    return views
+
+
+# Cases the fixture lacks: FE ranks out of file order with a null instance
+# named on both, span ties, two Target layers, two tagsets (PENN first), an
+# empty support layer and an unknown layer.
+_VIEW_CASES_LU = (
+    f'<lexUnit {NS} ID="1" name="a.n" POS="N"><subCorpus name="s">'
+    '<sentence ID="10"><text>abcdef ghij klm</text>'
+    '<annotationSet ID="100" status="UNANN"><layer rank="1" name="PENN">'
+    '<label name="NN" start="7" end="10"/><label name="NN" start="0" end="5"/></layer>'
+    '<layer rank="1" name="BNC"><label name="NN1" start="0" end="5"/></layer>'
+    "</annotationSet>"
+    '<annotationSet ID="101" status="MANUAL">'
+    '<layer rank="1" name="Target"><label name="Target" start="7" end="10"/></layer>'
+    '<layer rank="2" name="FE"><label name="B" start="0" end="5"/>'
+    '<label name="A" start="0" end="2"/><label name="N" itype="INI"/></layer>'
+    '<layer rank="1" name="FE"><label name="C" start="7" end="14"/>'
+    '<label name="D" start="0" end="14"/><label name="N" itype="DNI"/>'
+    '<label name="M" itype="CNI"/></layer>'
+    '<layer rank="1" name="Target"><label name="Target" start="0" end="1"/></layer>'
+    '<layer rank="1" name="GF"><label name="Obj" start="12" end="14"/>'
+    '<label name="Ext" start="0" end="5"/><label name="Dep" start="0" end="5"/></layer>'
+    '<layer rank="1" name="Verb"/>'
+    '<layer rank="1" name="Noun"><label name="Supp" start="12" end="14"/></layer>'
+    '<layer rank="1" name="Sent"><label name="Other"/></layer>'
+    "</annotationSet></sentence></subCorpus></lexUnit>"
+).encode()
+
+
+def _oracle_inputs(data_dir):
+    paths = sorted((data_dir / "lu").glob("*.xml")) + sorted((data_dir / "fulltext").glob("*.xml"))
+    assert len(paths) == 5
+    return [(path.name, path.read_bytes()) for path in paths] + [("cases", _VIEW_CASES_LU)]
+
+
+def test_layer_views_match_raw_xml(data_dir):
+    from xml.etree import ElementTree
+
+    checked = 0
+    for source, data in _oracle_inputs(data_dir):
+        root = ElementTree.fromstring(data)
+        sent_elts = [elt for elt in root.iter() if _local(elt.tag) == "sentence"]
+        if _local(root.tag) == "lexUnit":
+            _, subcorpora = parse_lu_file(data, source)
+            sents = [s for sub in subcorpora for s in sub.sentence]
+        else:
+            sents = parse_fulltext_file(data, source).sentences
+        assert [int(elt.get("ID")) for elt in sent_elts] == [s.ID for s in sents]
+        for sent_elt, sent in zip(sent_elts, sents):
+            set_elts = _children(sent_elt, "annotationSet")
+            assert len(set_elts) == len(sent.annotationSet)
+            for set_elt, aset in zip(set_elts, sent.annotationSet):
+                assert int(set_elt.get("ID")) == aset.ID
+                assert _parsed_views(aset) == _oracle_views(set_elt), (source, aset.ID)
+                checked += 1
+            first = _oracle_views(set_elts[0]) if set_elts else {}
+            assert sent.POS == first.get("POS", [])
+            assert sent.POS_tagset == first.get("POS_tagset", "")
+            if sent._type == "sentence":
+                frame_views = _oracle_views(set_elts[1]) if len(set_elts) > 1 else {}
+                assert sent.Target == frame_views.get("Target", [])
+                assert sent.FE[:2] == frame_views.get("FE", ([], {}))
+                assert sent.GF == frame_views.get("GF", [])
+                assert sent.PT == frame_views.get("PT", [])
+                for name in SUPPORT_LAYERS:
+                    assert sent.get(name) == frame_views.get(name)
+    assert checked > 50
