@@ -13,6 +13,7 @@ from .errors import (
     LookupFailure,
     ParseError,
     PatternError,
+    UsageError,
 )
 from .lexicon import FrameLexicon, open_lexicon
 from .records import Record, attribute_names, record_type
@@ -42,6 +43,7 @@ __all__ = [
     "PatternError",
     "Record",
     "Store",
+    "UsageError",
     "attribute_names",
     "open_lexicon",
     "open_store",

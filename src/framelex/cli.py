@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 name or ID not found, 2 usage or bad pattern,
 import argparse
 import sys
 
-from .errors import CorpusError, LookupFailure, PatternError
+from .errors import CorpusError, LookupFailure, PatternError, UsageError
 from .lexicon import _is_record, open_lexicon
 from . import render
 from .store import ENV_DATA_DIR
@@ -92,7 +92,7 @@ def build_parser():
 
 
 def _frame_arg(value):
-    if value is not None and value.isdigit():
+    if value is not None and value.isdecimal():
         return int(value)
     return value
 
@@ -196,7 +196,7 @@ def _dispatch(lexicon, args, options, out):
     elif command == "semtypes":
         out.write_lines(_list_lines("semtypes", lexicon.semtypes(), ids_mode))
     elif command == "semtype":
-        key = int(args.key) if args.key.isdigit() else args.key
+        key = int(args.key) if args.key.isdecimal() else args.key
         out.write(render.render_semtype(lexicon.semtype(key), options))
     elif command == "propagate-semtypes":
         out.write(f"added {lexicon.propagate_semtypes()} semantic type labels\n")
@@ -259,7 +259,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None):
     except LookupFailure as exc:
         stderr.write(f"framelex: not found: {exc}\n")
         return 1
-    except (PatternError, ValueError) as exc:
+    except (PatternError, UsageError) as exc:
         stderr.write(f"framelex: usage: {exc}\n")
         return 2
     except CorpusError as exc:
@@ -326,7 +326,7 @@ def _repl_command(lexicon, options, stack, command, rest, out):
         if arg is None:
             out.write("usage: frame <name-or-id>\n")
             return
-        frame = lexicon.frame(int(arg) if arg.isdigit() else arg)
+        frame = lexicon.frame(int(arg) if arg.isdecimal() else arg)
         out.write(render.render_frame(frame, options))
         stack[:] = [(frame.name, frame)]
     elif command == "lu":
@@ -336,13 +336,13 @@ def _repl_command(lexicon, options, stack, command, rest, out):
         frame = _stack_find(stack, "frame")
         if frame is not None and arg in frame.lexUnit:
             lu = frame.lexUnit[arg]
-        elif arg.isdigit():
+        elif arg.isdecimal():
             lu = lexicon.lu(int(arg))
         else:
-            rows = [row for row in lexicon.store.lu_index() if row.name == arg]
-            if len(rows) != 1:
+            rows, names = lexicon.store.lu_column()
+            if names.count(arg) != 1:
                 raise LookupFailure(f"no unique lexical unit named {arg!r}")
-            lu = lexicon.lu(rows[0].ID)
+            lu = lexicon.lu(rows[names.index(arg)]["ID"])
         out.write(render.render_lu(lu, options))
         stack[:] = [(lu.frame.name, lu.frame), (lu.name, lu)]
     elif command == "fe":
@@ -386,7 +386,7 @@ def _repl_command(lexicon, options, stack, command, rest, out):
         if arg is None:
             out.write("usage: semtype <key>\n")
             return
-        key = int(arg) if arg.isdigit() else arg
+        key = int(arg) if arg.isdecimal() else arg
         out.write(render.render_semtype(lexicon.semtype(key), options))
     elif command == "stats":
         for line in _stats_lines(lexicon):

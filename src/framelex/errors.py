@@ -1,9 +1,9 @@
 """Error taxonomy shared by the whole package.
 
 Four failure families matter to callers: a name or ID that does not resolve,
-a regular expression that does not compile, a data file that does not parse,
-and a data file that parses but violates the format's integrity rules.  The
-CLI maps each family to a distinct exit code.
+a regular expression or argument combination the caller got wrong, a data
+file that does not parse, and a data file that parses but violates the
+format's integrity rules.  The CLI maps each family to a distinct exit code.
 """
 
 
@@ -17,6 +17,10 @@ class LookupFailure(FramelexError):
 
 class PatternError(FramelexError):
     """A lookup pattern is not a valid regular expression."""
+
+
+class UsageError(FramelexError, ValueError):
+    """An argument value or combination the call does not accept."""
 
 
 class CorpusError(FramelexError):

@@ -9,8 +9,9 @@ results have fixed orders, so repeated calls are identical.
 """
 
 import re
+from itertools import compress
 
-from .errors import LookupFailure, PatternError
+from .errors import LookupFailure, PatternError, UsageError
 from .records import LOCK, Record
 from .store import open_store
 
@@ -23,17 +24,18 @@ def compile_pattern(pattern):
         raise PatternError(f"bad pattern {pattern!r}: {exc}") from None
 
 
-def _match(rows, pattern, key):
-    """The rows whose ``row[key]`` the pattern matches; all rows if None."""
-    if pattern is None:
+def _scan(pattern, column, *args):
+    """The rows of the store column ``column(*args)`` whose name the pattern
+    matches (all rows if None), in column order: ID ascending.
+
+    The pattern compiles before the column loads, so a bad one fails before
+    any file is read.
+    """
+    search = None if pattern is None else compile_pattern(pattern).search
+    rows, names = column(*args)
+    if search is None:
         return list(rows)
-    search = compile_pattern(pattern).search
-    return [row for row in rows if search(row[key])]
-
-
-def _sorted_matches(rows, pattern=None):
-    """The index rows whose name matches, ID ascending."""
-    return sorted(_match(rows, pattern, "name"), key=lambda row: row["ID"])
+    return list(compress(rows, map(search, names)))
 
 
 def _is_record(obj, kind):
@@ -57,24 +59,24 @@ class FrameLexicon:
 
     def frames(self, name_pattern=None):
         """Frames whose name matches the pattern (all frames if None), ID ascending."""
-        entries = _match(self._store.frame_index(), name_pattern, 1)
-        return [self._store.get_frame(fid) for fid, _ in sorted(entries)]
+        entries = _scan(name_pattern, self._store.frame_column)
+        return [self._store.get_frame(fid) for fid, _ in entries]
 
     def frame(self, key):
         """One frame, by exact name or numeric ID."""
         if _is_record(key, "frame"):
             return key
-        if isinstance(key, str) and key.isdigit():
+        if isinstance(key, str) and key.isdecimal():
             key = int(key)
         return self._store.get_frame(key)
 
     def frame_ids_and_names(self, name_pattern=None):
         """{frame ID: frame name} for matching frames, from the index alone."""
-        return dict(sorted(_match(self._store.frame_index(), name_pattern, 1)))
+        return dict(_scan(name_pattern, self._store.frame_column))
 
     def frames_by_lemma(self, pattern):
         """Frames defining at least one LU whose name matches, ID ascending."""
-        frame_ids = {row["frameID"] for row in _match(self._store.lu_index(), pattern, "name")}
+        frame_ids = {row["frameID"] for row in _scan(pattern, self._store.lu_column)}
         return [self._store.get_frame(fid) for fid in sorted(frame_ids)]
 
     # ------------------------------------------------------------ lexical units
@@ -86,17 +88,17 @@ class FrameLexicon:
         frame record, an exact frame name, or a name pattern (a restriction
         matching no frame yields an empty list, not an error).
         """
-        rows = _sorted_matches(self._store.lu_index(), name_pattern)
+        rows = _scan(name_pattern, self._store.lu_column)
         if frame is not None:
             allowed = self._frame_restriction_ids(frame)
-            rows = [row for row in rows if row.frameID in allowed]
-        return [self._store.get_lu(row.ID) for row in rows]
+            rows = [row for row in rows if row["frameID"] in allowed]
+        return [self._store.get_lu(row["ID"]) for row in rows]
 
     def lu(self, lu_id):
         """One lexical unit, by numeric ID."""
         if _is_record(lu_id, "lu"):
             return lu_id
-        if isinstance(lu_id, str) and lu_id.isdigit():
+        if isinstance(lu_id, str) and lu_id.isdecimal():
             lu_id = int(lu_id)
         if not isinstance(lu_id, int):
             raise LookupFailure(f"no lexical unit with ID {lu_id!r}")
@@ -107,9 +109,9 @@ class FrameLexicon:
             return {frame["ID"]}
         if isinstance(frame, int):
             return {frame}
-        index = self._store.frame_index()
-        exact = {fid for fid, name in index if name == frame}
-        return exact.union(fid for fid, _ in _match(index, frame, 1))
+        rows, _ = self._store.frame_column()
+        exact = {fid for fid, name in rows if name == frame}
+        return exact.union(fid for fid, _ in _scan(frame, self._store.frame_column))
 
     # ------------------------------------------------------------ frame elements
 
@@ -117,20 +119,12 @@ class FrameLexicon:
         """Frame elements whose name matches, by (frame ID, FE ID).
 
         Scans every frame unless ``frame`` confines the search, loading the
-        scanned frames as a side effect.
+        scanned frames, ID ascending, as a side effect.
         """
         if frame is None:
-            frame_ids = sorted(fid for fid, _ in self._store.frame_index())
-        else:
-            frame_ids = sorted(self._frame_restriction_ids(frame))
-        # A generator, so a bad pattern fails before any frame file is read.
-        fes = (
-            fe
-            for fid in frame_ids
-            if self._store.frame_defined(fid)
-            for fe in sorted(self._store.get_frame(fid)["FE"].values(), key=lambda fe: fe["ID"])
-        )
-        return _match(fes, name_pattern, "name")
+            return _scan(name_pattern, self._store.fe_column)
+        frame_ids = sorted(self._frame_restriction_ids(frame))
+        return _scan(name_pattern, self._store.fe_column, frame_ids)
 
     # ------------------------------------------------------------ relations
 
@@ -146,7 +140,7 @@ class FrameLexicon:
         ``type`` keeps one relation type, given by name or record.
         """
         if frame2 is not None and frame is None:
-            raise ValueError("frame_relations: frame2 requires frame")
+            raise UsageError("frame_relations: frame2 requires frame")
         if frame is None:
             relations = self._store.frame_relations_all()
         else:
@@ -236,8 +230,8 @@ class FrameLexicon:
     # ------------------------------------------------------------ annotated sentences
 
     def _iter_exemplars(self, pattern=None):
-        for row in _sorted_matches(self._store.lu_index(), pattern):
-            lu = self._store.get_lu(row.ID)
+        for row in _scan(pattern, self._store.lu_column):
+            lu = self._store.get_lu(row["ID"])
             yield from sorted(lu["exemplars"], key=lambda s: s["ID"])
 
     def exemplars(self, pattern=None):
@@ -247,8 +241,8 @@ class FrameLexicon:
     def ft_sents(self, name_pattern=None):
         """Full-text sentences of matching documents, in document order."""
         sentences = []
-        for row in _sorted_matches(self._store.doc_index(), name_pattern):
-            sentences.extend(self._store.get_document(row.ID)["sentences"])
+        for row in _scan(name_pattern, self._store.doc_column):
+            sentences.extend(self._store.get_document(row["ID"])["sentences"])
         return sentences
 
     def sents(self):
@@ -258,8 +252,8 @@ class FrameLexicon:
         a full-text file.
         """
         yield from self._iter_exemplars()
-        for row in _sorted_matches(self._store.doc_index()):
-            yield from self._store.get_document(row.ID)["sentences"]
+        for row in _scan(None, self._store.doc_column):
+            yield from self._store.get_document(row["ID"])["sentences"]
 
     def doc(self, doc_id):
         """One full-text document, by numeric ID."""
@@ -267,8 +261,8 @@ class FrameLexicon:
 
     def docs(self, name_pattern=None):
         """Full-text documents whose name matches, ID ascending."""
-        rows = _sorted_matches(self._store.doc_index(), name_pattern)
-        return [self._store.get_document(row.ID) for row in rows]
+        rows = _scan(name_pattern, self._store.doc_column)
+        return [self._store.get_document(row["ID"]) for row in rows]
 
     def annotations(self, luNamePattern=None, exemplars=True, full_text=True):
         """Frame annotation sets whose LU name matches the pattern.
@@ -289,8 +283,8 @@ class FrameLexicon:
             result.extend(part)
         if full_text:
             part = []
-            for row in _sorted_matches(self._store.doc_index()):
-                for sent in self._store.get_document(row.ID)["sentences"]:
+            for row in _scan(None, self._store.doc_column):
+                for sent in self._store.get_document(row["ID"])["sentences"]:
                     for aset in sent["annotationSet"][1:]:
                         name = aset.get("luName")
                         if rx is not None and (name is None or not rx.search(name)):

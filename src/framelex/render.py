@@ -22,6 +22,7 @@ import re
 import textwrap
 from dataclasses import dataclass
 
+from .errors import UsageError
 from .xmlio import POS_SPECIFIC_LAYERS
 
 CORE_TYPE_ORDER = ("Core", "Core-Unexpressed", "Peripheral", "Extra-Thematic")
@@ -37,7 +38,7 @@ class DisplayOptions:
 
     def __post_init__(self):
         if self.wrap_width < MIN_WRAP_WIDTH:
-            raise ValueError(f"wrap_width must be at least {MIN_WRAP_WIDTH}")
+            raise UsageError(f"wrap_width must be at least {MIN_WRAP_WIDTH}")
 
 
 DEFAULT_OPTIONS = DisplayOptions()

@@ -15,9 +15,16 @@ takes no lock; a miss builds under ``records.LOCK``, the package's single
 re-entrant lock, which also covers the resolution of lazy record values such
 as exemplar sentences.  So concurrent first accesses to the same entity parse
 its file exactly once and repeated lookups return the identical cached record.
+
+The same memo holds the name columns that pattern scans search, one per
+table: the frame, LU and document indexes, each frame's FEs, and all FEs.  A
+column is a pair ``(rows, names)`` of equal-length tuples, ID ascending,
+built on the first scan that needs it.
 """
 
 import os
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from . import xmlio
@@ -73,6 +80,12 @@ class Store:
         """An index or registry file's records as {ID: record}, file order."""
         return {row["ID"]: row for row in parse(self._read(relpath))}
 
+    @staticmethod
+    def _index_column(rows):
+        """The (rows, names) column of ID-keyed index records, ID ascending."""
+        rows = tuple(rows[key] for key in sorted(rows))
+        return rows, tuple(map(itemgetter("name"), rows))
+
     # ------------------------------------------------------------ frames
 
     def _frame_index(self):
@@ -86,6 +99,14 @@ class Store:
     def frame_index(self):
         """All (frame ID, frame name) pairs, from the index alone."""
         return list(self._frame_index()[0].items())
+
+    def frame_column(self):
+        """The (frame ID, name) pairs and their names, ID ascending."""
+        return self._load("frame column", self._frame_column)
+
+    def _frame_column(self):
+        rows = tuple(sorted(self._frame_index()[0].items()))
+        return rows, tuple(name for _, name in rows)
 
     def frame_defined(self, name_or_id):
         names, ids = self._frame_index()
@@ -120,6 +141,31 @@ class Store:
             )
         return frame
 
+    def fe_column(self, frame_ids=None):
+        """The FEs of the given frames (default: all), by (frame ID, FE ID).
+
+        Frame IDs must be ascending; IDs the index does not know are skipped.
+        Frames load in that order, on first use.
+        """
+        if frame_ids is None:
+            return self._load(
+                "FE column", lambda: self._fe_column(sorted(self._frame_index()[0]))
+            )
+        return self._fe_column(frame_ids)
+
+    def _fe_column(self, frame_ids):
+        columns = [
+            self._load(("FE column", fid), self._frame_fe_column, fid)
+            for fid in frame_ids
+            if self.frame_defined(fid)
+        ]
+        fes = tuple(chain.from_iterable(fes for fes, _ in columns))
+        return fes, tuple(chain.from_iterable(names for _, names in columns))
+
+    def _frame_fe_column(self, fid):
+        fes = tuple(sorted(self.get_frame(fid)["FE"].values(), key=itemgetter("ID")))
+        return fes, tuple(map(itemgetter("name"), fes))
+
     def _resolve_semtype_ref(self, st_id, st_name):
         try:
             return self.get_semtype(st_id)
@@ -136,6 +182,10 @@ class Store:
     def lu_index(self):
         """All LU index rows (ID, name, frameID, frameName, status)."""
         return list(self._lu_rows().values())
+
+    def lu_column(self):
+        """The LU index rows and their names, ID ascending."""
+        return self._load("LU column", self._index_column, self._lu_rows())
 
     def lu_defined(self, lu_id):
         return lu_id in self._lu_rows()
@@ -210,6 +260,10 @@ class Store:
         """All document index rows (ID, name, description, corpus)."""
         return list(self._doc_rows().values())
 
+    def doc_column(self):
+        """The document index rows and their names, ID ascending."""
+        return self._load("document column", self._index_column, self._doc_rows())
+
     def get_document(self, doc_id):
         """The document record for an ID, loading its file on first use."""
         row = self._doc_rows().get(doc_id)
@@ -235,30 +289,33 @@ class Store:
 
     # ------------------------------------------------------------ relations
 
-    def _relation_types(self):
+    def _relations(self):
+        """(relation types, {frame ID: relations on either side}), registry order."""
         return self._load("frRelation.xml", self._parse_relations)
 
     def _parse_relations(self):
-        return xmlio.parse_relations_file(
+        types = xmlio.parse_relations_file(
             self._read("frRelation.xml"),
             frame_resolver=lambda fid, name: self.get_frame(fid),
         )
+        by_frame = {}
+        for rtype in types:
+            for rel in rtype["frameRelations"]:
+                for fid in {rel["supID"], rel["subID"]}:
+                    by_frame.setdefault(fid, []).append(rel)
+        return types, by_frame
 
     def relation_types(self):
         """All frame relation types, registry file order."""
-        return list(self._relation_types())
+        return list(self._relations()[0])
 
     def frame_relations_all(self):
         """Every frame-to-frame relation, registry file order."""
-        return [rel for rtype in self._relation_types() for rel in rtype["frameRelations"]]
+        return [rel for rtype in self._relations()[0] for rel in rtype["frameRelations"]]
 
     def frame_relations_involving(self, frame_id):
         """Relations with the given frame on either side, registry order."""
-        return [
-            rel
-            for rel in self.frame_relations_all()
-            if rel["supID"] == frame_id or rel["subID"] == frame_id
-        ]
+        return list(self._relations()[1].get(frame_id, ()))
 
     def fe_relations_all(self):
         """Every FE-to-FE mapping across all relations, registry order."""

@@ -376,6 +376,8 @@ def _parse_label(elt, source, layer_name, text_len, sent_id):
             problem = "has neither span nor itype"
     elif start is None or end is None:
         problem = "has half a span"
+    elif start < 0:
+        problem = "has a negative start"
     elif end < start:
         problem = f"has end {end} < start {start}"
     elif itype is not None:

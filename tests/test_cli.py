@@ -1,8 +1,10 @@
 import io
 import random
+import shutil
 from pathlib import Path
 
 from framelex.cli import build_parser, run
+from framelex.errors import UsageError
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "fixture17"
 
@@ -216,3 +218,34 @@ def test_repl_survives_fuzz():
     lines.append("quit")
     code, _, _ = cli("browse", stdin="\n".join(lines) + "\n")
     assert code == 0
+
+
+def test_repl_lu_by_exact_name_without_frame_context(golden, tmp_path):
+    script = "lu revenge.n\nlu revenge\nquit\n"
+    code, out, _ = cli("browse", stdin=script)
+    assert code == 0
+    assert golden("lu_6067.txt") in out
+    assert "Revenge/revenge.n> " in out
+    assert "not found: no unique lexical unit named 'revenge'" in out
+
+    # Two index rows with one name: the name picks no LU.
+    clone = tmp_path / "corpus"
+    shutil.copytree(DATA_DIR, clone)
+    index = clone / "luIndex.xml"
+    body = index.read_text()
+    assert body.count('name="avenge.v"') == 1
+    index.write_text(body.replace('name="avenge.v"', 'name="revenge.n"'))
+    out = io.StringIO()
+    code = run(["--data", str(clone), "browse"], stdin=io.StringIO(script), stdout=out,
+               stderr=io.StringIO())
+    assert code == 0
+    assert "not found: no unique lexical unit named 'revenge.n'" in out.getvalue()
+
+
+def test_usage_errors_exit_2_and_are_value_errors():
+    assert cli("relations", "--frame2", "Revenge")[0] == 2
+    assert cli("--width", "5", "frame", "Revenge")[0] == 2
+    assert issubclass(UsageError, ValueError)
+    # "²" is a digit that int() rejects, so it is a name, not an ID.
+    assert cli("frame", "²")[0] == 1
+    assert cli("semtype", "²")[0] == 1

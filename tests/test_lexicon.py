@@ -1,5 +1,6 @@
 import random
 import re
+import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -144,3 +145,169 @@ def test_open_lexicon_env(monkeypatch, data_dir):
     monkeypatch.setenv("FRAMELEX_DATA", str(data_dir))
     lex = open_lexicon()
     assert lex.frame("Event").ID == 5
+
+
+def _local(elt):
+    return elt.tag.split("}")[-1]
+
+
+def _children(elt, tag):
+    return [child for child in elt if _local(child) == tag]
+
+
+def raw_oracle(data_dir):
+    """The fixture's tables re-read with ElementTree alone, ID ascending."""
+    frames = sorted(index_pairs(data_dir, "frameIndex.xml", "frame"))
+    lu_frame = {
+        int(elt.get("ID")): int(elt.get("frameID"))
+        for elt in ET.parse(data_dir / "luIndex.xml").getroot().iter()
+        if _local(elt) == "lu"
+    }
+    lus = [(lu_id, name, lu_frame[lu_id]) for lu_id, name in sorted(
+        index_pairs(data_dir, "luIndex.xml", "lu"))]
+    fes, sentence_total = {}, {}
+    for fid, name in frames:
+        root = ET.parse(data_dir / "frame" / f"{name}.xml").getroot()
+        fes[fid] = sorted((int(fe.get("ID")), fe.get("name")) for fe in _children(root, "FE"))
+        for lu in _children(root, "lexUnit"):
+            total = _children(lu, "sentenceCount")[0].get("total")
+            sentence_total[int(lu.get("ID"))] = int(total)
+    exemplars = {}
+    for lu_id, _, _ in lus:
+        path = data_dir / "lu" / f"lu{lu_id}.xml"
+        sents = []
+        if sentence_total[lu_id]:
+            sents = [int(s.get("ID")) for s in ET.parse(path).getroot().iter()
+                     if _local(s) == "sentence"]
+        exemplars[lu_id] = sorted(sents)
+    docs, doc_sents = [], {}
+    for corpus in ET.parse(data_dir / "fulltextIndex.xml").getroot():
+        for doc in _children(corpus, "document"):
+            doc_id, name = int(doc.get("ID")), doc.get("name")
+            docs.append((doc_id, name))
+            path = data_dir / "fulltext" / f"{name}.xml"
+            if not path.exists():
+                path = data_dir / "fulltext" / f"{corpus.get('name')}__{name}.xml"
+            doc_sents[doc_id] = [int(s.get("ID")) for s in ET.parse(path).getroot().iter()
+                                 if _local(s) == "sentence"]
+    docs.sort()
+    return frames, lus, fes, exemplars, docs, doc_sents
+
+
+def _reverse_in_place(body, pattern):
+    """``body`` with the matches of ``pattern`` in reverse order."""
+    spots = list(re.finditer(pattern, body, re.S))
+    pieces, at = [], 0
+    for spot, other in zip(spots, reversed(spots)):
+        pieces += [body[at : spot.start()], other.group(0)]
+        at = spot.end()
+    return "".join(pieces) + body[at:]
+
+
+def permuted_copy(data_dir, tmp_path):
+    """The fixture with index rows and each frame's FEs in reverse file order,
+    and frame Event renamed ``Event(s)``, a name its own pattern does not match."""
+    clone = tmp_path / "permuted"
+    shutil.copytree(data_dir, clone)
+    for name, row in (("frameIndex.xml", "frame"), ("luIndex.xml", "lu"),
+                      ("fulltextIndex.xml", "document")):
+        path = clone / name
+        path.write_text(_reverse_in_place(path.read_text(), rf"<{row} [^>]*/>"))
+    assert (clone / "fulltextIndex.xml").read_text().count("<corpus ") == 1
+    for path in (clone / "frame").glob("*.xml"):
+        path.write_text(_reverse_in_place(path.read_text(), r"<FE .*?</FE>"))
+    index = clone / "frameIndex.xml"
+    index.write_text(index.read_text().replace('name="Event"', 'name="Event(s)"'))
+    event = clone / "frame" / "Event.xml"
+    event.rename(clone / "frame" / "Event(s).xml")
+    path = clone / "frame" / "Event(s).xml"
+    path.write_text(path.read_text().replace('name="Event" ID="5"', 'name="Event(s)" ID="5"'))
+    return clone
+
+
+@pytest.mark.parametrize("corpus", ["fixture", "permuted"])
+def test_every_scan_matches_a_raw_xml_oracle_cold_then_warm(data_dir, tmp_path, corpus):
+    if corpus == "permuted":
+        data_dir = permuted_copy(data_dir, tmp_path)
+    frames, lus, fes, exemplars, docs, doc_sents = raw_oracle(data_dir)
+
+    def hit(pattern, name):
+        return pattern is None or re.search(pattern, name) is not None
+
+    def restriction(frame):
+        if isinstance(frame, int):
+            return {frame}
+        return {fid for fid, name in frames if name == frame or hit(frame, name)}
+
+    rng = random.Random(2017)
+    pieces = ["e", "re", "a", "in", r"\.v", r"\.n", "_", "T", "ing", "o"]
+    patterns = [None] + [
+        rng.choice(["", "(?i)"]) + rng.choice(["", "^"]) + rng.choice(pieces)
+        + rng.choice(["", "$", ".*e"])
+        for _ in range(12)
+    ]
+    restrictions = ["Revenge", "Event(s)", "^[A-R]", "(?i)ing", 347, 1017, 424242]
+    calls, want = [], []
+    for pat in patterns:
+        calls += [
+            (lambda lex, p=pat: lex.frames(p), lambda x: x.ID),
+            (lambda lex, p=pat: list(lex.frame_ids_and_names(p).items()), None),
+            (lambda lex, p=pat: lex.frames_by_lemma(p), lambda x: x.ID),
+            (lambda lex, p=pat: lex.lus(p), lambda x: x.ID),
+            (lambda lex, p=pat: lex.fes(p), lambda x: (x.frame.ID, x.ID)),
+            (lambda lex, p=pat: lex.exemplars(p), lambda x: x.ID),
+            (lambda lex, p=pat: lex.docs(p), lambda x: x.ID),
+            (lambda lex, p=pat: lex.ft_sents(p), lambda x: x.ID),
+        ]
+        lemma_frames = {fid for _, name, fid in lus if hit(pat, name)}
+        want += [
+            [fid for fid, name in frames if hit(pat, name)],
+            [(fid, name) for fid, name in frames if hit(pat, name)],
+            [fid for fid, _ in frames if fid in lemma_frames],
+            [lu_id for lu_id, name, _ in lus if hit(pat, name)],
+            [(fid, fe_id) for fid, _ in frames for fe_id, name in fes[fid] if hit(pat, name)],
+            [sid for lu_id, name, _ in lus if hit(pat, name) for sid in exemplars[lu_id]],
+            [doc_id for doc_id, name in docs if hit(pat, name)],
+            [sid for doc_id, name in docs if hit(pat, name) for sid in doc_sents[doc_id]],
+        ]
+        for frame in restrictions:
+            allowed = restriction(frame)
+            calls += [
+                (lambda lex, p=pat, f=frame: lex.lus(p, frame=f), lambda x: x.ID),
+                (lambda lex, p=pat, f=frame: lex.fes(p, frame=f), lambda x: (x.frame.ID, x.ID)),
+            ]
+            want += [
+                [lu_id for lu_id, name, fid in lus if fid in allowed and hit(pat, name)],
+                [(fid, fe_id) for fid, _ in frames if fid in allowed
+                 for fe_id, name in fes[fid] if hit(pat, name)],
+            ]
+
+    lexicon = open_lexicon(data_dir)
+    cold = [call(lexicon) for call, _ in calls]
+    for (call, key), got, expected in zip(calls, cold, want):
+        assert (got if key is None else [key(x) for x in got]) == expected
+    log = list(lexicon.store.fileAccessLog)
+    assert len(set(log)) == len(log)
+    for (call, _), first in zip(calls, cold):
+        again = call(lexicon)
+        assert len(again) == len(first)
+        assert all(a is b for a, b in zip(again, first) if not isinstance(a, tuple))
+        assert all(a[0] is b[0] and a[1] is b[1]
+                   for a, b in zip(again, first) if isinstance(a, tuple))
+    assert lexicon.store.fileAccessLog == log
+
+    fresh = open_lexicon(data_dir)
+    assert [fe.ID for fe in fresh.fes("^Time$", frame="Revenge")] == [3021]
+    assert fresh.store.fileAccessLog == ["frameIndex.xml", "frame/Revenge.xml"]
+
+
+@pytest.mark.parametrize(
+    "scan",
+    ["frames", "frame_ids_and_names", "frames_by_lemma", "lus", "fes", "exemplars",
+     "docs", "ft_sents", "annotations"],
+)
+def test_bad_pattern_fails_before_any_file_is_read(data_dir, scan):
+    lexicon = open_lexicon(data_dir)
+    with pytest.raises(PatternError):
+        getattr(lexicon, scan)("(unclosed")
+    assert lexicon.store.fileAccessLog == ["frameIndex.xml"]

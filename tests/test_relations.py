@@ -1,5 +1,9 @@
+import shutil
+import xml.etree.ElementTree as ET
+
 import pytest
 
+from framelex import Store
 from framelex.errors import LookupFailure
 
 
@@ -141,3 +145,31 @@ def test_propagation_is_monotone(lexicon):
     assert sum(v is not None for v in after.values()) >= sum(
         v is not None for v in before.values()
     )
+
+
+def _raw_relations(path):
+    """(relation ID, supID, subID) in registry file order, via ElementTree alone."""
+    return [
+        (int(elt.get("ID")), int(elt.get("supID")), int(elt.get("subID")))
+        for elt in ET.parse(path).getroot().iter()
+        if elt.tag.split("}")[-1] == "frameRelation"
+    ]
+
+
+def test_relations_involving_each_frame_match_the_registry(data_dir, tmp_path):
+    clone = tmp_path / "corpus"
+    shutil.copytree(data_dir, clone)
+    path = clone / "frRelation.xml"
+    body = path.read_text()
+    old = 'subFrameName="Becoming_aware" supID="5" subID="2003"'
+    assert old in body
+    # Relation 803 becomes one between Event and itself.
+    path.write_text(body.replace(old, 'subFrameName="Event" supID="5" subID="5"'))
+    for corpus in (data_dir, clone):
+        store = Store(corpus)
+        raw = _raw_relations(corpus / "frRelation.xml")
+        for fid, _ in store.frame_index():
+            got = [rel.ID for rel in store.frame_relations_involving(fid)]
+            assert got == [rid for rid, sup, sub in raw if fid in (sup, sub)], (corpus, fid)
+    assert [rel.ID for rel in store.frame_relations_involving(5)] == [802, 803, 820]
+    assert store.frame_relations_involving(2003) == []

@@ -189,6 +189,35 @@ def test_concurrent_first_touch_of_exemplars_reads_once(data_dir):
         sys.setswitchinterval(interval)
 
 
+def test_concurrent_first_scans_build_one_column(data_dir):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            lex = open_lexicon(data_dir)
+            results = []
+            barrier = threading.Barrier(4)
+
+            def work():
+                barrier.wait()
+                results.append((lex.store.fe_column(), lex.store.lu_column(), lex.fes("^T")))
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 4
+            for fe_column, lu_column, fes in results:
+                assert fe_column is results[0][0] and lu_column is results[0][1]
+                assert all(a is b for a, b in zip(fes, results[0][2], strict=True))
+            log = lex.store.fileAccessLog
+            assert len(set(log)) == len(log)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _corrupt_copy(data_dir, tmp_path, relpath, old, new):
     clone = tmp_path / "corpus"
     shutil.copytree(data_dir, clone)
@@ -310,3 +339,16 @@ def test_seeded_attribute_mutations_keep_the_error_contract(data_dir, tmp_path):
             runs += 1
         path.write_text(body)
     assert runs == 120
+
+
+def test_negative_label_start_is_an_integrity_error(data_dir, tmp_path):
+    clone = tmp_path / "corpus"
+    shutil.copytree(data_dir, clone)
+    target = clone / "lu" / "lu6067.xml"
+    body = target.read_text()
+    first = re.search(r'<label [^>]*name="Target" />', body).group(0)
+    assert 'start="10"' in first
+    target.write_text(body.replace(first, first.replace('start="10"', 'start="-3"'), 1))
+    with pytest.raises(IntegrityError, match="negative start"):
+        open_lexicon(clone).lu(6067).exemplars
+    assert _cli_code(clone, "lu", "6067") == 3
