@@ -10,6 +10,7 @@ results have fixed orders, so repeated calls are identical.
 
 import re
 from itertools import compress
+from operator import itemgetter
 
 from .errors import LookupFailure, PatternError, UsageError
 from .records import LOCK, Record
@@ -88,10 +89,10 @@ class FrameLexicon:
         frame record, an exact frame name, or a name pattern (a restriction
         matching no frame yields an empty list, not an error).
         """
-        rows = _scan(name_pattern, self._store.lu_column)
-        if frame is not None:
-            allowed = self._frame_restriction_ids(frame)
-            rows = [row for row in rows if row["frameID"] in allowed]
+        if frame is None:
+            rows = _scan(name_pattern, self._store.lu_column)
+        else:
+            rows = _scan(name_pattern, self._frame_lu_column, frame)
         return [self._store.get_lu(row["ID"]) for row in rows]
 
     def lu(self, lu_id):
@@ -103,6 +104,14 @@ class FrameLexicon:
         if not isinstance(lu_id, int):
             raise LookupFailure(f"no lexical unit with ID {lu_id!r}")
         return self._store.get_lu(lu_id)
+
+    def _frame_lu_column(self, frame):
+        """The (rows, names) column of the restricted frames' LUs, ID ascending."""
+        by_frame = self._store.lus_by_frame()
+        allowed = self._frame_restriction_ids(frame)
+        rows = [row for fid in allowed for row in by_frame.get(fid, ())]
+        rows.sort(key=itemgetter("ID"))
+        return rows, [row["name"] for row in rows]
 
     def _frame_restriction_ids(self, frame):
         if _is_record(frame, "frame"):

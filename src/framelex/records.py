@@ -8,43 +8,29 @@ in a fixed canonical order, so the attribute listing of a given entity kind is
 stable across calls and processes.
 
 Values that are expensive to obtain (exemplar sentences, cross-file
-references) are stored as ``Lazy`` thunks.  The thunk is resolved on first
-read and the resolved value is written back, so repeated reads return the
-identical object.  A first resolution runs under ``LOCK``, so threads that
-first touch a value together resolve it once.  The store loads files under
-the same re-entrant lock: resolving a value may load a file and loading a
-file may resolve values, so two locks could deadlock against each other.
+references, an annotation set's layer and label records) are stored as
+``Lazy`` thunks.  ``Lazy(fn, *args)`` holds a callable and its arguments, so a
+thunk needs no closure.  The thunk is resolved on first read and the resolved
+value is written back, so repeated reads return the identical object.  A
+first resolution runs under ``LOCK``, so threads that first touch a value
+together resolve it once.  The store loads files under the same re-entrant
+lock: resolving a value may load a file and loading a file may resolve
+values, so two locks could deadlock against each other.
 """
 
 import threading
 
 LOCK = threading.RLock()
 
-# Closed set of entity kind tags.
-ENTITY_KINDS = frozenset(
-    [
-        "frame",
-        "fe",
-        "lu",
-        "framerelation",
-        "ferelation",
-        "framerelationtype",
-        "semtype",
-        "sentence",
-        "annotationset",
-        "fulltext_sentence",
-        "document",
-    ]
-)
-
 
 class Lazy:
-    """A deferred value: a zero-argument callable evaluated at most once."""
+    """A deferred value: ``fn(*args)``, evaluated at most once."""
 
-    __slots__ = ("_thunk", "_value", "_done")
+    __slots__ = ("_fn", "_args", "_value", "_done")
 
-    def __init__(self, thunk):
-        self._thunk = thunk
+    def __init__(self, fn, *args):
+        self._fn = fn
+        self._args = args
         self._value = None
         self._done = False
 
@@ -52,21 +38,21 @@ class Lazy:
         if not self._done:
             with LOCK:
                 if not self._done:
-                    self._value = self._thunk()
-                    self._thunk = None
+                    self._value = self._fn(*self._args)
+                    self._fn = self._args = None
                     self._done = True
         return self._value
 
 
+def _unbound(what):
+    from .errors import CorpusError
+
+    raise CorpusError(f"no data source attached; cannot resolve {what}")
+
+
 def unbound_lazy(what):
     """A Lazy that fails loudly: used by parsers that have no data source."""
-
-    def _raise():
-        from .errors import CorpusError
-
-        raise CorpusError(f"no data source attached; cannot resolve {what}")
-
-    return Lazy(_raise)
+    return Lazy(_unbound, what)
 
 
 class Record(dict):
@@ -115,5 +101,5 @@ def attribute_names(entity):
 
 
 def record_type(entity):
-    """The entity's kind tag (one of ENTITY_KINDS)."""
+    """The entity's kind tag, such as "frame", "lu" or "annotationset"."""
     return entity["_type"]

@@ -19,7 +19,13 @@ its file exactly once and repeated lookups return the identical cached record.
 The same memo holds the name columns that pattern scans search, one per
 table: the frame, LU and document indexes, each frame's FEs, and all FEs.  A
 column is a pair ``(rows, names)`` of equal-length tuples, ID ascending,
-built on the first scan that needs it.
+built on the first scan that needs it.  It also holds the LU index rows
+grouped by frame, built on the first frame-restricted LU listing.
+
+A reference from one file into another (a relation's frames, a full-text
+annotation set's frame) resolves through ``resolve_frame_ref``: a frame the
+index lacks is corrupt data, an ``IntegrityError`` naming the referring file
+and record, where a direct lookup of the same frame is a ``LookupFailure``.
 """
 
 import os
@@ -166,6 +172,20 @@ class Store:
         fes = tuple(sorted(self.get_frame(fid)["FE"].values(), key=itemgetter("ID")))
         return fes, tuple(map(itemgetter("name"), fes))
 
+    def resolve_frame_ref(self, frame_id, frame_name, source=None, referrer=None):
+        """The frame a reference names, by ID, or by name when the ID is None.
+
+        ``referrer`` is the record of file ``source`` that holds the
+        reference; a frame the index lacks is then an IntegrityError naming
+        both.  Without a referrer it is a failed lookup.
+        """
+        key = frame_name if frame_id is None else frame_id
+        if referrer is not None and not self.frame_defined(key):
+            raise IntegrityError(
+                f"{source}: {referrer['_type']} {referrer['ID']} names unknown frame {key!r}"
+            )
+        return self.get_frame(key)
+
     def _resolve_semtype_ref(self, st_id, st_name):
         try:
             return self.get_semtype(st_id)
@@ -186,6 +206,16 @@ class Store:
     def lu_column(self):
         """The LU index rows and their names, ID ascending."""
         return self._load("LU column", self._index_column, self._lu_rows())
+
+    def lus_by_frame(self):
+        """{frame ID: its LU index rows}, each list ID ascending."""
+        return self._load("LUs by frame", self._lus_by_frame)
+
+    def _lus_by_frame(self):
+        by_frame = {}
+        for row in self.lu_column()[0]:
+            by_frame.setdefault(row["frameID"], []).append(row)
+        return by_frame
 
     def lu_defined(self, lu_id):
         return lu_id in self._lu_rows()
@@ -217,19 +247,24 @@ class Store:
             raise IntegrityError(f"{relpath}: file header carries ID {got_id}")
         return subcorpora
 
-    def resolve_annotation_lu(self, lu_id, lu_name, frame_id, frame_name):
+    def resolve_annotation_lu(
+        self, lu_id, lu_name, frame_id, frame_name, source=None, referrer=None
+    ):
         """The LU behind a full-text annotation set.
 
         An ID the index does not know yields a cached placeholder record with
         status "Problem": the set annotates a word the named frame defines no
-        LU for.
+        LU for.  Its frame resolves through ``resolve_frame_ref``, with the
+        ``source`` and ``referrer`` of the first set that asked for it.
         """
         if lu_id is not None and self.lu_defined(lu_id):
             return self.get_lu(lu_id)
         key = ("problem LU", lu_id, lu_name)
-        return self._load(key, self._problem_lu, lu_id, lu_name, frame_id, frame_name)
+        return self._load(
+            key, self._problem_lu, lu_id, lu_name, frame_id, frame_name, source, referrer
+        )
 
-    def _problem_lu(self, lu_id, lu_name, frame_id, frame_name):
+    def _problem_lu(self, lu_id, lu_name, frame_id, frame_name, source, referrer):
         lu = Record()
         lu["status"] = "Problem"
         lu["POS"] = (lu_name or "").rpartition(".")[2].upper()
@@ -240,14 +275,11 @@ class Store:
         lu["definitionMarkup"] = ""
         lu["lexemes"] = []
         lu["sentenceCount"] = Record(annotated=0, total=0)
-        lu["frame"] = Lazy(lambda: self._frame_for_annotation(frame_id, frame_name))
+        lu["frame"] = Lazy(self.resolve_frame_ref, frame_id, frame_name, source, referrer)
         lu["URL"] = xmlio.lu_url(lu_id)
         lu["subCorpus"] = []
         lu["exemplars"] = []
         return lu
-
-    def _frame_for_annotation(self, frame_id, frame_name):
-        return self.get_frame(frame_id if frame_id is not None else frame_name)
 
     # ------------------------------------------------------------ documents
 
@@ -281,7 +313,7 @@ class Store:
             self._read(relpath),
             source=relpath,
             lu_resolver=self.resolve_annotation_lu,
-            frame_resolver=self._frame_for_annotation,
+            frame_resolver=self.resolve_frame_ref,
         )
         if doc["ID"] != row.ID:
             raise IntegrityError(f"{relpath}: file header carries ID {doc['ID']}")
@@ -296,7 +328,7 @@ class Store:
     def _parse_relations(self):
         types = xmlio.parse_relations_file(
             self._read("frRelation.xml"),
-            frame_resolver=lambda fid, name: self.get_frame(fid),
+            frame_resolver=self.resolve_frame_ref,
         )
         by_frame = {}
         for rtype in types:

@@ -2,10 +2,12 @@
 
 Every function here is pure over bytes: it receives file content, returns
 records, and never touches the file system.  Cross-file references (exemplar
-sentences of a lexical unit stub, the frames named by a relation, semantic
-types named by ID) are represented as ``Lazy`` thunks built from resolver
-callbacks that the caller injects; with no callback the thunk raises a clear
-error if it is ever forced.
+sentences of a lexical unit stub, the frames named by a relation or a
+full-text annotation set, semantic types named by ID) are represented as
+``Lazy(callback, *args)`` thunks over resolver callbacks that the caller
+injects; with no callback the thunk raises a clear error if it is ever forced.
+A frame resolver is called as ``frame_resolver(frame_id, frame_name, source,
+referrer)``, ``referrer`` being the record that holds the reference.
 
 The parsers read a fixed subset of elements and attributes.  Anything else in
 a file (editorial attributes, embedded relation references inside frame files,
@@ -19,10 +21,19 @@ checked as they are read, in one walk over each annotation set's layers.
 
 Span convention: label offsets are 0-based with inclusive ends, exactly as
 stored in the files.  No adjustment happens at parse time.
+
+Labels are compact until read.  A spanned label is parsed into one
+``(start, end, name)`` tuple, ``((start, end, name), feID)`` when it names an
+FE; a label without a span (a null instantiation) is a ``Record`` at once.
+Label and layer names are interned, as they repeat across the corpus.  The
+span views (``Target`` aside) hold those same tuples, and an annotation set's
+``layer`` is a ``Lazy`` over ``((rank, name, labels), ...)`` that builds the
+layer and label records on first read.
 """
 
 import html
 import re
+import sys
 from operator import itemgetter
 from xml.etree import ElementTree
 
@@ -217,7 +228,7 @@ def parse_frame_file(
     frame["definition"] = strip_markup(markup)
     frame["definitionMarkup"] = markup
     if relation_query is not None:
-        frame["frameRelations"] = Lazy(lambda: relation_query(frame_id))
+        frame["frameRelations"] = Lazy(relation_query, frame_id)
     else:
         frame["frameRelations"] = unbound_lazy(f"relations of frame {name!r}")
     frame["FE"] = {}
@@ -270,7 +281,11 @@ def _semtype_ref_list(elt, source, semtype_lookup):
         return []
     if semtype_lookup is None:
         return unbound_lazy("semantic type references")
-    return Lazy(lambda: [semtype_lookup(st_id, st_name) for st_id, st_name in refs])
+    return Lazy(_semtypes_of, semtype_lookup, refs)
+
+
+def _semtypes_of(semtype_lookup, refs):
+    return [semtype_lookup(st_id, st_name) for st_id, st_name in refs]
 
 
 def _parse_fe(elt, source, frame, semtype_lookup):
@@ -300,8 +315,7 @@ def _parse_fe(elt, source, frame, semtype_lookup):
     elif semtype_lookup is None:
         fe["semType"] = unbound_lazy(f"semantic type of FE {fe['name']!r}")
     else:
-        st_id, st_name = refs[0]
-        fe["semType"] = Lazy(lambda: semtype_lookup(st_id, st_name))
+        fe["semType"] = Lazy(semtype_lookup, *refs[0])
     fe["frame"] = frame
     return fe
 
@@ -346,11 +360,13 @@ def _parse_lu_stub(elt, source, frame, exemplar_loader):
         lu["subCorpus"] = unbound_lazy(f"exemplars of {lu['name']!r}")
         lu["exemplars"] = unbound_lazy(f"exemplars of {lu['name']!r}")
     else:
-        lu["subCorpus"] = Lazy(lambda: exemplar_loader(lu))
-        lu["exemplars"] = Lazy(
-            lambda: [sent for sub in lu["subCorpus"] for sent in sub.sentence]
-        )
+        lu["subCorpus"] = Lazy(exemplar_loader, lu)
+        lu["exemplars"] = Lazy(_exemplars_of, lu)
     return lu
+
+
+def _exemplars_of(lu):
+    return [sent for sub in lu["subCorpus"] for sent in sub.sentence]
 
 
 # ---------------------------------------------------------------- sentences
@@ -388,46 +404,67 @@ def _parse_label(elt, source, layer_name, text_len, sent_id):
         raise IntegrityError(
             f"{source}: sentence {sent_id}: label {name!r} on layer {layer_name!r} {problem}"
         )
-    label = Record()
+    name = sys.intern(name)
+    fe_id = _int(elt, "feID", source, None)
     if start is not None:
-        label["start"] = start
-        label["end"] = end
-    label["name"] = name
+        span = (start, end, name)
+        return span if fe_id is None else (span, fe_id)
+    label = Record(name=name)
     if itype is not None:
         label["itype"] = itype
-    fe_id = _int(elt, "feID", source, None)
     if fe_id is not None:
         label["feID"] = fe_id
     return label
 
 
 def _parse_layers(elt, source, text_len, sent_id):
-    """A set's layer records, and its labels grouped by layer name.
+    """A set's layer atoms, and its labels grouped by layer name.
 
-    ``groups[name]`` lists one ``(rank, spans, unspanned labels)`` per layer of
-    that name; ``spans`` are the ``(start, end, label name)`` of its spanned
-    labels.  Everything is in file order.
+    The atoms are ``((rank, name, labels), ...)``, with ``labels`` as
+    ``_parse_label`` returns them.  ``groups[name]`` lists one ``(rank, spans,
+    unspanned labels)`` per layer of that name; ``spans`` are the ``(start,
+    end, label name)`` tuples of its spanned labels.  Everything is in file
+    order.
     """
     layers = []
     groups = {}
     for child in elt:
         if child.tag != "layer":
             continue
-        layer_name = _req_attr(child, "name", source)
+        layer_name = sys.intern(_req_attr(child, "name", source))
         labels, spans, unspanned = [], [], []
         for label_elt in child:
             if label_elt.tag != "label":
                 continue
             label = _parse_label(label_elt, source, layer_name, text_len, sent_id)
             labels.append(label)
-            if "start" in label:
-                spans.append((label["start"], label["end"], label["name"]))
-            else:
+            if isinstance(label, Record):
                 unspanned.append(label)
+            else:
+                spans.append(label if len(label) == 3 else label[0])
         rank = _int(child, "rank", source, 1)
-        layers.append(Record(rank=rank, name=layer_name, label=labels))
+        layers.append((rank, layer_name, tuple(labels)))
         groups.setdefault(layer_name, []).append((rank, spans, unspanned))
-    return layers, groups
+    return tuple(layers), groups
+
+
+def _layer_records(layers):
+    """The layer records of ``_parse_layers``'s atoms, labels as records."""
+    return [
+        Record(rank=rank, name=name, label=[_label_record(label) for label in labels])
+        for rank, name, labels in layers
+    ]
+
+
+def _label_record(label):
+    if isinstance(label, Record):
+        return label
+    span, fe_id = (label, None) if len(label) == 3 else label
+    start, end, name = span
+    record = Record(start=start, end=end, name=name)
+    if fe_id is not None:
+        record["feID"] = fe_id
+    return record
 
 
 def _add_views(aset, groups):
@@ -470,7 +507,7 @@ def _parse_annotation_set(elt, source, sent, link):
     link(elt, aset)
     aset["sent"] = sent
     layers, groups = _parse_layers(elt, source, len(sent["text"]), sent["ID"])
-    aset["layer"] = layers
+    aset["layer"] = Lazy(_layer_records, layers)
     _add_views(aset, groups)
     return aset
 
@@ -545,7 +582,13 @@ def parse_lu_file(data, source=None, *, lu=None):
 
 
 def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=None):
-    """One full-text document file -> a document record with its sentences."""
+    """One full-text document file -> a document record with its sentences.
+
+    An annotation set's LU resolves through ``lu_resolver(lu_id, lu_name,
+    frame_id, frame_name, source, aset)`` and its frame through
+    ``frame_resolver(frame_id, frame_name, source, aset)``; absent values are
+    None.
+    """
     root = _parse_root(data, source, "fullTextAnnotation")
     header = root.find("header")
     corpus = header.find("corpus") if header is not None else None
@@ -562,23 +605,20 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
             value = elt.get(key)
             if value is not None:
                 aset[key] = value
-        if "luID" in aset or "luName" in aset:
+        lu_id, lu_name = aset.get("luID"), aset.get("luName")
+        frame_id, frame_name = aset.get("frameID"), aset.get("frameName")
+        if lu_id is not None or lu_name is not None:
             if lu_resolver is None:
                 aset["LU"] = unbound_lazy("the annotation set's lexical unit")
             else:
                 aset["LU"] = Lazy(
-                    lambda: lu_resolver(
-                        aset.get("luID"), aset.get("luName"),
-                        aset.get("frameID"), aset.get("frameName"),
-                    )
+                    lu_resolver, lu_id, lu_name, frame_id, frame_name, source, aset
                 )
-        if "frameID" in aset or "frameName" in aset:
+        if frame_id is not None or frame_name is not None:
             if frame_resolver is None:
                 aset["frame"] = unbound_lazy("the annotation set's frame")
             else:
-                aset["frame"] = Lazy(
-                    lambda: frame_resolver(aset.get("frameID"), aset.get("frameName"))
-                )
+                aset["frame"] = Lazy(frame_resolver, frame_id, frame_name, source, aset)
 
     doc = Record()
     doc["ID"] = _int(doc_elt, "ID", source)
@@ -600,27 +640,15 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
     """The relation registry -> list of relation-type records.
 
     Each type carries its relations; each relation carries its FE mappings.
-    Frames are resolved lazily through ``frame_resolver(frame_id, name)``.
+    Frames are resolved lazily through ``frame_resolver(frame_id, name,
+    source, relation)``.
     """
     root = _parse_root(data, source, "frameRelations")
 
-    def frame_ref(frame_id, name):
+    def frame_ref(rel, frame_id, name):
         if frame_resolver is None:
             return unbound_lazy(f"frame {name!r}")
-        return Lazy(lambda: frame_resolver(frame_id, name))
-
-    def fe_ref(relation, side, fe_name):
-        def _resolve():
-            frame = relation[side]
-            try:
-                return frame["FE"][fe_name]
-            except KeyError:
-                raise IntegrityError(
-                    f"{source}: relation {relation['ID']} names unknown FE "
-                    f"{fe_name!r} in frame {frame['name']!r}"
-                ) from None
-
-        return Lazy(_resolve)
+        return Lazy(frame_resolver, frame_id, name, source, rel)
 
     types = []
     for type_elt in root:
@@ -644,8 +672,8 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
             rel["supID"] = _int(rel_elt, "supID", source)
             rel["subID"] = _int(rel_elt, "subID", source)
             rel["_type"] = "framerelation"
-            rel["superFrame"] = frame_ref(rel["supID"], rel["superFrameName"])
-            rel["subFrame"] = frame_ref(rel["subID"], rel["subFrameName"])
+            rel["superFrame"] = frame_ref(rel, rel["supID"], rel["superFrameName"])
+            rel["subFrame"] = frame_ref(rel, rel["subID"], rel["subFrameName"])
             rel["feRelations"] = []
             for fe_elt in rel_elt:
                 if fe_elt.tag != "FERelation":
@@ -658,12 +686,25 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
                 ferel["subID"] = _int(fe_elt, "subID", source)
                 ferel["_type"] = "ferelation"
                 ferel["frameRelation"] = rel
-                ferel["superFE"] = fe_ref(rel, "superFrame", ferel["superFEName"])
-                ferel["subFE"] = fe_ref(rel, "subFrame", ferel["subFEName"])
+                ferel["superFE"] = Lazy(
+                    _relation_fe, source, rel, "superFrame", ferel["superFEName"]
+                )
+                ferel["subFE"] = Lazy(_relation_fe, source, rel, "subFrame", ferel["subFEName"])
                 rel["feRelations"].append(ferel)
             rtype["frameRelations"].append(rel)
         types.append(rtype)
     return types
+
+
+def _relation_fe(source, relation, side, fe_name):
+    frame = relation[side]
+    try:
+        return frame["FE"][fe_name]
+    except KeyError:
+        raise IntegrityError(
+            f"{source}: relation {relation['ID']} names unknown FE "
+            f"{fe_name!r} in frame {frame['name']!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------- semtypes

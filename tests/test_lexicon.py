@@ -7,6 +7,7 @@ import pytest
 
 from framelex import open_lexicon
 from framelex.errors import LookupFailure, PatternError
+from framelex.records import Lazy
 
 
 def index_pairs(data_dir, filename, tag):
@@ -311,3 +312,14 @@ def test_bad_pattern_fails_before_any_file_is_read(data_dir, scan):
     with pytest.raises(PatternError):
         getattr(lexicon, scan)("(unclosed")
     assert lexicon.store.fileAccessLog == ["frameIndex.xml"]
+
+
+def test_sentence_sweep_builds_no_layer_records(lexicon):
+    sets = spans = 0
+    for sent in lexicon.sents():
+        for aset in sent.annotationSet:
+            # Reading the span views must not build the layer records.
+            spans += len(aset.get("Target", [])) + len(aset.get("FE", ([],))[0])
+            assert isinstance(dict.__getitem__(aset, "layer"), Lazy), aset.ID
+            sets += 1
+    assert sets > 50 and spans > 50

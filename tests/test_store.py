@@ -352,3 +352,40 @@ def test_negative_label_start_is_an_integrity_error(data_dir, tmp_path):
     with pytest.raises(IntegrityError, match="negative start"):
         open_lexicon(clone).lu(6067).exemplars
     assert _cli_code(clone, "lu", "6067") == 3
+
+
+def test_relation_naming_unknown_frame_is_an_integrity_error(data_dir, tmp_path):
+    clone = _corrupt_copy(
+        data_dir, tmp_path, "frRelation.xml",
+        'supID="344" subID="347">', 'supID="344" subID="99999">',
+    )
+    lex = open_lexicon(clone)
+    rel = next(rel for rel in lex.frame_relations() if rel.ID == 810)
+    assert rel.superFrame.name == "Rewards_and_punishments"
+    with pytest.raises(IntegrityError, match=r"frRelation\.xml: framerelation 810 .*99999"):
+        rel.subFrame
+    with pytest.raises(LookupFailure):
+        lex.frame(99999)
+    assert _cli_code(clone, "propagate-semtypes") == 3
+    assert _cli_code(clone, "frame", "99999") == 1
+
+
+def test_fulltext_set_naming_unknown_frame_is_an_integrity_error(data_dir, tmp_path):
+    clone = _corrupt_copy(
+        data_dir, tmp_path, "fulltext/Tiger_Of_San_Pedro.xml",
+        'luID="2280" luName="begin.v" frameID="2002"',
+        'luID="99998" luName="begin.v" frameID="99999"',
+    )
+    lex = open_lexicon(clone)
+    aset = next(
+        aset for sent in lex.doc(23802).sentences for aset in sent.annotationSet
+        if aset.ID == 41485272
+    )
+    where = r"fulltext/Tiger_Of_San_Pedro\.xml: annotationset 41485272 .*99999"
+    with pytest.raises(IntegrityError, match=where):
+        aset.frame
+    assert aset.LU.status == "Problem"
+    with pytest.raises(IntegrityError, match=where):
+        aset.LU.frame
+    with pytest.raises(LookupFailure):
+        lex.frame(99999)

@@ -5,10 +5,13 @@ so a parser that silently drops or duplicates elements cannot agree with
 them by construction.
 """
 
+import sys
+import threading
+
 import pytest
 
 from framelex.errors import CorpusError, IntegrityError, ParseError
-from framelex.records import Record, attribute_names
+from framelex.records import Lazy, Record, attribute_names
 from framelex.xmlio import (
     parse_frame_file,
     parse_frame_index,
@@ -508,3 +511,86 @@ def test_layer_views_match_raw_xml(data_dir):
                 for name in SUPPORT_LAYERS:
                     assert sent.get(name) == frame_views.get(name)
     assert checked > 50
+
+
+# ------------------------------------------------------------ lazily built layers
+
+
+def _oracle_layers(set_elt):
+    """(rank, name, [label key/value pairs in key order]) per <layer>, file order."""
+    layers = []
+    for layer in _children(set_elt, "layer"):
+        labels = []
+        for label in _children(layer, "label"):
+            items = []
+            if label.get("start") is not None:
+                items += [("start", int(label.get("start"))), ("end", int(label.get("end")))]
+            items.append(("name", label.get("name")))
+            if label.get("itype") is not None:
+                items.append(("itype", label.get("itype")))
+            if label.get("feID") is not None:
+                items.append(("feID", int(label.get("feID"))))
+            labels.append(items)
+        layers.append((int(layer.get("rank", "1")), layer.get("name"), labels))
+    return layers
+
+
+def test_lazy_layers_match_raw_xml(data_dir):
+    from xml.etree import ElementTree
+
+    checked = 0
+    for source, data in _oracle_inputs(data_dir):
+        root = ElementTree.fromstring(data)
+        set_elts = [elt for elt in root.iter() if _local(elt.tag) == "annotationSet"]
+        if _local(root.tag) == "lexUnit":
+            _, subcorpora = parse_lu_file(data, source)
+            sents = [s for sub in subcorpora for s in sub.sentence]
+        else:
+            sents = parse_fulltext_file(data, source).sentences
+        asets = [aset for sent in sents for aset in sent.annotationSet]
+        assert [int(elt.get("ID")) for elt in set_elts] == [aset.ID for aset in asets]
+        for set_elt, aset in zip(set_elts, asets):
+            assert isinstance(dict.__getitem__(aset, "layer"), Lazy)
+            layers = aset.layer
+            assert aset.layer is layers
+            assert isinstance(layers, list)
+            assert all(attribute_names(layer) == ["rank", "name", "label"] for layer in layers)
+            got = [
+                (layer.rank, layer.name, [list(label.items()) for label in layer.label])
+                for layer in layers
+            ]
+            assert got == _oracle_layers(set_elt), (source, aset.ID)
+            if "FE" in aset:
+                fe_labels = [lab for layer in layers if layer.name == "FE" for lab in layer.label]
+                for label in aset.FE[2].values():
+                    assert any(label is other for other in fe_labels), (source, aset.ID)
+            checked += 1
+    assert checked > 50
+
+
+def test_concurrent_first_reads_of_a_layer_build_one_list(data_dir):
+    data = raw(data_dir, "lu/lu6067.xml")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            _, subcorpora = parse_lu_file(data, "x")
+            aset = subcorpora[0].sentence[0].annotationSet[1]
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append(aset.layer)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(seen) == 4
+            assert all(layers is seen[0] for layers in seen)
+            assert aset.layer is seen[0]
+    finally:
+        sys.setswitchinterval(interval)

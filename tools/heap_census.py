@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Count what one whole-corpus sentence sweep leaves on the heap.
+
+Opens the corpus at ``--data DIR``, runs ``FrameLexicon.sents()`` to the end
+while keeping the lexicon alive, collects garbage, and prints:
+
+- held MB: memory still allocated since the lexicon was opened (tracemalloc);
+- GC-tracked objects: ``len(gc.get_objects())`` after the sweep;
+- ``Record``s by kind tag, kindless ones (labels, layers, index rows) as "-".
+
+Usage (from the root of a checkout; stdlib only, no install needed):
+
+    python3 tools/heap_census.py --data tests/data/fixture17
+    python3 tools/heap_census.py --data bench/corpus/full-seed1/data
+"""
+
+import argparse
+import gc
+import sys
+import time
+import tracemalloc
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from framelex import FrameLexicon, Record  # noqa: E402
+
+
+def census(data_dir):
+    """(held bytes, sentences, sweep seconds, tracked objects, Records by kind)."""
+    tracemalloc.start()
+    lexicon = FrameLexicon.open(data_dir)
+    start = time.perf_counter()
+    sentences = sum(1 for _ in lexicon.sents())
+    seconds = time.perf_counter() - start
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    objects = gc.get_objects()
+    kinds = Counter(dict.get(obj, "_type", "-") for obj in objects if isinstance(obj, Record))
+    return held, sentences, seconds, len(objects), kinds
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--data", required=True, help="corpus directory")
+    args = parser.parse_args(argv)
+    held, sentences, seconds, tracked, kinds = census(args.data)
+    print(f"sentences          {sentences}")
+    print(f"sweep s            {seconds:.2f} (under tracemalloc)")
+    print(f"held MB            {held / 1e6:.1f}")
+    print(f"GC-tracked objects {tracked}")
+    print(f"Records            {sum(kinds.values())}")
+    for kind, count in sorted(kinds.items(), key=lambda item: (-item[1], item[0])):
+        print(f"  {kind:<18} {count}")
+
+
+if __name__ == "__main__":
+    main()
