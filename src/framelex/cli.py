@@ -1,67 +1,50 @@
 """Command line browser: one-shot subcommands and an interactive REPL.
 
-Every public query operation is reachable as a subcommand; the REPL adds
-drill-down context (frame -> lexical unit -> exemplar -> annotation set).
-Exit codes: 0 success, 1 name or ID not found, 2 usage or bad pattern,
-3 unusable data.  The REPL itself never dies on malformed input.
+Both read one table, ``COMMANDS``: each shared command's query, output format
+and argument.  The REPL adds drill-down context and never dies on malformed
+input.  Exit codes: 0 success, also when the reader of the output leaves
+early; 1 name or ID not found; 2 usage or bad pattern; 3 unusable data.
 """
 
 import argparse
+import os
+import shlex
 import sys
+from types import SimpleNamespace
 
 from .errors import CorpusError, LookupFailure, PatternError, UsageError
-from .lexicon import _is_record, open_lexicon
+from .lexicon import open_lexicon
 from . import render
 from .store import ENV_DATA_DIR
 
 
 def build_parser():
     # The shared options hang off every subparser too, so they are accepted
-    # both before and after the subcommand.  SUPPRESS keeps an absent
-    # subcommand-level flag from clobbering a value parsed up front.
+    # before and after the subcommand.  SUPPRESS keeps an absent subcommand
+    # flag from clobbering a value parsed up front; run() fills in defaults.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--data",
-        metavar="DIR",
-        default=argparse.SUPPRESS,
-        help=f"corpus directory (default: ${ENV_DATA_DIR})",
-    )
-    common.add_argument(
-        "--width",
-        type=int,
-        default=argparse.SUPPRESS,
-        metavar="N",
-        help="display wrap width",
-    )
-    common.add_argument(
-        "--ids",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="print tab-separated ID listings",
-    )
+    common.add_argument("--data", metavar="DIR", default=argparse.SUPPRESS,
+                        help=f"corpus directory (default: ${ENV_DATA_DIR})")
+    common.add_argument("--width", type=int, default=argparse.SUPPRESS, metavar="N",
+                        help="display wrap width")
+    common.add_argument("--ids", action="store_true", default=argparse.SUPPRESS,
+                        help="print tab-separated ID listings")
 
     parser = argparse.ArgumentParser(
-        prog="framelex",
-        description="Browse a FrameNet-1.7-format lexical database.",
-        parents=[common],
-    )
+        prog="framelex", description="Browse a FrameNet-1.7-format lexical database.",
+        parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
         return sub.add_parser(name, parents=[common], **kwargs)
 
-    sp = add_parser("frame", help="show one frame")
-    sp.add_argument("key", help="frame name or ID")
-    sp = add_parser("frames", help="list frames by name pattern")
-    sp.add_argument("pattern", nargs="?")
-    sp = add_parser("lu", help="show one lexical unit")
-    sp.add_argument("id", type=int)
-    sp = add_parser("lus", help="list lexical units by name pattern")
-    sp.add_argument("pattern", nargs="?")
-    sp.add_argument("--frame", help="confine to one frame (name, pattern, or ID)")
-    sp = add_parser("fes", help="list frame elements by name pattern")
-    sp.add_argument("pattern", nargs="?")
-    sp.add_argument("--frame", help="confine to one frame (name, pattern, or ID)")
+    add_parser("frame", help="show one frame").add_argument("key", help="frame name or ID")
+    add_parser("frames", help="list frames by name pattern").add_argument("pattern", nargs="?")
+    add_parser("lu", help="show one lexical unit").add_argument("id", type=int)
+    for name, what in (("lus", "lexical units"), ("fes", "frame elements")):
+        sp = add_parser(name, help=f"list {what} by name pattern")
+        sp.add_argument("pattern", nargs="?")
+        sp.add_argument("--frame", help="confine to one frame (name, pattern, or ID)")
     sp = add_parser("relations", help="list frame-to-frame relations")
     sp.add_argument("--frame", help="a frame on either side")
     sp.add_argument("--frame2", help="the frame on the other side")
@@ -71,9 +54,7 @@ def build_parser():
     add_parser("semtypes", help="list semantic types")
     sp = add_parser("semtype", help="show one semantic type")
     sp.add_argument("key", help="name, abbreviation, or ID")
-    add_parser(
-        "propagate-semtypes", help="push FE semantic types down the FE mappings"
-    )
+    add_parser("propagate-semtypes", help="push FE semantic types down the FE mappings")
     sp = add_parser("annotations", help="list frame annotation sets")
     sp.add_argument("pattern", nargs="?", help="LU name pattern")
     sp.add_argument("--no-exemplars", action="store_true")
@@ -82,75 +63,48 @@ def build_parser():
     sp.add_argument("pattern", nargs="?", help="LU name pattern")
     sp = add_parser("ft-sents", help="list full-text sentences")
     sp.add_argument("pattern", nargs="?", help="document name pattern")
-    sp = add_parser("doc", help="show one full-text document")
-    sp.add_argument("id", type=int)
-    sp = add_parser("docs", help="list full-text documents")
-    sp.add_argument("pattern", nargs="?")
+    add_parser("doc", help="show one full-text document").add_argument("id", type=int)
+    add_parser("docs", help="list full-text documents").add_argument("pattern", nargs="?")
     add_parser("stats", help="corpus-wide counts")
     add_parser("browse", help="interactive browser")
     return parser
 
 
-def _frame_arg(value):
-    if value is not None and value.isdecimal():
-        return int(value)
-    return value
+def _key(text):
+    """A name-or-ID argument: a decimal string is an ID."""
+    return int(text) if text is not None and text.isdecimal() else text
 
 
-def _relation_line(rel):
-    return (
-        f"<{rel.type.superFrameName}={rel.superFrameName} -- "
-        f"{rel.type.name} -> {rel.type.subFrameName}={rel.subFrameName}>"
-    )
+def _listing(line, ids_field="{name}"):
+    """Listing output: ``line`` per item, ``ID<TAB>ids_field`` with ``--ids``;
+    each a function of the item or a ``str.format_map`` template over it."""
+    line, field = (f.format_map if isinstance(f, str) else f for f in (line, ids_field))
+    return lambda items, options, ids: "".join(
+        f"{item.ID}\t{field(item)}\n" if ids else line(item) + "\n" for item in items)
 
 
-def _list_lines(kind, items, ids_mode):
-    """One line per item; ids_mode switches to tab-separated ID output."""
-    lines = []
-    for item in items:
-        if kind == "frames":
-            lines.append(f"{item.ID}\t{item.name}" if ids_mode else f"({item.ID}) {item.name}")
-        elif kind == "lus":
-            text = f"{item.name} in {item.frame.name}"
-            lines.append(f"{item.ID}\t{item.name}" if ids_mode else f"({item.ID}) {text}")
-        elif kind == "fes":
-            text = f"{item.name} [{item.coreType}] in {item.frame.name}"
-            lines.append(f"{item.ID}\t{item.name}" if ids_mode else f"({item.ID}) {text}")
-        elif kind == "relations":
-            lines.append(f"{item.ID}\t{_relation_line(item)}" if ids_mode else _relation_line(item))
-        elif kind == "relation-types":
-            text = f"{item.name}: {item.superFrameName} -> {item.subFrameName}"
-            lines.append(f"{item.ID}\t{item.name}" if ids_mode else f"({item.ID}) {text}")
-        elif kind == "fe-relations":
-            text = (
-                f"{item.frameRelation.superFrameName}.{item.superFEName} -> "
-                f"{item.frameRelation.subFrameName}.{item.subFEName}"
-            )
-            lines.append(f"{item.ID}\t{text}" if ids_mode else f"({item.ID}) {text}")
-        elif kind == "semtypes":
-            text = f"{item.name} <{item.abbrev}>"
-            if item.superType is not None:
-                text += f" under {item.superType.name}"
-            lines.append(f"{item.ID}\t{item.name}" if ids_mode else f"({item.ID}) {text}")
-        elif kind == "annotations":
-            lu_name = item.get("luName") or (item.get("LU").name if item.get("LU") else "")
-            frame_name = item.get("frameName") or ""
-            if not frame_name and item.get("frame") is not None:
-                frame_name = item["frame"].name
-            text = f"{frame_name}/{lu_name} [{item.status}] sentence {item.sent.ID}"
-            lines.append(f"{item.ID}\t{lu_name}" if ids_mode else f"({item.ID}) {text}")
-        elif kind == "sents":
-            lines.append(f"{item.ID}\t{item.text}" if ids_mode else f"({item.ID}) {item.text}")
-        elif kind == "docs":
-            text = f"{item.name} ({item.corpusName})"
-            lines.append(f"{item.ID}\t{item.name}" if ids_mode else f"({item.ID}) {text}")
-    return lines
+def _lines(lines, options, ids):
+    return "".join(line + "\n" for line in lines)
 
 
-def _stats_lines(lexicon):
+def _semtype_line(st):
+    under = f" under {st.superType.name}" if st.superType is not None else ""
+    return f"({st.ID}) {st.name} <{st.abbrev}>{under}"
+
+
+def _annotation_lu(aset):
+    return aset.get("luName") or getattr(aset.get("LU"), "name", "")
+
+
+def _annotation_line(aset):
+    lu_name = _annotation_lu(aset)
+    frame_name = aset.get("frameName") or getattr(aset.get("frame"), "name", "")
+    return f"({aset.ID}) {frame_name}/{lu_name} [{aset.status}] sentence {aset.sent.ID}"
+
+
+def _stats(lexicon):
     frames = lexicon.frames()
-    exemplar_sets = lexicon.annotations(full_text=False)
-    fulltext_sets = lexicon.annotations(exemplars=False)
+    annotation_sets = lexicon.annotations()
     return [
         f"frames: {len(frames)}",
         f"lexical units: {len(lexicon.store.lu_index())}",
@@ -161,101 +115,69 @@ def _stats_lines(lexicon):
         f"semantic types: {len(lexicon.semtypes())}",
         f"documents: {len(lexicon.docs())}",
         f"exemplar sentences: {len(lexicon.exemplars())}",
-        f"frame annotation sets: {len(exemplar_sets) + len(fulltext_sets)}",
+        f"frame annotation sets: {len(annotation_sets)}",
     ]
 
 
-def _dispatch(lexicon, args, options, out):
-    command = args.command
-    ids_mode = args.ids
-    if command == "frame":
-        out.write(render.render_frame(lexicon.frame(_frame_arg(args.key)), options))
-    elif command == "frames":
-        out.write_lines(_list_lines("frames", lexicon.frames(args.pattern), ids_mode))
-    elif command == "lu":
-        out.write(render.render_lu(lexicon.lu(args.id), options))
-    elif command == "lus":
-        items = lexicon.lus(args.pattern, frame=_frame_arg(args.frame))
-        out.write_lines(_list_lines("lus", items, ids_mode))
-    elif command == "fes":
-        items = lexicon.fes(args.pattern, frame=_frame_arg(args.frame))
-        out.write_lines(_list_lines("fes", items, ids_mode))
-    elif command == "relations":
-        items = lexicon.frame_relations(
-            frame=_frame_arg(args.frame),
-            frame2=_frame_arg(args.frame2),
-            type=args.type,
-        )
-        out.write_lines(_list_lines("relations", items, ids_mode))
-    elif command == "relation-types":
-        out.write_lines(
-            _list_lines("relation-types", lexicon.frame_relation_types(), ids_mode)
-        )
-    elif command == "fe-relations":
-        out.write_lines(_list_lines("fe-relations", lexicon.fe_relations(), ids_mode))
-    elif command == "semtypes":
-        out.write_lines(_list_lines("semtypes", lexicon.semtypes(), ids_mode))
-    elif command == "semtype":
-        key = int(args.key) if args.key.isdecimal() else args.key
-        out.write(render.render_semtype(lexicon.semtype(key), options))
-    elif command == "propagate-semtypes":
-        out.write(f"added {lexicon.propagate_semtypes()} semantic type labels\n")
-    elif command == "annotations":
-        items = lexicon.annotations(
-            args.pattern,
-            exemplars=not args.no_exemplars,
-            full_text=not args.no_fulltext,
-        )
-        out.write_lines(_list_lines("annotations", items, ids_mode))
-    elif command == "exemplars":
-        out.write_lines(_list_lines("sents", lexicon.exemplars(args.pattern), ids_mode))
-    elif command == "ft-sents":
-        out.write_lines(_list_lines("sents", lexicon.ft_sents(args.pattern), ids_mode))
-    elif command == "doc":
-        out.write(render.render_document(lexicon.doc(args.id), options))
-    elif command == "docs":
-        out.write_lines(_list_lines("docs", lexicon.docs(args.pattern), ids_mode))
-    elif command == "stats":
-        out.write_lines(_stats_lines(lexicon))
-    elif command == "browse":
-        return repl(lexicon, options, sys.stdin, out.stream)
-    return 0
-
-
-class _Out:
-    """Tiny adapter so dispatch helpers can emit lines or raw blocks."""
-
-    def __init__(self, stream):
-        self.stream = stream
-
-    def write(self, text):
-        self.stream.write(text)
-
-    def write_lines(self, lines):
-        for line in lines:
-            self.stream.write(line + "\n")
+_RELATION = ("<{type.superFrameName}={superFrameName} -- "
+             "{type.name} -> {type.subFrameName}={subFrameName}>")
+_FE_MAPPING = ("{frameRelation.superFrameName}.{superFEName} -> "
+               "{frameRelation.subFrameName}.{subFEName}")
+_SENTS = _listing("({ID}) {text}", "{text}")
+# name -> (query(lexicon, parsed args), output(result, DisplayOptions, ids) ->
+# text, REPL argument: "<...>" required, "[pattern]" optional, "" none).
+COMMANDS = {
+    "frame": (lambda lex, a: lex.frame(a.key),
+              lambda frame, options, ids: render.render_frame(frame, options), "<name-or-id>"),
+    "frames": (lambda lex, a: lex.frames(a.pattern), _listing("({ID}) {name}"), "[pattern]"),
+    "lu": (lambda lex, a: lex.lu(a.id),
+           lambda lu, options, ids: render.render_lu(lu, options), "<name-or-id>"),
+    "lus": (lambda lex, a: lex.lus(a.pattern, frame=_key(a.frame)),
+            _listing("({ID}) {name} in {frame.name}"), "[pattern]"),
+    "fes": (lambda lex, a: lex.fes(a.pattern, frame=_key(a.frame)),
+            _listing("({ID}) {name} [{coreType}] in {frame.name}"), "[pattern]"),
+    "relations": (lambda lex, a: lex.frame_relations(
+                      frame=_key(a.frame), frame2=_key(a.frame2), type=a.type),
+                  _listing(_RELATION, _RELATION), ""),
+    "relation-types": (lambda lex, a: lex.frame_relation_types(),
+                       _listing("({ID}) {name}: {superFrameName} -> {subFrameName}"), ""),
+    "fe-relations": (lambda lex, a: lex.fe_relations(),
+                     _listing("({ID}) " + _FE_MAPPING, _FE_MAPPING), ""),
+    "semtypes": (lambda lex, a: lex.semtypes(), _listing(_semtype_line), ""),
+    "semtype": (lambda lex, a: lex.semtype(_key(a.key)),
+                lambda st, options, ids: render.render_semtype(st, options), "<key>"),
+    "propagate-semtypes": (
+        lambda lex, a: [f"added {lex.propagate_semtypes()} semantic type labels"], _lines, ""),
+    "annotations": (lambda lex, a: lex.annotations(
+                        a.pattern, exemplars=not a.no_exemplars, full_text=not a.no_fulltext),
+                    _listing(_annotation_line, _annotation_lu), "[pattern]"),
+    "exemplars": (lambda lex, a: lex.exemplars(a.pattern), _SENTS, "[pattern]"),
+    "ft-sents": (lambda lex, a: lex.ft_sents(a.pattern), _SENTS, "[pattern]"),
+    # int(): argparse has converted a CLI ID already, a REPL one is a string.
+    "doc": (lambda lex, a: lex.doc(int(a.id)),
+            lambda doc, options, ids: render.render_document(doc, options), "<id>"),
+    "docs": (lambda lex, a: lex.docs(a.pattern), _listing("({ID}) {name} ({corpusName})"),
+             "[pattern]"),
+    "stats": (lambda lex, a: _stats(lex), _lines, ""),
+}
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None):
     """Run one CLI invocation; returns the process exit code."""
-    stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    # The shared flags use SUPPRESS defaults, so fill the gaps here.
-    for name, default in (("data", None), ("width", 70), ("ids", False)):
-        if not hasattr(args, name):
-            setattr(args, name, default)
     try:
-        options = render.DisplayOptions(wrap_width=args.width)
-        lexicon = open_lexicon(args.data)
+        options = render.DisplayOptions(wrap_width=getattr(args, "width", 70))
+        lexicon = open_lexicon(getattr(args, "data", None))
         if args.command == "browse":
-            return repl(lexicon, options, stdin, stdout)
-        return _dispatch(lexicon, args, options, _Out(stdout))
+            return repl(lexicon, options, stdin if stdin is not None else sys.stdin, stdout)
+        query, output, _ = COMMANDS[args.command]
+        stdout.write(output(query(lexicon, args), options, getattr(args, "ids", False)))
+        return 0
     except LookupFailure as exc:
         stderr.write(f"framelex: not found: {exc}\n")
         return 1
@@ -268,7 +190,13 @@ def run(argv=None, stdin=None, stdout=None, stderr=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 # ------------------------------------------------------------------ REPL
@@ -285,55 +213,44 @@ Drill-down commands:
   up                   pop one context level
   quit                 leave the browser
 Listing commands (optional pattern argument):
-  frames, lus, fes, semtypes, docs, exemplars, ft-sents, annotations
-Others: relations, relation-types, fe-relations, semtype <key>, stats,
-propagate-semtypes, help
+  frames, lus, fes, docs, exemplars, ft-sents, annotations
+Others: relations, relation-types, fe-relations, semtypes, semtype <key>,
+stats, propagate-semtypes, help
 """
 
-_REPL_LISTS = {
-    "frames": ("frames", lambda lex, pat: lex.frames(pat)),
-    "lus": ("lus", lambda lex, pat: lex.lus(pat)),
-    "fes": ("fes", lambda lex, pat: lex.fes(pat)),
-    "semtypes": ("semtypes", lambda lex, pat: lex.semtypes()),
-    "docs": ("docs", lambda lex, pat: lex.docs(pat)),
-    "exemplars": ("sents", lambda lex, pat: lex.exemplars(pat)),
-    "ft-sents": ("sents", lambda lex, pat: lex.ft_sents(pat)),
-    "annotations": ("annotations", lambda lex, pat: lex.annotations(pat)),
-    "relations": ("relations", lambda lex, pat: lex.frame_relations()),
-    "relation-types": ("relation-types", lambda lex, pat: lex.frame_relation_types()),
-    "fe-relations": ("fe-relations", lambda lex, pat: lex.fe_relations()),
-}
+
+class _ReplArgs(SimpleNamespace):
+    """A REPL line's arguments: its one argument fills any positional."""
+    frame = frame2 = type = None  # the options only the CLI has stay unset
+    no_exemplars = no_fulltext = False
 
 
-def _stack_find(stack, kind):
-    for _, entity in reversed(stack):
-        if _is_record(entity, kind):
-            return entity
-    return None
+class _Reply(Exception):
+    """A REPL reply that is not output: a hint or a usage line."""
 
 
-def _repl_command(lexicon, options, stack, command, rest, out):
-    arg = rest[0] if rest else None
-    if command == "help":
-        out.write(lexicon.help_summary())
-        out.write(REPL_HELP)
-    elif command == "up":
-        if stack:
-            stack.pop()
-        else:
-            out.write("already at the top\n")
-    elif command == "frame":
-        if arg is None:
-            out.write("usage: frame <name-or-id>\n")
-            return
-        frame = lexicon.frame(int(arg) if arg.isdecimal() else arg)
-        out.write(render.render_frame(frame, options))
-        stack[:] = [(frame.name, frame)]
-    elif command == "lu":
-        if arg is None:
-            out.write("usage: lu <name-or-id>\n")
-            return
-        frame = _stack_find(stack, "frame")
+def _context(stack, kinds, hint=None):
+    """The innermost context record of one of ``kinds``, else None or ``hint``."""
+    entity = next((e for _, e in reversed(stack) if e["_type"] in kinds), None)
+    if entity is None and hint:
+        raise _Reply(hint)
+    return entity
+
+
+def _nth(items, arg, command):
+    if arg is None or not arg.isdecimal():
+        raise _Reply(f"usage: {command} <k>")
+    if int(arg) >= len(items):
+        raise LookupFailure(f"no {command} {arg} among {len(items)} (0-based)")
+    return items[int(arg)]
+
+
+def _repl_command(lexicon, options, stack, command, arg, out):
+    query, output, takes = COMMANDS.get(command, (None, None, None))
+    if takes is not None and (arg is None if takes[:1] == "<" else arg is not None and not takes):
+        raise _Reply(f"usage: {command} {takes}".rstrip())
+    if command == "lu":
+        frame = _context(stack, ("frame",))
         if frame is not None and arg in frame.lexUnit:
             lu = frame.lexUnit[arg]
         elif arg.isdecimal():
@@ -345,70 +262,45 @@ def _repl_command(lexicon, options, stack, command, rest, out):
             lu = lexicon.lu(rows[names.index(arg)]["ID"])
         out.write(render.render_lu(lu, options))
         stack[:] = [(lu.frame.name, lu.frame), (lu.name, lu)]
+    elif query is not None:
+        result = query(lexicon, _ReplArgs(key=arg, id=arg, pattern=arg))
+        out.write(output(result, options, False))
+        if command in ("frame", "doc"):
+            stack[:] = [(result.name, result)]
+    elif command == "help":
+        out.write(lexicon.help_summary() + REPL_HELP)
+    elif command == "up":
+        if not stack:
+            raise _Reply("already at the top")
+        stack.pop()
     elif command == "fe":
-        frame = _stack_find(stack, "frame")
-        if frame is None:
-            out.write("no frame context; run 'frame <name>' first\n")
-            return
+        frame = _context(stack, ("frame",), "no frame context; run 'frame <name>' first")
         if arg is None or arg not in frame.FE:
             raise LookupFailure(f"no FE named {arg!r} in frame {frame.name!r}")
         out.write(render.render_frame_element(frame.FE[arg], options))
     elif command == "exemplar":
-        lu = _stack_find(stack, "lu")
-        if lu is None:
-            out.write("no lexical unit context; run 'lu <name>' first\n")
-            return
-        sent = lu.exemplars[int(arg)]
+        lu = _context(stack, ("lu",), "no lexical unit context; run 'lu <name>' first")
+        sent = _nth(lu.exemplars, arg, command)
         out.write(render.render_lexicographic_sentence(sent, options))
         stack.append((str(sent.ID), sent))
-    elif command == "doc":
-        if arg is None:
-            out.write("usage: doc <id>\n")
-            return
-        doc = lexicon.doc(int(arg))
-        out.write(render.render_document(doc, options))
-        stack[:] = [(doc.name, doc)]
     elif command == "sent":
-        doc = _stack_find(stack, "document")
-        if doc is None:
-            out.write("no document context; run 'doc <id>' first\n")
-            return
-        sent = doc.sentences[int(arg)]
+        doc = _context(stack, ("document",), "no document context; run 'doc <id>' first")
+        sent = _nth(doc.sentences, arg, command)
         out.write(render.render_fulltext_sentence(sent, options))
         stack.append((str(sent.ID), sent))
     elif command == "annoset":
-        sent = _stack_find(stack, "sentence") or _stack_find(stack, "fulltext_sentence")
-        if sent is None:
-            out.write("no sentence context; run 'exemplar <k>' or 'sent <k>' first\n")
-            return
-        out.write(render.render_annotation_set(sent.annotationSet[int(arg)], options))
-    elif command == "semtype":
-        if arg is None:
-            out.write("usage: semtype <key>\n")
-            return
-        key = int(arg) if arg.isdecimal() else arg
-        out.write(render.render_semtype(lexicon.semtype(key), options))
-    elif command == "stats":
-        for line in _stats_lines(lexicon):
-            out.write(line + "\n")
-    elif command == "propagate-semtypes":
-        out.write(f"added {lexicon.propagate_semtypes()} semantic type labels\n")
-    elif command in _REPL_LISTS:
-        kind, query = _REPL_LISTS[command]
-        for line in _list_lines(kind, query(lexicon, arg), ids_mode=False):
-            out.write(line + "\n")
+        sent = _context(stack, ("sentence", "fulltext_sentence"),
+                        "no sentence context; run 'exemplar <k>' or 'sent <k>' first")
+        out.write(render.render_annotation_set(_nth(sent.annotationSet, arg, command), options))
     else:
-        out.write(f"unknown command {command!r}; 'help' lists commands\n")
+        raise _Reply(f"unknown command {command!r}; 'help' lists commands")
 
 
 def repl(lexicon, options, stdin, stdout):
     """Interactive drill-down browser; survives any malformed input line."""
-    import shlex
-
     stack = []
     while True:
-        path = "/".join(name for name, _ in stack)
-        stdout.write(f"{path}> ")
+        stdout.write("/".join(name for name, _ in stack) + "> ")
         try:
             stdout.flush()
         except Exception:
@@ -417,21 +309,15 @@ def repl(lexicon, options, stdin, stdout):
         if not line:
             stdout.write("\n")
             return 0
-        line = line.strip()
-        if not line:
-            continue
         try:
-            tokens = shlex.split(line)
-        except ValueError as exc:
-            stdout.write(f"error: {exc}\n")
-            continue
-        if not tokens:
-            continue
-        command, rest = tokens[0], tokens[1:]
-        if command in ("quit", "exit"):
-            return 0
-        try:
-            _repl_command(lexicon, options, stack, command, rest, stdout)
+            # Padded, so a missing command or argument reads None.
+            command, arg = (shlex.split(line.strip()) + [None, None])[:2]
+            if command in ("quit", "exit"):
+                return 0
+            if command is not None:
+                _repl_command(lexicon, options, stack, command, arg, stdout)
+        except _Reply as exc:
+            stdout.write(f"{exc}\n")
         except LookupFailure as exc:
             stdout.write(f"not found: {exc}\n")
         except (KeyboardInterrupt, EOFError):

@@ -26,6 +26,7 @@ A reference from one file into another (a relation's frames, a full-text
 annotation set's frame) resolves through ``resolve_frame_ref``: a frame the
 index lacks is corrupt data, an ``IntegrityError`` naming the referring file
 and record, where a direct lookup of the same frame is a ``LookupFailure``.
+A frame's or FE's semantic type reference resolves the same way.
 """
 
 import os
@@ -186,12 +187,15 @@ class Store:
             )
         return self.get_frame(key)
 
-    def _resolve_semtype_ref(self, st_id, st_name):
+    def _resolve_semtype_ref(self, st_id, st_name, source, referrer):
+        """The semantic type that record ``referrer`` of file ``source`` names;
+        one the registry lacks is an IntegrityError naming both."""
         try:
             return self.get_semtype(st_id)
         except LookupFailure:
             raise IntegrityError(
-                f"reference to unknown semantic type {st_name!r} ({st_id})"
+                f"{source}: {referrer['_type']} {referrer['ID']} names unknown semantic type "
+                f"{st_name!r} ({st_id})"
             ) from None
 
     # ------------------------------------------------------------ lexical units

@@ -7,7 +7,8 @@ full-text annotation set, semantic types named by ID) are represented as
 ``Lazy(callback, *args)`` thunks over resolver callbacks that the caller
 injects; with no callback the thunk raises a clear error if it is ever forced.
 A frame resolver is called as ``frame_resolver(frame_id, frame_name, source,
-referrer)``, ``referrer`` being the record that holds the reference.
+referrer)`` and a semantic type lookup as ``semtype_lookup(st_id, st_name,
+source, referrer)``, ``referrer`` being the record that holds the reference.
 
 The parsers read a fixed subset of elements and attributes.  Anything else in
 a file (editorial attributes, embedded relation references inside frame files,
@@ -209,7 +210,8 @@ def parse_frame_file(
     """One frame file -> a frame record, without exemplar sentences.
 
     ``relation_query(frame_id)`` supplies the frame's relations on demand;
-    ``semtype_lookup(st_id, st_name)`` resolves semantic type references;
+    ``semtype_lookup(st_id, st_name, source, referrer)`` resolves semantic type
+    references, ``referrer`` being the frame or FE;
     ``exemplar_loader(lu_stub)`` supplies an LU's subcorpora on demand.  Each
     callback is optional; the matching attributes then fail if forced, except
     that an LU with a zero sentence count resolves to empty lists eagerly.
@@ -234,7 +236,7 @@ def parse_frame_file(
     frame["FE"] = {}
     frame["FEcoreSets"] = []
     frame["lexUnit"] = {}
-    frame["semTypes"] = _semtype_ref_list(root, source, semtype_lookup)
+    frame["semTypes"] = _semtype_ref_list(root, source, frame, semtype_lookup)
     frame["URL"] = frame_url(name)
 
     fe_ids = set()
@@ -272,7 +274,7 @@ def parse_frame_file(
     return frame
 
 
-def _semtype_ref_list(elt, source, semtype_lookup):
+def _semtype_ref_list(elt, source, referrer, semtype_lookup):
     refs = []
     for child in elt:
         if child.tag == "semType":
@@ -281,11 +283,11 @@ def _semtype_ref_list(elt, source, semtype_lookup):
         return []
     if semtype_lookup is None:
         return unbound_lazy("semantic type references")
-    return Lazy(_semtypes_of, semtype_lookup, refs)
+    return Lazy(_semtypes_of, semtype_lookup, refs, source, referrer)
 
 
-def _semtypes_of(semtype_lookup, refs):
-    return [semtype_lookup(st_id, st_name) for st_id, st_name in refs]
+def _semtypes_of(semtype_lookup, refs, source, referrer):
+    return [semtype_lookup(st_id, st_name, source, referrer) for st_id, st_name in refs]
 
 
 def _parse_fe(elt, source, frame, semtype_lookup):
@@ -315,7 +317,7 @@ def _parse_fe(elt, source, frame, semtype_lookup):
     elif semtype_lookup is None:
         fe["semType"] = unbound_lazy(f"semantic type of FE {fe['name']!r}")
     else:
-        fe["semType"] = Lazy(semtype_lookup, *refs[0])
+        fe["semType"] = Lazy(semtype_lookup, *refs[0], source, fe)
     fe["frame"] = frame
     return fe
 

@@ -389,3 +389,28 @@ def test_fulltext_set_naming_unknown_frame_is_an_integrity_error(data_dir, tmp_p
         aset.LU.frame
     with pytest.raises(LookupFailure):
         lex.frame(99999)
+
+
+@pytest.mark.parametrize(
+    "relpath, old, referrer, read, argv",
+    [
+        ("frame/Revenge.xml", '<semType name="Non_sentient" ID="54" />',
+         "fe 3010 names unknown semantic type 'Non_sentient'",
+         lambda lex: lex.frame("Revenge").FE["Degree"].semType, ["propagate-semtypes"]),
+        ("frame/Event.xml", '<semType name="Abstract_entity" ID="200" />',
+         "frame 5 names unknown semantic type 'Abstract_entity'",
+         lambda lex: lex.frame("Event").semTypes, ["frame", "Event"]),
+    ],
+)
+def test_semtype_naming_unknown_type_is_an_integrity_error(
+    data_dir, tmp_path, relpath, old, referrer, read, argv
+):
+    clone = _corrupt_copy(data_dir, tmp_path, relpath, old, re.sub(r'ID="\d+"', 'ID="99954"', old))
+    where = re.escape(f"{relpath}: {referrer} (99954)")
+    with pytest.raises(IntegrityError, match=where):
+        read(open_lexicon(clone))
+    err = io.StringIO()
+    code = run(["--data", str(clone), *argv], stdin=io.StringIO(), stdout=io.StringIO(),
+               stderr=err)
+    assert code == 3
+    assert re.search(where, err.getvalue())

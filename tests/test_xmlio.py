@@ -82,7 +82,7 @@ def test_frame_file_fe_details(data_dir):
     frame = parse_frame_file(
         raw(data_dir, "frame/Revenge.xml"),
         "x",
-        semtype_lookup=lambda st_id, st_name: Record(_type="semtype", ID=st_id, name=st_name),
+        semtype_lookup=lambda st_id, st_name, *_: Record(_type="semtype", ID=st_id, name=st_name),
     )
     avenger = frame.FE["Avenger"]
     assert avenger.ID == 3009
