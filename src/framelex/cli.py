@@ -275,7 +275,9 @@ def _repl_command(lexicon, options, stack, command, arg, out):
         stack.pop()
     elif command == "fe":
         frame = _context(stack, ("frame",), "no frame context; run 'frame <name>' first")
-        if arg is None or arg not in frame.FE:
+        if arg is None:
+            raise _Reply("usage: fe <name>")
+        if arg not in frame.FE:
             raise LookupFailure(f"no FE named {arg!r} in frame {frame.name!r}")
         out.write(render.render_frame_element(frame.FE[arg], options))
     elif command == "exemplar":

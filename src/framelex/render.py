@@ -1,18 +1,22 @@
 """Aligned terminal displays for lexicon entities.
 
-The sentence displays draw marker rows under the sentence text: ``-`` under
-frame element spans, ``*`` under target spans, ``^`` under support and copula
-spans, and nothing else.  Labels sit under their markers, truncated to the
-span's width; every truncation is recorded and expanded in a trailing
-``(short=Full, ...)`` footer, with numeric suffixes disambiguating collisions.
-Null instantiations, which have no span to mark, become ``[FE:itype]`` footer
-lines.
+All three sentence displays (exemplar sentence, full-text sentence,
+annotation set) are laid out by one writer, ``_marked_text``, over items
+``(spans, char, label, tag)``.  It paints ``char`` under every span: ``-``
+under frame element spans, ``*`` under targets, ``^`` under support and
+copula spans.  ``label`` (an FE, support or frame name, or None for an
+unlabelled target) sits under the first span, truncated to its width; every
+truncation is recorded and expanded in a trailing ``(short=Full, ...)``
+footer, with numeric suffixes disambiguating collisions.  ``tag`` is a
+full-text set's ``[k] ?!`` number and flags, on a third row and cut where
+the row's next item starts; other items have None.  Null instantiations,
+which have no span to mark, become ``[FE:itype]`` footer lines.
 
 Long sentences wrap at a fixed width.  The text row picks the break
-positions and every marker and label row is sliced at the same positions, so
-a marker column always sits under the text column it annotates, including
-spans that straddle a break.  Anything that would overlap on one row is
-packed onto additional rows, first fit.
+positions and every marker, label and tag row is sliced at the same
+positions, so a marker column always sits under the text column it
+annotates, including spans that straddle a break.  Items that would overlap
+on one row are packed onto additional rows, first fit.
 
 All lines are right-stripped; every renderer returns a string ending in a
 single newline and is deterministic for a given entity and options.
@@ -23,9 +27,8 @@ import textwrap
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .xmlio import POS_SPECIFIC_LAYERS
+from .xmlio import CORE_TYPES, POS_SPECIFIC_LAYERS
 
-CORE_TYPE_ORDER = ("Core", "Core-Unexpressed", "Peripheral", "Extra-Thematic")
 INDENT = "  "
 MIN_WRAP_WIDTH = 20
 
@@ -77,26 +80,22 @@ def wrap_segments(text, width):
     return out
 
 
-# ------------------------------------------------------------ row packing
+# ------------------------------------------------------------ marked text
 
 
-def _collides(row_spans, start, end):
-    return any(not (end < s or start > e) for s, e in row_spans)
-
-
-def _pack_groups(groups, spans_of):
-    """First-fit packing: each group lands on the first row it fits whole."""
+def _pack_rows(items):
+    """First-fit packing: each item lands on the first row it fits whole."""
     rows = []
     occupied = []
-    for group in groups:
-        spans = spans_of(group)
-        for i, row in enumerate(rows):
-            if not any(_collides(occupied[i], s, e) for s, e in spans):
-                row.append(group)
-                occupied[i].extend(spans)
+    for item in items:
+        spans = item[0]
+        for row, taken in zip(rows, occupied):
+            if not any(not (e < s2 or s > e2) for s, e in spans for s2, e2 in taken):
+                row.append(item)
+                taken.extend(spans)
                 break
         else:
-            rows.append([group])
+            rows.append([item])
             occupied.append(list(spans))
     return rows
 
@@ -120,61 +119,64 @@ def _paint(line, start, text_chars):
             line[start + i] = ch
 
 
-# ------------------------------------------------------- span visualization
+def _marked_text(text, items, footer, options):
+    """Wrapped text, its marker rows, ``footer``, then the abbreviation footer.
 
-
-def _aligned_block(text, groups, abbrevs, options):
-    """Marker/label rows under wrapped text; groups are [(start, end, char, label)]."""
+    Items are ``(spans, char, label, tag)``; see the module docstring.
+    """
     length = len(text)
-    rows = _pack_groups(groups, lambda g: [(s, e) for s, e, _, _ in g])
-    pairs = []
-    for row in rows:
-        spans = sorted((t for group in row for t in group), key=lambda t: (t[0], t[1]))
+    abbrevs = {}
+    rows = []
+    for row in _pack_rows(items):
+        row.sort(key=lambda item: item[0][0][0])
         marker = [" "] * length
         label_line = [" "] * length
-        for start, end, char, _ in spans:
-            _paint(marker, start, char * (end - start + 1))
-        for start, end, _, label in spans:
+        has_tags = any(item[3] is not None for item in row)
+        tag_line = [" "] * length if has_tags else None
+        for spans, char, _, _ in row:
+            for start, end in spans:
+                _paint(marker, start, char * (end - start + 1))
+        for i, (spans, _, label, tag) in enumerate(row):
+            start, end = spans[0]
             if label is not None:
                 _paint(label_line, start, _abbreviate(label, end - start + 1, abbrevs))
-        pairs.append(("".join(marker), "".join(label_line)))
+            if tag is not None:
+                # The tag may run past a narrow span while the row stays free.
+                limit = row[i + 1][0][0][0] if i + 1 < len(row) else length
+                _paint(tag_line, start, tag[: max(limit - start, 1)])
+        aux = [label_line] if tag_line is None else [label_line, tag_line]
+        rows.append(("".join(marker), ["".join(line) for line in aux]))
 
-    lines = []
+    out = []
     for i, (offset, chunk) in enumerate(wrap_segments(text, options.wrap_width)):
         if i:
-            lines.append("")
-        lines.append(chunk.rstrip())
-        for marker, label_line in pairs:
-            m = marker[offset : offset + len(chunk)].rstrip()
-            lbl = label_line[offset : offset + len(chunk)].rstrip()
-            if m:
-                lines.append(m)
-                if lbl:
-                    lines.append(lbl)
-    return lines
+            out.append("")
+        out.append(chunk.rstrip())
+        stop = offset + len(chunk)
+        for marker, aux in rows:
+            m = marker[offset:stop].rstrip()
+            if not m:
+                continue
+            out.append(m)
+            for line in aux:
+                sliced = line[offset:stop].rstrip()
+                if sliced:
+                    out.append(sliced)
+    out += footer
+    expansions = [f"{k}={v}" for k, v in abbrevs.items() if k != v]
+    if expansions:
+        out.append("(" + ", ".join(expansions) + ")")
+    return out
 
 
-def _expansion_footer(abbrevs):
-    items = [(k, v) for k, v in abbrevs.items() if k != v]
-    if not items:
-        return []
-    return ["(" + ", ".join(f"{k}={v}" for k, v in items) + ")"]
-
-
-def _sentence_groups(owner):
-    """Marker groups for one annotated span source (sentence or set)."""
-    groups = [[(s, e, "*", None)] for s, e in owner.get("Target", [])]
-    overt, _, _ = owner.get("FE", ([], {}, {}))
-    groups.extend([(s, e, "-", name)] for s, e, name in overt)
+def _sentence_items(owner):
+    """Marked items and null-instantiation footer of a sentence or set."""
+    overt, ni, _ = owner.get("FE", ([], {}, {}))
+    items = [([span], "*", None, None) for span in owner.get("Target", [])]
+    items += [([(s, e)], "-", name, None) for s, e, name in overt]
     for layer in POS_SPECIFIC_LAYERS:
-        for s, e, label in owner.get(layer, []) or []:
-            groups.append([(s, e, "^", label.lower())])
-    return groups
-
-
-def _ni_footer(owner):
-    _, ni, _ = owner.get("FE", ([], {}, {}))
-    return [f"[{name}:{ni[name]}]" for name in sorted(ni)]
+        items += [([(s, e)], "^", label.lower(), None) for s, e, label in owner.get(layer) or []]
+    return items, [f"[{name}:{ni[name]}]" for name in sorted(ni)]
 
 
 # ------------------------------------------------------------ renderers
@@ -184,14 +186,14 @@ def _finish(lines):
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
-def _fill_block(text, width):
+def _fill_block(text, width, head=INDENT):
     if not text:
         return []
     return textwrap.fill(
         text,
         width=width,
-        initial_indent=INDENT,
-        subsequent_indent=INDENT,
+        initial_indent=head,
+        subsequent_indent=" " * len(head),
         break_long_words=False,
         break_on_hyphens=False,
     ).splitlines()
@@ -231,19 +233,10 @@ def render_frame(frame, options=DEFAULT_OPTIONS):
     by_core_type = {}
     for fe in fes.values():
         by_core_type.setdefault(fe.coreType, []).append(fe)
-    for core_type in CORE_TYPE_ORDER:
+    for core_type in CORE_TYPES:
         group = sorted(by_core_type.get(core_type, []), key=lambda fe: fe.name)
-        if not group:
-            continue
-        head = f"{core_type:>16}: "
-        out += textwrap.fill(
-            ", ".join(f"{fe.name} ({fe.ID})" for fe in group),
-            width=w,
-            initial_indent=head,
-            subsequent_indent=" " * len(head),
-            break_long_words=False,
-            break_on_hyphens=False,
-        ).splitlines()
+        listing = ", ".join(f"{fe.name} ({fe.ID})" for fe in group)
+        out += _fill_block(listing, w, f"{core_type:>16}: ")
     out.append("")
 
     core_sets = frame.FEcoreSets
@@ -296,10 +289,7 @@ def render_lexicographic_sentence(sent, options=DEFAULT_OPTIONS):
     present += [f"[{layer}]" for layer in POS_SPECIFIC_LAYERS if sent.get(layer)]
     out += [" + ".join(present), ""]
 
-    abbrevs = {}
-    out += _aligned_block(sent.text, _sentence_groups(sent), abbrevs, options)
-    out += _ni_footer(sent)
-    out += _expansion_footer(abbrevs)
+    out += _marked_text(sent.text, *_sentence_items(sent), options)
     return _finish(out)
 
 
@@ -317,7 +307,7 @@ def render_fulltext_sentence(sent, options=DEFAULT_OPTIONS):
     out += [f"[POS_tagset] {sent.POS_tagset}", ""]
     out += ["[text] + [annotationSet]", ""]
 
-    infos = []
+    items = []
     for index, aset in enumerate(sent.annotationSet[1:], start=1):
         spans = aset.get("Target") or []
         if not spans:
@@ -325,49 +315,9 @@ def render_fulltext_sentence(sent, options=DEFAULT_OPTIONS):
         lu = aset.get("LU")
         undefined = lu is not None and lu.status == "Problem"
         suffix = (" ?" if undefined else "") + (" !" if aset.status == "UNANN" else "")
-        infos.append((spans, aset.get("frameName", ""), f"[{index}]{suffix}"))
-
-    abbrevs = {}
-    out += _fulltext_block(sent.text, infos, abbrevs, options)
-    out += _expansion_footer(abbrevs)
+        items.append((spans, "*", aset.get("frameName", ""), f"[{index}]{suffix}"))
+    out += _marked_text(sent.text, items, [], options)
     return _finish(out)
-
-
-def _fulltext_block(text, infos, abbrevs, options):
-    length = len(text)
-    rows = _pack_groups(infos, lambda info: info[0])
-    triples = []
-    for row in rows:
-        row = sorted(row, key=lambda info: info[0][0][0])
-        marker = [" "] * length
-        name_line = [" "] * length
-        index_line = [" "] * length
-        for spans, _, _ in row:
-            for start, end in spans:
-                _paint(marker, start, "*" * (end - start + 1))
-        for i, (spans, frame_name, index_text) in enumerate(row):
-            start, end = spans[0]
-            _paint(name_line, start, _abbreviate(frame_name, end - start + 1, abbrevs))
-            # The index may run past a narrow span while the row stays free.
-            limit = row[i + 1][0][0][0] if i + 1 < len(row) else length
-            _paint(index_line, start, index_text[: max(limit - start, 1)])
-        triples.append(("".join(marker), "".join(name_line), "".join(index_line)))
-
-    lines = []
-    for i, (offset, chunk) in enumerate(wrap_segments(text, options.wrap_width)):
-        if i:
-            lines.append("")
-        lines.append(chunk.rstrip())
-        for marker, name_line, index_line in triples:
-            m = marker[offset : offset + len(chunk)].rstrip()
-            if not m:
-                continue
-            lines.append(m)
-            for aux in (name_line, index_line):
-                sliced = aux[offset : offset + len(chunk)].rstrip()
-                if sliced:
-                    lines.append(sliced)
-    return lines
 
 
 def render_document(doc, options=DEFAULT_OPTIONS):
@@ -396,10 +346,7 @@ def render_annotation_set(aset, options=DEFAULT_OPTIONS):
     out.append("")
     sent = aset.get("sent")
     if sent is not None:
-        abbrevs = {}
-        out += _aligned_block(sent.text, _sentence_groups(aset), abbrevs, options)
-        out += _ni_footer(aset)
-        out += _expansion_footer(abbrevs)
+        out += _marked_text(sent.text, *_sentence_items(aset), options)
     return _finish(out)
 
 

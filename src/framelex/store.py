@@ -10,11 +10,13 @@ record that loaded them, so the store returns their records unchanged.
 
 Every file actually opened is appended to ``fileAccessLog`` (path relative to
 the corpus root, posix separators), which makes load behavior observable and
-replayable.  Every load goes through one memo, ``Store._load``.  A cache hit
-takes no lock; a miss builds under ``records.LOCK``, the package's single
-re-entrant lock, which also covers the resolution of lazy record values such
-as exemplar sentences.  So concurrent first accesses to the same entity parse
-its file exactly once and repeated lookups return the identical cached record.
+replayable.  Every load but one goes through one memo, ``Store._load``.  A
+cache hit takes no lock; a miss builds under ``records.LOCK``, the package's
+single re-entrant lock.  The exception is an LU's exemplar file:
+``_load_exemplars`` runs as the LU stub's ``subCorpus`` ``Lazy``, which
+resolves once under the same lock and keeps its value on the stub, not in the
+memo.  So concurrent first accesses to the same entity parse its file exactly
+once and repeated lookups return the identical cached record.
 
 The same memo holds the name columns that pattern scans search, one per
 table: the frame, LU and document indexes, each frame's FEs, and all FEs.  A

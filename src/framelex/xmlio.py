@@ -229,14 +229,12 @@ def parse_frame_file(
     frame["_type"] = "frame"
     frame["definition"] = strip_markup(markup)
     frame["definitionMarkup"] = markup
-    if relation_query is not None:
-        frame["frameRelations"] = Lazy(relation_query, frame_id)
-    else:
-        frame["frameRelations"] = unbound_lazy(f"relations of frame {name!r}")
+    frame["frameRelations"] = _ref(relation_query, f"relations of frame {name!r}", frame_id)
     frame["FE"] = {}
     frame["FEcoreSets"] = []
     frame["lexUnit"] = {}
-    frame["semTypes"] = _semtype_ref_list(root, source, frame, semtype_lookup)
+    refs = _semtype_refs(root, source, frame, semtype_lookup, "semantic type references")
+    frame["semTypes"] = Lazy(_resolve_all, refs) if refs else []
     frame["URL"] = frame_url(name)
 
     fe_ids = set()
@@ -274,20 +272,25 @@ def parse_frame_file(
     return frame
 
 
-def _semtype_ref_list(elt, source, referrer, semtype_lookup):
+def _ref(resolve, what, *args):
+    """``Lazy(resolve, *args)``, or with no ``resolve`` one that fails if forced."""
+    if resolve is None:
+        return unbound_lazy(what)
+    return Lazy(resolve, *args)
+
+
+def _semtype_refs(elt, source, referrer, semtype_lookup, what):
+    """One reference per ``<semType>`` child of ``elt``, in file order."""
     refs = []
     for child in elt:
         if child.tag == "semType":
-            refs.append((_int(child, "ID", source), _req_attr(child, "name", source)))
-    if not refs:
-        return []
-    if semtype_lookup is None:
-        return unbound_lazy("semantic type references")
-    return Lazy(_semtypes_of, semtype_lookup, refs, source, referrer)
+            st = (_int(child, "ID", source), _req_attr(child, "name", source))
+            refs.append(_ref(semtype_lookup, what, *st, source, referrer))
+    return refs
 
 
-def _semtypes_of(semtype_lookup, refs, source, referrer):
-    return [semtype_lookup(st_id, st_name, source, referrer) for st_id, st_name in refs]
+def _resolve_all(refs):
+    return [ref.resolve() for ref in refs]
 
 
 def _parse_fe(elt, source, frame, semtype_lookup):
@@ -307,17 +310,9 @@ def _parse_fe(elt, source, frame, semtype_lookup):
     fe["coreType"] = core_type
     fe["definition"] = strip_markup(markup)
     fe["definitionMarkup"] = markup
-    refs = [
-        (_int(child, "ID", source), _req_attr(child, "name", source))
-        for child in elt
-        if child.tag == "semType"
-    ]
-    if not refs:
-        fe["semType"] = None
-    elif semtype_lookup is None:
-        fe["semType"] = unbound_lazy(f"semantic type of FE {fe['name']!r}")
-    else:
-        fe["semType"] = Lazy(semtype_lookup, *refs[0], source, fe)
+    what = f"semantic type of FE {fe['name']!r}"
+    refs = _semtype_refs(elt, source, fe, semtype_lookup, what)
+    fe["semType"] = refs[0] if refs else None
     fe["frame"] = frame
     return fe
 
@@ -358,11 +353,8 @@ def _parse_lu_stub(elt, source, frame, exemplar_loader):
     if total == 0:
         lu["subCorpus"] = []
         lu["exemplars"] = []
-    elif exemplar_loader is None:
-        lu["subCorpus"] = unbound_lazy(f"exemplars of {lu['name']!r}")
-        lu["exemplars"] = unbound_lazy(f"exemplars of {lu['name']!r}")
     else:
-        lu["subCorpus"] = Lazy(exemplar_loader, lu)
+        lu["subCorpus"] = _ref(exemplar_loader, f"exemplars of {lu['name']!r}", lu)
         lu["exemplars"] = Lazy(_exemplars_of, lu)
     return lu
 
@@ -610,17 +602,12 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
         lu_id, lu_name = aset.get("luID"), aset.get("luName")
         frame_id, frame_name = aset.get("frameID"), aset.get("frameName")
         if lu_id is not None or lu_name is not None:
-            if lu_resolver is None:
-                aset["LU"] = unbound_lazy("the annotation set's lexical unit")
-            else:
-                aset["LU"] = Lazy(
-                    lu_resolver, lu_id, lu_name, frame_id, frame_name, source, aset
-                )
+            args = (lu_id, lu_name, frame_id, frame_name, source, aset)
+            aset["LU"] = _ref(lu_resolver, "the annotation set's lexical unit", *args)
         if frame_id is not None or frame_name is not None:
-            if frame_resolver is None:
-                aset["frame"] = unbound_lazy("the annotation set's frame")
-            else:
-                aset["frame"] = Lazy(frame_resolver, frame_id, frame_name, source, aset)
+            aset["frame"] = _ref(
+                frame_resolver, "the annotation set's frame", frame_id, frame_name, source, aset
+            )
 
     doc = Record()
     doc["ID"] = _int(doc_elt, "ID", source)
@@ -647,11 +634,6 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
     """
     root = _parse_root(data, source, "frameRelations")
 
-    def frame_ref(rel, frame_id, name):
-        if frame_resolver is None:
-            return unbound_lazy(f"frame {name!r}")
-        return Lazy(frame_resolver, frame_id, name, source, rel)
-
     types = []
     for type_elt in root:
         if type_elt.tag != "frameRelationType":
@@ -674,8 +656,9 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
             rel["supID"] = _int(rel_elt, "supID", source)
             rel["subID"] = _int(rel_elt, "subID", source)
             rel["_type"] = "framerelation"
-            rel["superFrame"] = frame_ref(rel, rel["supID"], rel["superFrameName"])
-            rel["subFrame"] = frame_ref(rel, rel["subID"], rel["subFrameName"])
+            for side, id_key in (("superFrame", "supID"), ("subFrame", "subID")):
+                name = rel[side + "Name"]
+                rel[side] = _ref(frame_resolver, f"frame {name!r}", rel[id_key], name, source, rel)
             rel["feRelations"] = []
             for fe_elt in rel_elt:
                 if fe_elt.tag != "FERelation":

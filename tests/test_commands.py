@@ -226,6 +226,15 @@ def test_repl_index_arguments():
     assert got[14].startswith("full-text sentence (4148528)")
 
 
+def test_repl_fe():
+    frame = framelex.FrameLexicon.open(DATA_DIR).frame("Revenge")
+    got = replies("fe Avenger", "frame Revenge", "fe Avenger", "fe", "fe Nope")
+    assert got[0] == "no frame context; run 'frame <name>' first\n"
+    assert got[2] == framelex.render_frame_element(frame.FE["Avenger"])
+    assert got[3] == "usage: fe <name>\n"
+    assert got[4] == "not found: no FE named 'Nope' in frame 'Revenge'\n"
+
+
 def test_rejected_index_keeps_the_context():
     # lu sets two levels of context; a rejected exemplar adds none.
     assert replies("lu 6067", "exemplar -1", "up", "up", "up")[2:] == [

@@ -19,6 +19,8 @@ from framelex import (
     render_lu,
     render_semtype,
 )
+from framelex.records import Record
+from framelex.xmlio import parse_fulltext_file
 
 # ------------------------------------------------------------ goldens
 
@@ -54,6 +56,59 @@ def test_fulltext_sentence_goldens(lexicon, golden):
 
 def test_document_golden(lexicon, golden):
     assert render_document(lexicon.doc(23802), DisplayOptions()) == golden("doc_tiger.txt")
+
+
+def test_annotation_set_goldens(lexicon, golden):
+    opts = DisplayOptions()
+    exemplar_set = lexicon.lu(6067).exemplars[20].annotationSet[1]
+    assert render_annotation_set(exemplar_set, opts) == golden("annoset_9295482.txt")
+    fulltext_set = lexicon.doc(23802).sentences[2].annotationSet[2]
+    assert render_annotation_set(fulltext_set, opts) == golden("annoset_41485283.txt")
+
+
+# (luName, frameName, status, Target spans).  "in.prep" is a Problem LU.  At
+# width 24, "paid them" straddles the first break, "pay off" packs onto a
+# second row, and the tag of "in" is cut where "full" starts.
+NARROW_TEXT = "She came back and paid them off in full , at last ."
+NARROW_SETS = [
+    ("come back.v", "Arriving", "MANUAL", [(4, 7), (9, 12)]),
+    ("pay.v", "Commerce_pay", "MANUAL", [(18, 26)]),
+    ("pay off.v", "Commerce_pay", "UNANN", [(18, 21), (28, 30)]),
+    ("in.prep", "Completeness", "UNANN", [(32, 33)]),
+    ("full.a", "Completeness", "MANUAL", [(35, 38)]),
+    ("at last.adv", "Temporal_collocation", "MANUAL", [(42, 48)]),
+]
+
+
+def narrow_fulltext_sentence():
+    asets = []
+    for k, (lu_name, frame_name, status, spans) in enumerate(NARROW_SETS, start=1):
+        labels = "".join(f'<label name="Target" start="{s}" end="{e}"/>' for s, e in spans)
+        asets.append(
+            f'<annotationSet ID="{k}" status="{status}" luID="{k}" luName="{lu_name}" '
+            f'frameName="{frame_name}"><layer name="Target">{labels}</layer></annotationSet>'
+        )
+    xml = (
+        '<fullTextAnnotation><header><corpus name="C" ID="1"><document ID="1" name="D"/>'
+        f'</corpus></header><sentence ID="7"><text>{NARROW_TEXT}</text>'
+        '<annotationSet ID="0" status="UNANN"/>'
+        + "".join(asets)
+        + "</sentence></fullTextAnnotation>"
+    )
+
+    def lu_resolver(lu_id, lu_name, frame_id, frame_name, source, aset):
+        status = "Problem" if lu_name == "in.prep" else "Created"
+        return Record(ID=lu_id, name=lu_name, status=status)
+
+    doc = parse_fulltext_file(xml.encode(), "narrow.xml", lu_resolver=lu_resolver)
+    return doc.sentences[0]
+
+
+def test_narrow_fulltext_sentence_golden(golden, alignment):
+    sent = narrow_fulltext_sentence()
+    out = render_fulltext_sentence(sent, DisplayOptions(wrap_width=24))
+    assert out == golden("sent_fulltext_w24.txt")
+    alignment.fulltext(sent, 24)
 
 
 # ------------------------------------------------------------ shape checks

@@ -373,6 +373,75 @@ def test_lu_file_without_lu_leaves_links_unbound(data_dir):
         sent.annotationSet[1].frame
 
 
+def _frames(data_dir):
+    paths = sorted((data_dir / "frame").glob("*.xml"))
+    return [parse_frame_file(path.read_bytes(), path.name) for path in paths]
+
+
+def _fulltext_sets(data_dir):
+    paths = sorted((data_dir / "fulltext").glob("*.xml"))
+    docs = [parse_fulltext_file(path.read_bytes(), path.name) for path in paths]
+    return [aset for doc in docs for sent in doc.sentences for aset in sent.annotationSet]
+
+
+def _relations(data_dir):
+    types = parse_relations_file(raw(data_dir, "frRelation.xml"))
+    return [rel for rtype in types for rel in rtype.frameRelations]
+
+
+def _lu_stubs(data_dir):
+    stubs = [lu for frame in _frames(data_dir) for lu in frame.lexUnit.values()]
+    return [lu for lu in stubs if lu.sentenceCount.total]
+
+
+# Reference -> (record, key, what) triples over the fixture, every parser run
+# without its resolver.
+UNBOUND_REFS = {
+    "frameRelations": lambda d: [
+        (f, "frameRelations", f"relations of frame {f.name!r}") for f in _frames(d)
+    ],
+    "frame semTypes": lambda d: [
+        (f, "semTypes", "semantic type references")
+        for f in _frames(d)
+        if dict.__getitem__(f, "semTypes") != []
+    ],
+    "FE semType": lambda d: [
+        (fe, "semType", f"semantic type of FE {fe.name!r}")
+        for f in _frames(d)
+        for fe in f.FE.values()
+        if dict.__getitem__(fe, "semType") is not None
+    ],
+    "LU subCorpus": lambda d: [
+        (lu, "subCorpus", f"exemplars of {lu.name!r}") for lu in _lu_stubs(d)
+    ],
+    "LU exemplars": lambda d: [
+        (lu, "exemplars", f"exemplars of {lu.name!r}") for lu in _lu_stubs(d)
+    ],
+    "full-text LU": lambda d: [
+        (a, "LU", "the annotation set's lexical unit") for a in _fulltext_sets(d) if "LU" in a
+    ],
+    "full-text frame": lambda d: [
+        (a, "frame", "the annotation set's frame") for a in _fulltext_sets(d) if "frame" in a
+    ],
+    "relation superFrame": lambda d: [
+        (r, "superFrame", f"frame {r.superFrameName!r}") for r in _relations(d)
+    ],
+    "relation subFrame": lambda d: [
+        (r, "subFrame", f"frame {r.subFrameName!r}") for r in _relations(d)
+    ],
+}
+
+
+@pytest.mark.parametrize("reference", sorted(UNBOUND_REFS))
+def test_references_without_a_resolver_fail_when_forced(data_dir, reference):
+    triples = UNBOUND_REFS[reference](data_dir)
+    assert triples
+    for record, key, what in triples:
+        with pytest.raises(CorpusError) as info:
+            record[key]
+        assert str(info.value) == f"no data source attached; cannot resolve {what}"
+
+
 # ------------------------------------------------------------ raw-XML view oracle
 
 SUPPORT_LAYERS = ("Verb", "Noun", "Adj", "Adv", "Prep", "Scon", "Art")
