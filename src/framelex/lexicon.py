@@ -278,10 +278,11 @@ class FrameLexicon:
 
         Exemplar-sourced sets come first, then full-text sets; within each
         source, ordered by (sentence ID, set ID).  Full-text sets include
-        UNANN ones (target annotated, FEs not).  With both sources disabled
-        the result is empty.
+        UNANN ones (target annotated, FEs not); one with no LU name matches
+        no pattern.  With both sources disabled the result is empty.
         """
-        rx = compile_pattern(luNamePattern) if luNamePattern is not None else None
+        if luNamePattern is not None:
+            compile_pattern(luNamePattern)  # a bad pattern fails with both sources off too
         result = []
         if exemplars:
             part = []
@@ -291,16 +292,9 @@ class FrameLexicon:
             part.sort(key=lambda a: (a["sent"]["ID"], a["ID"]))
             result.extend(part)
         if full_text:
-            part = []
-            for row in _scan(None, self._store.doc_column):
-                for sent in self._store.get_document(row["ID"])["sentences"]:
-                    for aset in sent["annotationSet"][1:]:
-                        name = aset.get("luName")
-                        if rx is not None and (name is None or not rx.search(name)):
-                            continue
-                        part.append(aset)
-            part.sort(key=lambda a: (a["sent"]["ID"], a["ID"]))
-            result.extend(part)
+            # A set with no LU name matches no pattern.
+            named = luNamePattern is not None
+            result.extend(_scan(luNamePattern, self._store.fulltext_set_column, named))
         return result
 
     # ------------------------------------------------------------ help

@@ -18,11 +18,18 @@ resolves once under the same lock and keeps its value on the stub, not in the
 memo.  So concurrent first accesses to the same entity parse its file exactly
 once and repeated lookups return the identical cached record.
 
+The index files and the relation registry are streamed by ``xmlio``, with
+no element tree.  The store keys index rows by their ``ID`` and files
+relations by frame reading those plain fields with ``dict``'s own lookup,
+not ``Record.__getitem__``'s check for lazy values.
+
 The same memo holds the name columns that pattern scans search, one per
 table: the frame, LU and document indexes, each frame's FEs, and all FEs.  A
 column is a pair ``(rows, names)`` of equal-length tuples, ID ascending,
-built on the first scan that needs it.  It also holds the LU index rows
-grouped by frame, built on the first frame-restricted LU listing.
+built on the first scan that needs it.  The full-text annotation sets make
+one more column, by (sentence ID, set ID), with every document loaded.  The
+memo also holds the LU index rows grouped by frame, built on the first
+frame-restricted LU listing.
 
 A reference from one file into another (a relation's frames, a full-text
 annotation set's frame) resolves through ``resolve_frame_ref``: a frame the
@@ -32,7 +39,7 @@ A frame's or FE's semantic type reference resolves the same way.
 """
 
 import os
-from itertools import chain
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -41,6 +48,9 @@ from .errors import CorpusError, IntegrityError, LookupFailure
 from .records import LOCK, Lazy, Record
 
 ENV_DATA_DIR = "FRAMELEX_DATA"
+
+# A record field that is never lazy, read without Record.__getitem__'s check.
+_field = dict.__getitem__
 
 
 def open_store(root=None):
@@ -87,13 +97,14 @@ class Store:
 
     def _parse_rows(self, relpath, parse):
         """An index or registry file's records as {ID: record}, file order."""
-        return {row["ID"]: row for row in parse(self._read(relpath))}
+        rows = parse(self._read(relpath))
+        return dict(zip(map(_field, rows, repeat("ID")), rows))
 
     @staticmethod
     def _index_column(rows):
         """The (rows, names) column of ID-keyed index records, ID ascending."""
         rows = tuple(rows[key] for key in sorted(rows))
-        return rows, tuple(map(itemgetter("name"), rows))
+        return rows, tuple(map(_field, rows, repeat("name")))
 
     # ------------------------------------------------------------ frames
 
@@ -309,6 +320,31 @@ class Store:
             raise LookupFailure(f"no full-text document with ID {doc_id}")
         return self._load(("document", doc_id), self._parse_document, row)
 
+    def fulltext_set_column(self, named=False):
+        """The frame annotation sets of every full-text sentence and their LU
+        names, by (sentence ID, set ID); ``named`` keeps the sets with a name.
+
+        Documents load ID ascending, on first use.
+        """
+        if named:
+            return self._load("named full-text set column", self._named_sets)
+        return self._load("full-text set column", self._fulltext_sets)
+
+    def _fulltext_sets(self):
+        sets = [
+            aset
+            for row in self.doc_column()[0]
+            for sent in self.get_document(row["ID"])["sentences"]
+            for aset in sent["annotationSet"][1:]
+        ]
+        sets.sort(key=lambda aset: (aset["sent"]["ID"], aset["ID"]))
+        return tuple(sets), tuple(aset.get("luName") for aset in sets)
+
+    def _named_sets(self):
+        sets, names = self.fulltext_set_column()
+        named = [name is not None for name in names]
+        return tuple(compress(sets, named)), tuple(compress(names, named))
+
     def _parse_document(self, row):
         candidates = [
             f"fulltext/{row.name}.xml",
@@ -338,8 +374,8 @@ class Store:
         )
         by_frame = {}
         for rtype in types:
-            for rel in rtype["frameRelations"]:
-                for fid in {rel["supID"], rel["subID"]}:
+            for rel in _field(rtype, "frameRelations"):
+                for fid in {_field(rel, "supID"), _field(rel, "subID")}:
                     by_frame.setdefault(fid, []).append(rel)
         return types, by_frame
 

@@ -10,6 +10,16 @@ A frame resolver is called as ``frame_resolver(frame_id, frame_name, source,
 referrer)`` and a semantic type lookup as ``semtype_lookup(st_id, st_name,
 source, referrer)``, ``referrer`` being the record that holds the reference.
 
+Files are read in one of two ways.  The frame, LU and full-text indexes and
+the relation registry hold their records in attributes only, so they are
+streamed: ``_stream`` makes one expat pass and builds each record at its
+start tag, with no element tree.  The semantic type registry and the frame,
+LU exemplar and full-text files carry text content (definitions, sentence
+text), so ``_parse_root`` parses them into an element tree.  Both drop
+namespaces from tag and attribute names, and both report errors in the same
+words and order: XML that is not well-formed first, then a wrong root
+element, then the first record that breaks a rule.
+
 The parsers read a fixed subset of elements and attributes.  Anything else in
 a file (editorial attributes, embedded relation references inside frame files,
 unknown child elements) is ignored without error, except that unknown
@@ -26,19 +36,22 @@ stored in the files.  No adjustment happens at parse time.
 Labels are compact until read.  A spanned label is parsed into one
 ``(start, end, name)`` tuple, ``((start, end, name), feID)`` when it names an
 FE; a label without a span (a null instantiation) is a ``Record`` at once.
-Label and layer names are interned, as they repeat across the corpus.  The
-span views (``Target`` aside) hold those same tuples, and an annotation set's
-``layer`` is a ``Lazy`` over ``((rank, name, labels), ...)`` that builds the
-layer and label records on first read.
+Label and layer names are interned, as they repeat across the corpus, and so
+are the LU index's frame names and statuses.  The span views (``Target``
+aside) hold those same tuples, and an annotation set's ``layer`` is a
+``Lazy`` over ``((rank, name, labels), ...)`` that builds the layer and label
+records on first read.
 """
 
 import html
 import re
 import sys
+from functools import partial
 from operator import itemgetter
 from xml.etree import ElementTree
+from xml.parsers import expat
 
-from .errors import IntegrityError, ParseError
+from .errors import CorpusError, IntegrityError, ParseError
 from .records import Lazy, Record, unbound_lazy
 
 CORE_TYPES = ("Core", "Core-Unexpressed", "Peripheral", "Extra-Thematic")
@@ -93,12 +106,12 @@ def _parse_root(data, source, expected_tag):
     except (LookupError, ValueError) as exc:
         # An unknown or unsupported encoding declaration.
         raise ParseError(f"{source or '<data>'}: cannot decode XML ({exc})") from None
+    plain_names = set()
     for elt in root.iter():
         if "}" in elt.tag:
             elt.tag = elt.tag.split("}", 1)[1]
-        for key in list(elt.attrib):
-            if "}" in key:
-                elt.attrib[key.split("}", 1)[1]] = elt.attrib.pop(key)
+        if not plain_names.issuperset(elt.attrib):
+            _strip_attrs(elt.attrib, plain_names)
     if root.tag != expected_tag:
         raise ParseError(
             f"{source or '<data>'}: expected a <{expected_tag}> document, got <{root.tag}>"
@@ -106,22 +119,128 @@ def _parse_root(data, source, expected_tag):
     return root
 
 
-def _req_attr(elt, name, source):
-    value = elt.get(name)
+def _strip_attrs(attrs, plain_names):
+    """Drop the namespace from ``attrs``' names, in place.
+
+    Names that have none go into ``plain_names``, so a caller can skip the
+    elements whose names are all in it.
+    """
+    for key in list(attrs):
+        if "}" in key:
+            attrs[key.split("}", 1)[1]] = attrs.pop(key)
+        else:
+            plain_names.add(key)
+
+
+_NO_HANDLERS = {}
+
+
+def _stream(data, source, root_tag, handlers, anywhere=True):
+    """One expat pass over a ``<root_tag>`` document, with no element tree.
+
+    At each start tag below the root, ``handlers[tag](tag, attrs)`` is called,
+    with the tag and attribute names stripped of namespaces as ``_parse_root``
+    strips them.  A handler may return the table of handlers for its element's
+    content.  Otherwise that content is searched with the same table if
+    ``anywhere``, as ``Element.iter`` searches, and not at all if not, as a
+    loop over an element's children searches.
+
+    Errors come in ``_parse_root``'s order: XML that is not well-formed, then a
+    wrong root, then the first ``CorpusError`` a handler raised.  No handler
+    is called after that error.
+    """
+    where = source or "<data>"
+    parser = expat.ParserCreate(namespace_separator="}")
+    local_names = {}
+    plain_names = set()
+    # The table for the content of each open element whose end is tracked.
+    # Ends are tracked from the first element whose content gets a table of
+    # its own; until then every open element's content has the root's table.
+    tables = [handlers]
+    tracking = False
+    failure = None
+
+    def root(tag, attrs):
+        nonlocal failure, tracking
+        local = tag.split("}", 1)[-1]
+        if local != root_tag:
+            failure = ParseError(f"{where}: expected a <{root_tag}> document, got <{local}>")
+            parser.StartElementHandler = None
+            return
+        parser.StartElementHandler = start
+        if not anywhere:
+            tracking = True
+            parser.EndElementHandler = end
+
+    def start(tag, attrs):
+        nonlocal failure, tracking
+        local = local_names.get(tag)
+        if local is None:
+            local = local_names[tag] = tag.split("}", 1)[-1]
+        table = tables[-1]
+        handler = table.get(local)
+        content = None
+        if handler is not None:
+            if not plain_names.issuperset(attrs):
+                _strip_attrs(attrs, plain_names)
+            try:
+                content = handler(local, attrs)
+            except CorpusError as exc:
+                failure = exc
+                parser.StartElementHandler = parser.EndElementHandler = None
+                return
+        if content is None:
+            if not tracking:
+                return
+            content = table if anywhere else _NO_HANDLERS
+        elif not tracking:
+            tracking = True
+            parser.EndElementHandler = end
+        tables.append(content)
+
+    def end(tag):
+        if len(tables) > 1:
+            tables.pop()
+
+    def skipped_entity(name, is_parameter_entity):
+        # Expat skips a reference that an external DTD may declare, where
+        # ElementTree calls it undefined; report it as ElementTree does.
+        if not is_parameter_entity:
+            ref = f"&{name};".encode()[:100].decode(errors="replace")
+            line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+            exc = expat.ExpatError(f"undefined entity {ref}: line {line}, column {column}")
+            exc.lineno = line
+            raise exc
+
+    parser.StartElementHandler = root
+    parser.SkippedEntityHandler = skipped_entity
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        raise ParseError(f"{where}: line {exc.lineno}: not well-formed XML ({exc})") from None
+    except (LookupError, ValueError) as exc:
+        # An unknown or unsupported encoding declaration.
+        raise ParseError(f"{where}: cannot decode XML ({exc})") from None
+    if failure is not None:
+        raise failure
+
+
+def _req_attr(tag, attrs, name, source):
+    value = attrs.get(name)
     if value is None:
-        raise ParseError(f"{source}: <{elt.tag}> is missing required attribute {name!r}")
+        raise ParseError(f"{source}: <{tag}> is missing required attribute {name!r}")
     return value
 
 
-def _int(elt, name, source, default=...):
+def _int(tag, attrs, name, source, default=...):
     """An integer attribute: ``default`` if absent, required if no default."""
-    value = _req_attr(elt, name, source) if default is ... else elt.get(name)
+    value = attrs.get(name)
     if value is None:
-        return default
+        return default if default is not ... else _req_attr(tag, attrs, name, source)
     try:
         return int(value)
     except ValueError:
-        raise ParseError(f"{source}: <{elt.tag}> attribute {name!r} is not an integer: {value!r}")
+        raise ParseError(f"{source}: <{tag}> attribute {name!r} is not an integer: {value!r}")
 
 
 def _child_text(elt, tag):
@@ -136,58 +255,73 @@ def _child_text(elt, tag):
 
 def parse_frame_index(data, source="frameIndex.xml"):
     """The frame index: a list of (frame ID, frame name) in file order."""
-    root = _parse_root(data, source, "frameIndex")
-    seen = set()
-    entries = []
-    for elt in root.iter("frame"):
-        fid = _int(elt, "ID", source)
-        name = _req_attr(elt, "name", source)
-        if fid in seen:
+    names = {}
+
+    def frame(tag, attrs):
+        fid = _int(tag, attrs, "ID", source)
+        name = _req_attr(tag, attrs, "name", source)
+        if fid in names:
             raise IntegrityError(f"{source}: duplicate frame ID {fid}")
-        seen.add(fid)
-        entries.append((fid, name))
-    return entries
+        names[fid] = name
+
+    _stream(data, source, "frameIndex", {"frame": frame})
+    return list(names.items())
 
 
 def parse_lu_index(data, source="luIndex.xml"):
     """The LU index: one row per lexical unit across the whole lexicon."""
-    root = _parse_root(data, source, "luIndex")
-    seen = set()
-    rows = []
-    for elt in root.iter("lu"):
-        lu_id = _int(elt, "ID", source)
-        if lu_id in seen:
+    rows = {}
+
+    def lu(tag, attrs):
+        lu_id = _int(tag, attrs, "ID", source)
+        if lu_id in rows:
             raise IntegrityError(f"{source}: duplicate lexical unit ID {lu_id}")
-        seen.add(lu_id)
-        rows.append(
-            Record(
-                ID=lu_id,
-                name=_req_attr(elt, "name", source),
-                frameID=_int(elt, "frameID", source),
-                frameName=_req_attr(elt, "frameName", source),
-                status=elt.get("status", ""),
-            )
+        # Frame names and statuses repeat across rows, so they are interned.
+        rows[lu_id] = Record(
+            ID=lu_id,
+            name=_req_attr(tag, attrs, "name", source),
+            frameID=_int(tag, attrs, "frameID", source),
+            frameName=sys.intern(_req_attr(tag, attrs, "frameName", source)),
+            status=sys.intern(attrs.get("status", "")),
         )
-    return rows
+
+    _stream(data, source, "luIndex", {"lu": lu})
+    return list(rows.values())
 
 
 def parse_fulltext_index(data, source="fulltextIndex.xml"):
-    """The document index: one row per full-text document, with its corpus."""
-    root = _parse_root(data, source, "fulltextIndex")
+    """The document index: one row per full-text document, with its corpus.
+
+    A document counts once for each ``<corpus>`` it lies in, at any depth,
+    and not at all outside one.
+    """
+    corpora = []  # (corpus attributes, its documents' attributes), start tag order
+
+    def corpus(open_corpora, tag, attrs):
+        docs = []
+        corpora.append((attrs, docs))
+        inside = open_corpora + [docs]
+        return {"corpus": partial(corpus, inside), "document": partial(document, inside)}
+
+    def document(open_corpora, tag, attrs):
+        for docs in open_corpora:
+            docs.append(attrs)
+
+    _stream(data, source, "fulltextIndex", {"corpus": partial(corpus, [])})
     rows = []
     seen = set()
-    for corpus in root.iter("corpus"):
-        corpus_id = _int(corpus, "ID", source, None)
-        corpus_name = corpus.get("name", "")
-        for doc in corpus.iter("document"):
-            doc_id = _int(doc, "ID", source)
+    for attrs, docs in corpora:
+        corpus_id = _int("corpus", attrs, "ID", source, None)
+        corpus_name = attrs.get("name", "")
+        for doc in docs:
+            doc_id = _int("document", doc, "ID", source)
             if doc_id in seen:
                 raise IntegrityError(f"{source}: duplicate document ID {doc_id}")
             seen.add(doc_id)
             rows.append(
                 Record(
                     ID=doc_id,
-                    name=_req_attr(doc, "name", source),
+                    name=_req_attr("document", doc, "name", source),
                     description=doc.get("description", ""),
                     corpusName=corpus_name,
                     corpusID=corpus_id,
@@ -217,8 +351,8 @@ def parse_frame_file(
     that an LU with a zero sentence count resolves to empty lists eagerly.
     """
     root = _parse_root(data, source, "frame")
-    name = _req_attr(root, "name", source)
-    frame_id = _int(root, "ID", source)
+    name = _req_attr(root.tag, root.attrib, "name", source)
+    frame_id = _int(root.tag, root.attrib, "ID", source)
     markup = _child_text(root, "definition")
 
     frame = Record()
@@ -261,7 +395,7 @@ def parse_frame_file(
             continue
         members = []
         for member in elt.iter("memberFE"):
-            member_name = _req_attr(member, "name", source)
+            member_name = _req_attr(member.tag, member.attrib, "name", source)
             if member_name not in frame["FE"]:
                 raise IntegrityError(
                     f"{source}: core set of frame {name!r} names unknown FE {member_name!r}"
@@ -284,8 +418,9 @@ def _semtype_refs(elt, source, referrer, semtype_lookup, what):
     refs = []
     for child in elt:
         if child.tag == "semType":
-            st = (_int(child, "ID", source), _req_attr(child, "name", source))
-            refs.append(_ref(semtype_lookup, what, *st, source, referrer))
+            st_id = _int(child.tag, child.attrib, "ID", source)
+            st_name = _req_attr(child.tag, child.attrib, "name", source)
+            refs.append(_ref(semtype_lookup, what, st_id, st_name, source, referrer))
     return refs
 
 
@@ -294,7 +429,7 @@ def _resolve_all(refs):
 
 
 def _parse_fe(elt, source, frame, semtype_lookup):
-    core_type = _req_attr(elt, "coreType", source)
+    core_type = _req_attr(elt.tag, elt.attrib, "coreType", source)
     if core_type not in CORE_TYPES:
         raise IntegrityError(
             f"{source}: frame element {elt.get('name')!r} has unknown coreType {core_type!r}"
@@ -304,8 +439,8 @@ def _parse_fe(elt, source, frame, semtype_lookup):
     fe["cBy"] = elt.get("cBy", "")
     fe["cDate"] = elt.get("cDate", "")
     fe["abbrev"] = elt.get("abbrev", "")
-    fe["name"] = _req_attr(elt, "name", source)
-    fe["ID"] = _int(elt, "ID", source)
+    fe["name"] = _req_attr(elt.tag, elt.attrib, "name", source)
+    fe["ID"] = _int(elt.tag, elt.attrib, "ID", source)
     fe["_type"] = "fe"
     fe["coreType"] = core_type
     fe["definition"] = strip_markup(markup)
@@ -320,19 +455,20 @@ def _parse_fe(elt, source, frame, semtype_lookup):
 def _parse_lu_stub(elt, source, frame, exemplar_loader):
     markup = _child_text(elt, "definition")
     count = elt.find("sentenceCount")
-    annotated = _int(count, "annotated", source, 0) if count is not None else 0
-    total = _int(count, "total", source, 0) if count is not None else 0
+    counts = count.attrib if count is not None else {}
+    annotated = _int("sentenceCount", counts, "annotated", source, 0)
+    total = _int("sentenceCount", counts, "total", source, 0)
     if annotated > total:
         raise IntegrityError(
             f"{source}: lexical unit {elt.get('name')!r} has annotated > total sentence count"
         )
     lexemes = [
         Record(
-            name=_req_attr(lex, "name", source),
+            name=_req_attr(lex.tag, lex.attrib, "name", source),
             POS=lex.get("POS", ""),
             headword=lex.get("headword", "false") == "true",
             breakBefore=lex.get("breakBefore", "false") == "true",
-            order=_int(lex, "order", source, 1),
+            order=_int(lex.tag, lex.attrib, "order", source, 1),
         )
         for lex in elt
         if lex.tag == "lexeme"
@@ -341,8 +477,8 @@ def _parse_lu_stub(elt, source, frame, exemplar_loader):
     lu = Record()
     lu["status"] = elt.get("status", "")
     lu["POS"] = elt.get("POS", "")
-    lu["name"] = _req_attr(elt, "name", source)
-    lu["ID"] = _int(elt, "ID", source)
+    lu["name"] = _req_attr(elt.tag, elt.attrib, "name", source)
+    lu["ID"] = _int(elt.tag, elt.attrib, "ID", source)
     lu["_type"] = "lu"
     lu["definition"] = strip_markup(markup)
     lu["definitionMarkup"] = markup
@@ -376,10 +512,11 @@ _START_END = itemgetter(0, 1)
 
 
 def _parse_label(elt, source, layer_name, text_len, sent_id):
-    start = _int(elt, "start", source, None)
-    end = _int(elt, "end", source, None)
-    name = _req_attr(elt, "name", source)
-    itype = elt.get("itype")
+    tag, attrs = elt.tag, elt.attrib
+    start = _int(tag, attrs, "start", source, None)
+    end = _int(tag, attrs, "end", source, None)
+    name = _req_attr(tag, attrs, "name", source)
+    itype = attrs.get("itype")
     problem = None
     if start is None and end is None:
         if itype is None and layer_name in _STRICT_SPAN_LAYERS:
@@ -399,7 +536,7 @@ def _parse_label(elt, source, layer_name, text_len, sent_id):
             f"{source}: sentence {sent_id}: label {name!r} on layer {layer_name!r} {problem}"
         )
     name = sys.intern(name)
-    fe_id = _int(elt, "feID", source, None)
+    fe_id = _int(tag, attrs, "feID", source, None)
     if start is not None:
         span = (start, end, name)
         return span if fe_id is None else (span, fe_id)
@@ -425,7 +562,7 @@ def _parse_layers(elt, source, text_len, sent_id):
     for child in elt:
         if child.tag != "layer":
             continue
-        layer_name = sys.intern(_req_attr(child, "name", source))
+        layer_name = sys.intern(_req_attr(child.tag, child.attrib, "name", source))
         labels, spans, unspanned = [], [], []
         for label_elt in child:
             if label_elt.tag != "label":
@@ -436,7 +573,7 @@ def _parse_layers(elt, source, text_len, sent_id):
                 unspanned.append(label)
             else:
                 spans.append(label if len(label) == 3 else label[0])
-        rank = _int(child, "rank", source, 1)
+        rank = _int(child.tag, child.attrib, "rank", source, 1)
         layers.append((rank, layer_name, tuple(labels)))
         groups.setdefault(layer_name, []).append((rank, spans, unspanned))
     return tuple(layers), groups
@@ -495,7 +632,7 @@ def _add_views(aset, groups):
 
 def _parse_annotation_set(elt, source, sent, link):
     aset = Record()
-    aset["ID"] = _int(elt, "ID", source)
+    aset["ID"] = _int(elt.tag, elt.attrib, "ID", source)
     aset["status"] = elt.get("status", "")
     aset["_type"] = "annotationset"
     link(elt, aset)
@@ -513,15 +650,16 @@ def _parse_sentence(elt, source, link, doc=None):
     set, and to a lexicographic sentence itself.
     """
     fulltext = doc is not None
+    tag, attrs = elt.tag, elt.attrib
     sent = Record()
     if fulltext:
-        sent["corpID"] = _int(elt, "corpID", source, None)
-        sent["docID"] = _int(elt, "docID", source, None)
-    sent["sentNo"] = _int(elt, "sentNo", source, None)
+        sent["corpID"] = _int(tag, attrs, "corpID", source, None)
+        sent["docID"] = _int(tag, attrs, "docID", source, None)
+    sent["sentNo"] = _int(tag, attrs, "sentNo", source, None)
     if fulltext:
-        sent["paragNo"] = _int(elt, "paragNo", source, None)
-    sent["aPos"] = _int(elt, "aPos", source, None)
-    sent["ID"] = _int(elt, "ID", source)
+        sent["paragNo"] = _int(tag, attrs, "paragNo", source, None)
+    sent["aPos"] = _int(tag, attrs, "aPos", source, None)
+    sent["ID"] = _int(tag, attrs, "ID", source)
     sent["_type"] = "fulltext_sentence" if fulltext else "sentence"
     text_elt = elt.find("text")
     if text_elt is None:
@@ -556,7 +694,7 @@ def parse_lu_file(data, source=None, *, lu=None):
     ``lu`` those links fail if forced.
     """
     root = _parse_root(data, source, "lexUnit")
-    lu_id = _int(root, "ID", source)
+    lu_id = _int(root.tag, root.attrib, "ID", source)
     lu_ref = lu if lu is not None else unbound_lazy("the exemplars' lexical unit")
     frame_ref = lu["frame"] if lu is not None else unbound_lazy("the exemplars' frame")
 
@@ -592,7 +730,7 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
 
     def link(elt, aset):
         for key in ("luID", "frameID"):
-            value = _int(elt, key, source, None)
+            value = _int(elt.tag, elt.attrib, key, source, None)
             if value is not None:
                 aset[key] = value
         for key in ("luName", "frameName"):
@@ -610,11 +748,11 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
             )
 
     doc = Record()
-    doc["ID"] = _int(doc_elt, "ID", source)
-    doc["name"] = _req_attr(doc_elt, "name", source)
+    doc["ID"] = _int(doc_elt.tag, doc_elt.attrib, "ID", source)
+    doc["name"] = _req_attr(doc_elt.tag, doc_elt.attrib, "name", source)
     doc["description"] = doc_elt.get("description", "")
     doc["corpusName"] = corpus.get("name", "")
-    doc["corpusID"] = _int(corpus, "ID", source, None)
+    doc["corpusID"] = _int(corpus.tag, corpus.attrib, "ID", source, None)
     doc["_type"] = "document"
     doc["sentences"] = [
         _parse_sentence(child, source, link, doc) for child in root if child.tag == "sentence"
@@ -632,52 +770,52 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
     Frames are resolved lazily through ``frame_resolver(frame_id, name,
     source, relation)``.
     """
-    root = _parse_root(data, source, "frameRelations")
-
     types = []
-    for type_elt in root:
-        if type_elt.tag != "frameRelationType":
-            continue
+
+    def relation_type(tag, attrs):
         rtype = Record()
-        rtype["ID"] = _int(type_elt, "ID", source)
-        rtype["name"] = _req_attr(type_elt, "name", source)
-        rtype["superFrameName"] = _req_attr(type_elt, "superFrameName", source)
-        rtype["subFrameName"] = _req_attr(type_elt, "subFrameName", source)
+        rtype["ID"] = _int(tag, attrs, "ID", source)
+        rtype["name"] = _req_attr(tag, attrs, "name", source)
+        rtype["superFrameName"] = _req_attr(tag, attrs, "superFrameName", source)
+        rtype["subFrameName"] = _req_attr(tag, attrs, "subFrameName", source)
         rtype["_type"] = "framerelationtype"
         rtype["frameRelations"] = []
-        for rel_elt in type_elt:
-            if rel_elt.tag != "frameRelation":
-                continue
-            rel = Record()
-            rel["ID"] = _int(rel_elt, "ID", source)
-            rel["type"] = rtype
-            rel["superFrameName"] = _req_attr(rel_elt, "superFrameName", source)
-            rel["subFrameName"] = _req_attr(rel_elt, "subFrameName", source)
-            rel["supID"] = _int(rel_elt, "supID", source)
-            rel["subID"] = _int(rel_elt, "subID", source)
-            rel["_type"] = "framerelation"
-            for side, id_key in (("superFrame", "supID"), ("subFrame", "subID")):
-                name = rel[side + "Name"]
-                rel[side] = _ref(frame_resolver, f"frame {name!r}", rel[id_key], name, source, rel)
-            rel["feRelations"] = []
-            for fe_elt in rel_elt:
-                if fe_elt.tag != "FERelation":
-                    continue
-                ferel = Record()
-                ferel["ID"] = _int(fe_elt, "ID", source)
-                ferel["superFEName"] = _req_attr(fe_elt, "superFEName", source)
-                ferel["subFEName"] = _req_attr(fe_elt, "subFEName", source)
-                ferel["supID"] = _int(fe_elt, "supID", source)
-                ferel["subID"] = _int(fe_elt, "subID", source)
-                ferel["_type"] = "ferelation"
-                ferel["frameRelation"] = rel
-                ferel["superFE"] = Lazy(
-                    _relation_fe, source, rel, "superFrame", ferel["superFEName"]
-                )
-                ferel["subFE"] = Lazy(_relation_fe, source, rel, "subFrame", ferel["subFEName"])
-                rel["feRelations"].append(ferel)
-            rtype["frameRelations"].append(rel)
         types.append(rtype)
+        return {"frameRelation": partial(relation, rtype)}
+
+    def relation(rtype, tag, attrs):
+        rel = Record()
+        rel["ID"] = _int(tag, attrs, "ID", source)
+        rel["type"] = rtype
+        rel["superFrameName"] = sup_name = _req_attr(tag, attrs, "superFrameName", source)
+        rel["subFrameName"] = sub_name = _req_attr(tag, attrs, "subFrameName", source)
+        rel["supID"] = sup_id = _int(tag, attrs, "supID", source)
+        rel["subID"] = sub_id = _int(tag, attrs, "subID", source)
+        rel["_type"] = "framerelation"
+        rel["superFrame"] = _ref(
+            frame_resolver, f"frame {sup_name!r}", sup_id, sup_name, source, rel
+        )
+        rel["subFrame"] = _ref(
+            frame_resolver, f"frame {sub_name!r}", sub_id, sub_name, source, rel
+        )
+        rel["feRelations"] = []
+        rtype["frameRelations"].append(rel)
+        return {"FERelation": partial(fe_relation, rel)}
+
+    def fe_relation(rel, tag, attrs):
+        ferel = Record()
+        ferel["ID"] = _int(tag, attrs, "ID", source)
+        ferel["superFEName"] = sup_name = _req_attr(tag, attrs, "superFEName", source)
+        ferel["subFEName"] = sub_name = _req_attr(tag, attrs, "subFEName", source)
+        ferel["supID"] = _int(tag, attrs, "supID", source)
+        ferel["subID"] = _int(tag, attrs, "subID", source)
+        ferel["_type"] = "ferelation"
+        ferel["frameRelation"] = rel
+        ferel["superFE"] = Lazy(_relation_fe, source, rel, "superFrame", sup_name)
+        ferel["subFE"] = Lazy(_relation_fe, source, rel, "subFrame", sub_name)
+        rel["feRelations"].append(ferel)
+
+    _stream(data, source, "frameRelations", {"frameRelationType": relation_type}, anywhere=False)
     return types
 
 
@@ -710,8 +848,8 @@ def parse_semtypes_file(data, source="semTypes.xml"):
             continue
         st = Record()
         st["abbrev"] = elt.get("abbrev", "")
-        st["name"] = _req_attr(elt, "name", source)
-        st["ID"] = _int(elt, "ID", source)
+        st["name"] = _req_attr(elt.tag, elt.attrib, "name", source)
+        st["ID"] = _int(elt.tag, elt.attrib, "ID", source)
         st["_type"] = "semtype"
         st["definition"] = strip_markup(_child_text(elt, "definition"))
         st["superType"] = None
@@ -722,7 +860,7 @@ def parse_semtypes_file(data, source="semTypes.xml"):
         types.append(st)
         sup = elt.find("superType")
         if sup is not None:
-            parent_of[st["ID"]] = _int(sup, "supID", source)
+            parent_of[st["ID"]] = _int(sup.tag, sup.attrib, "supID", source)
 
     for st_id, sup_id in parent_of.items():
         if sup_id not in by_id:

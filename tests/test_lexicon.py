@@ -302,6 +302,63 @@ def test_every_scan_matches_a_raw_xml_oracle_cold_then_warm(data_dir, tmp_path, 
     assert fresh.store.fileAccessLog == ["frameIndex.xml", "frame/Revenge.xml"]
 
 
+def raw_fulltext_sets(data_dir):
+    """The full-text documents' paths, ID ascending, and their frame
+    annotation sets as (sentence ID, set ID, LU name or None), sorted."""
+    docs, sets = [], []
+    for corpus in ET.parse(data_dir / "fulltextIndex.xml").getroot():
+        for doc in _children(corpus, "document"):
+            relpath = f"fulltext/{doc.get('name')}.xml"
+            if not (data_dir / relpath).exists():
+                relpath = f"fulltext/{corpus.get('name')}__{doc.get('name')}.xml"
+            docs.append((int(doc.get("ID")), relpath))
+            for sent in ET.parse(data_dir / relpath).getroot().iter():
+                if _local(sent) == "sentence":
+                    for aset in _children(sent, "annotationSet")[1:]:
+                        sets.append((int(sent.get("ID")), int(aset.get("ID")), aset.get("luName")))
+    return [relpath for _, relpath in sorted(docs)], sorted(sets)
+
+
+@pytest.mark.parametrize("corpus", ["fixture", "permuted"])
+def test_fulltext_annotations_match_a_raw_xml_oracle_cold_then_warm(data_dir, tmp_path, corpus):
+    if corpus == "permuted":
+        data_dir = permuted_copy(data_dir, tmp_path)
+    else:
+        data_dir = shutil.copytree(data_dir, tmp_path / "fixture")
+    # A set with no LU name, which no pattern may match.
+    path = data_dir / "fulltext" / "Tiger_Of_San_Pedro.xml"
+    path.write_text(re.sub(r'(<annotationSet [^>]*) luName="[^"]*"', r"\1", path.read_text(), 1))
+    doc_paths, sets = raw_fulltext_sets(data_dir)
+    assert sum(name is None for _, _, name in sets) == 1
+    rng = random.Random(1703)
+    pieces = ["e", "re", "a", "in", r"\.v", r"\.n", "T", "ing", "o", ""]
+    patterns = [None, "", "^ab", "(?i)^ST"] + [
+        rng.choice(["", "(?i)"]) + rng.choice(["", "^"]) + rng.choice(pieces)
+        + rng.choice(["", "$", ".*e"])
+        for _ in range(12)
+    ]
+    want = [
+        [set_id for _, set_id, name in sets
+         if pat is None or (name is not None and re.search(pat, name))]
+        for pat in patterns
+    ]
+    assert any(want) and not all(want)
+
+    lexicon = open_lexicon(data_dir)
+    cold = [lexicon.annotations(pat, exemplars=False) for pat in patterns]
+    assert [[aset.ID for aset in got] for got in cold] == want
+    assert lexicon.store.fileAccessLog == ["frameIndex.xml", "fulltextIndex.xml", *doc_paths]
+    for pat, first in zip(patterns, cold):
+        again = lexicon.annotations(pat, exemplars=False)
+        assert len(again) == len(first) and all(a is b for a, b in zip(again, first))
+        both = lexicon.annotations(pat)
+        assert both[len(both) - len(first):] == first
+    log = list(lexicon.store.fileAccessLog)
+    assert len(set(log)) == len(log)
+    assert [lexicon.annotations(pat, exemplars=False) for pat in patterns] == cold
+    assert lexicon.store.fileAccessLog == log
+
+
 @pytest.mark.parametrize(
     "scan",
     ["frames", "frame_ids_and_names", "frames_by_lemma", "lus", "fes", "exemplars",

@@ -9,7 +9,13 @@ import pytest
 
 from framelex import Store, open_lexicon, open_store
 from framelex.cli import run
-from framelex.errors import CorpusError, IntegrityError, LookupFailure, ParseError
+from framelex.errors import (
+    CorpusError,
+    FramelexError,
+    IntegrityError,
+    LookupFailure,
+    ParseError,
+)
 
 
 def test_open_reads_only_the_frame_index(store):
@@ -339,6 +345,32 @@ def test_seeded_attribute_mutations_keep_the_error_contract(data_dir, tmp_path):
             runs += 1
         path.write_text(body)
     assert runs == 120
+
+
+# Per streamed file: the library call that parses it.
+_STREAMED_TOUCH = {
+    "frameIndex.xml": lambda lex: lex,
+    "luIndex.xml": lambda lex: lex.store.lu_index(),
+    "fulltextIndex.xml": lambda lex: lex.store.doc_index(),
+    "frRelation.xml": lambda lex: lex.frame_relation_types(),
+}
+
+
+@pytest.mark.parametrize("relpath", sorted(_STREAMED_TOUCH))
+def test_truncated_streamed_files_keep_the_error_contract(data_dir, tmp_path, relpath):
+    """The file cut at 50 evenly spaced offsets before its last ``>``: each cut
+    is malformed, so the library raises a FramelexError and ``stats`` exits 3."""
+    clone = tmp_path / "corpus"
+    shutil.copytree(data_dir, clone)
+    path = clone / relpath
+    body = path.read_bytes()
+    end = body.rindex(b">")
+    for k in range(50):
+        cut = k * end // 50
+        path.write_bytes(body[:cut])
+        with pytest.raises(FramelexError):
+            _STREAMED_TOUCH[relpath](open_lexicon(clone))
+        assert _cli_code(clone, "stats") == 3, f"{relpath} cut at byte {cut}"
 
 
 def test_negative_label_start_is_an_integrity_error(data_dir, tmp_path):

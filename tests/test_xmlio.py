@@ -5,6 +5,7 @@ so a parser that silently drops or duplicates elements cannot agree with
 them by construction.
 """
 
+import re
 import sys
 import threading
 
@@ -663,3 +664,218 @@ def test_concurrent_first_reads_of_a_layer_build_one_list(data_dir):
             assert aset.layer is seen[0]
     finally:
         sys.setswitchinterval(interval)
+
+
+# ------------------------------------------------------------ streamed parsers
+
+FN = "http://framenet.icsi.berkeley.edu"
+
+# Each streamed parser: its root tag, its record tag, that record's name
+# attribute, and a body of two records with IDs 1 and 2.
+STREAMED = {
+    "frameIndex": (
+        parse_frame_index, "frame", "name",
+        '<frame ID="1" name="A"/><frame ID="2" name="B"/>',
+    ),
+    "luIndex": (
+        parse_lu_index, "lu", "name",
+        '<lu ID="1" name="a.v" frameID="7" frameName="F" status="S"/>'
+        '<lu ID="2" name="b.n" frameID="7" frameName="F"/>',
+    ),
+    "fulltextIndex": (
+        parse_fulltext_index, "document", "name",
+        '<corpus ID="9" name="C"><document ID="1" name="A" description="d"/>'
+        '<document ID="2" name="B"/></corpus><document ID="3" name="Outside"/>',
+    ),
+    "frameRelations": (
+        parse_relations_file, "frameRelation", "superFrameName",
+        '<frameRelationType ID="5" name="T" superFrameName="P" subFrameName="C">'
+        '<frameRelation ID="1" superFrameName="A" subFrameName="B" supID="1" subID="2"/>'
+        '<frameRelation ID="2" superFrameName="B" subFrameName="A" supID="2" subID="1">'
+        '<FERelation ID="3" superFEName="X" subFEName="Y" supID="3" subID="4"/>'
+        "</frameRelation></frameRelationType>",
+    ),
+}
+
+
+def _streamed_input(root, case):
+    """The document bytes of one parity case for the parser of ``root``."""
+    _, tag, name_attr, body = STREAMED[root]
+    first = re.search(rf"<{tag} [^>]*>", body)
+
+    def edit_first(pattern, new):
+        start = re.sub(pattern, new, first.group(0), count=1)
+        return body[: first.start()] + start + body[first.end() :]
+
+    def doc(inner, head="", root_tag=root):
+        return f'{head}<{root_tag} xmlns="{FN}">{inner}</{root_tag}>'.encode()
+
+    duplicate = body.replace('ID="2"', 'ID="1"')
+    if case == "plain":
+        return doc(body)
+    if case == "truncated":
+        return doc(body)[: doc(body).index(b'ID="2"')]
+    if case == "empty":
+        return b""
+    if case == "wrong root":
+        return doc(body, root_tag="other")
+    if case == "non-integer ID":
+        return doc(edit_first(r'ID="1"', 'ID="one"'))
+    if case == "missing name":
+        return doc(edit_first(rf' {name_attr}="[^"]*"', ""))
+    if case == "duplicate ID":
+        return doc(duplicate)
+    if case == "duplicate ID, then a mismatched tag":
+        return doc(duplicate)[:-1] + b"x>"
+    if case in ("foo", "shift_jis"):
+        return doc(body, head=f"<?xml version='1.0' encoding='{case}'?>")
+    if case == "prefixed namespace":
+        prefixed = re.sub(r"<(/?)(\w+)", r"<\1x:\2", body)
+        prefixed = re.sub(r' (\w+)="', r' x:\1="', prefixed)
+        return f'<x:{root} xmlns:x="{FN}">{prefixed}</x:{root}>'.encode()
+    if case == "nested with xml:lang":
+        inner = re.sub(rf"<{tag} ", f'<{tag} xml:lang="en" ', first.group(0))
+        return doc(body[: first.start()] + f'<w xml:lang="en">{inner}' + (
+            "</w>" if inner.endswith("/>") else "") + body[first.end() :])
+    if case == "records in a wrapper, then again":
+        return doc(f"<w>{body}</w>{body}")
+    if case == "corpus inside a corpus":
+        return doc(f'<corpus ID="8" name="Outer">{body}</corpus>')
+    if case == "undefined entity under an external DTD":
+        return f'<!DOCTYPE {root} SYSTEM "x.dtd">'.encode() + doc(body + "&e;")
+    raise ValueError(case)
+
+
+def _record_ids(rows):
+    """The IDs of what a streamed parser returned: relations for the registry."""
+    if rows and isinstance(rows[0], tuple):
+        return [fid for fid, _ in rows]
+    if rows and "frameRelations" in rows[0]:
+        return [rel.ID for rtype in rows for rel in rtype.frameRelations]
+    return [row.ID for row in rows]
+
+
+def _plain(value):
+    """``value`` with lazy references and back-links left out, for comparison."""
+    if isinstance(value, Record):
+        return {
+            key: _plain(item) for key, item in dict.items(value)
+            if not isinstance(item, (Lazy, Record))
+        }
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+# The outcome of each case with the ElementTree parsers these replaced: the
+# record IDs returned, or the exception class and message.
+_TRUNCATED = "{}: line 1: not well-formed XML (unclosed token: line 1, column {})"
+_EMPTY = "{}: line 1: not well-formed XML (no element found: line 1, column 0)"
+_MISMATCH = "{}: line 1: not well-formed XML (mismatched tag: line 1, column {})"
+_ENTITY = "{}: line 1: not well-formed XML (undefined entity &e;: line 1, column {})"
+_FOO = "{}: cannot decode XML (unknown encoding: foo)"
+_SJIS = "{}: cannot decode XML (multi-byte encodings are not supported)"
+_ROOT = "{}: expected a <{}> document, got <other>"
+STREAMED_PARITY = {
+    ("frameIndex", "plain"): [1, 2],
+    ("frameIndex", "truncated"): (ParseError, _TRUNCATED.format("frameIndex.xml", 78)),
+    ("frameIndex", "empty"): (ParseError, _EMPTY.format("frameIndex.xml")),
+    ("frameIndex", "wrong root"): (ParseError, _ROOT.format("frameIndex.xml", "frameIndex")),
+    ("frameIndex", "non-integer ID"): (
+        ParseError, "frameIndex.xml: <frame> attribute 'ID' is not an integer: 'one'"),
+    ("frameIndex", "missing name"): (
+        ParseError, "frameIndex.xml: <frame> is missing required attribute 'name'"),
+    ("frameIndex", "duplicate ID"): (IntegrityError, "frameIndex.xml: duplicate frame ID 1"),
+    ("frameIndex", "duplicate ID, then a mismatched tag"): (
+        ParseError, _MISMATCH.format("frameIndex.xml", 104)),
+    ("frameIndex", "foo"): (ParseError, _FOO.format("frameIndex.xml")),
+    ("frameIndex", "shift_jis"): (ParseError, _SJIS.format("frameIndex.xml")),
+    ("frameIndex", "prefixed namespace"): [1, 2],
+    ("frameIndex", "nested with xml:lang"): [1, 2],
+    ("frameIndex", "records in a wrapper, then again"): (
+        IntegrityError, "frameIndex.xml: duplicate frame ID 1"),
+    ("frameIndex", "undefined entity under an external DTD"): (
+        ParseError, _ENTITY.format("frameIndex.xml", 138)),
+    ("luIndex", "plain"): [1, 2],
+    ("luIndex", "truncated"): (ParseError, _TRUNCATED.format("luIndex.xml", 111)),
+    ("luIndex", "empty"): (ParseError, _EMPTY.format("luIndex.xml")),
+    ("luIndex", "wrong root"): (ParseError, _ROOT.format("luIndex.xml", "luIndex")),
+    ("luIndex", "non-integer ID"): (
+        ParseError, "luIndex.xml: <lu> attribute 'ID' is not an integer: 'one'"),
+    ("luIndex", "missing name"): (
+        ParseError, "luIndex.xml: <lu> is missing required attribute 'name'"),
+    ("luIndex", "duplicate ID"): (IntegrityError, "luIndex.xml: duplicate lexical unit ID 1"),
+    ("luIndex", "duplicate ID, then a mismatched tag"): (
+        ParseError, _MISMATCH.format("luIndex.xml", 162)),
+    ("luIndex", "foo"): (ParseError, _FOO.format("luIndex.xml")),
+    ("luIndex", "shift_jis"): (ParseError, _SJIS.format("luIndex.xml")),
+    ("luIndex", "prefixed namespace"): [1, 2],
+    ("luIndex", "nested with xml:lang"): [1, 2],
+    ("luIndex", "records in a wrapper, then again"): (
+        IntegrityError, "luIndex.xml: duplicate lexical unit ID 1"),
+    ("luIndex", "undefined entity under an external DTD"): (
+        ParseError, _ENTITY.format("luIndex.xml", 193)),
+    ("fulltextIndex", "plain"): [1, 2],
+    ("fulltextIndex", "truncated"): (ParseError, _TRUNCATED.format("fulltextIndex.xml", 124)),
+    ("fulltextIndex", "empty"): (ParseError, _EMPTY.format("fulltextIndex.xml")),
+    ("fulltextIndex", "wrong root"): (
+        ParseError, _ROOT.format("fulltextIndex.xml", "fulltextIndex")),
+    ("fulltextIndex", "non-integer ID"): (
+        ParseError, "fulltextIndex.xml: <document> attribute 'ID' is not an integer: 'one'"),
+    ("fulltextIndex", "missing name"): (
+        ParseError, "fulltextIndex.xml: <document> is missing required attribute 'name'"),
+    ("fulltextIndex", "duplicate ID"): (
+        IntegrityError, "fulltextIndex.xml: duplicate document ID 1"),
+    ("fulltextIndex", "duplicate ID, then a mismatched tag"): (
+        ParseError, _MISMATCH.format("fulltextIndex.xml", 195)),
+    ("fulltextIndex", "foo"): (ParseError, _FOO.format("fulltextIndex.xml")),
+    ("fulltextIndex", "shift_jis"): (ParseError, _SJIS.format("fulltextIndex.xml")),
+    ("fulltextIndex", "prefixed namespace"): [1, 2],
+    ("fulltextIndex", "nested with xml:lang"): [1, 2],
+    # Each document counts once for each corpus it lies in.
+    ("fulltextIndex", "corpus inside a corpus"): (
+        IntegrityError, "fulltextIndex.xml: duplicate document ID 1"),
+    ("fulltextIndex", "records in a wrapper, then again"): (
+        IntegrityError, "fulltextIndex.xml: duplicate document ID 1"),
+    ("fulltextIndex", "undefined entity under an external DTD"): (
+        ParseError, _ENTITY.format("fulltextIndex.xml", 232)),
+    ("frameRelations", "plain"): [1, 2],
+    ("frameRelations", "truncated"): (ParseError, _TRUNCATED.format("frRelation.xml", 129)),
+    ("frameRelations", "empty"): (ParseError, _EMPTY.format("frRelation.xml")),
+    ("frameRelations", "wrong root"): (
+        ParseError, _ROOT.format("frRelation.xml", "frameRelations")),
+    ("frameRelations", "non-integer ID"): (
+        ParseError, "frRelation.xml: <frameRelation> attribute 'ID' is not an integer: 'one'"),
+    ("frameRelations", "missing name"): (
+        ParseError,
+        "frRelation.xml: "
+        "<frameRelation> is missing required attribute 'superFrameName'",
+    ),
+    ("frameRelations", "duplicate ID"): [1, 1],
+    ("frameRelations", "duplicate ID, then a mismatched tag"): (
+        ParseError, _MISMATCH.format("frRelation.xml", 394)),
+    ("frameRelations", "foo"): (ParseError, _FOO.format("frRelation.xml")),
+    ("frameRelations", "shift_jis"): (ParseError, _SJIS.format("frRelation.xml")),
+    ("frameRelations", "prefixed namespace"): [1, 2],
+    ("frameRelations", "nested with xml:lang"): [2],
+    ("frameRelations", "records in a wrapper, then again"): [1, 2],
+    ("frameRelations", "undefined entity under an external DTD"): (
+        ParseError, _ENTITY.format("frRelation.xml", 432)),
+}
+
+
+@pytest.mark.parametrize("root, case", sorted(STREAMED_PARITY))
+def test_streamed_parsers_match_the_tree_parsers(root, case):
+    parse = STREAMED[root][0]
+    data = _streamed_input(root, case)
+    expected = STREAMED_PARITY[root, case]
+    if isinstance(expected, list):
+        rows = parse(data)
+        assert _record_ids(rows) == expected
+        if case == "prefixed namespace":
+            assert _plain(rows) == _plain(parse(_streamed_input(root, "plain")))
+    else:
+        with pytest.raises(expected[0]) as info:
+            parse(data)
+        assert type(info.value) is expected[0]
+        assert str(info.value) == expected[1]
