@@ -8,6 +8,7 @@ early; 1 name or ID not found; 2 usage or bad pattern; 3 unusable data.
 
 import argparse
 import os
+import re
 import shlex
 import sys
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from .errors import CorpusError, LookupFailure, PatternError, UsageError
 from .lexicon import open_lexicon
 from . import render
 from .store import ENV_DATA_DIR
+from .xmlio import LU_ID
 
 
 def build_parser():
@@ -225,6 +227,17 @@ class _ReplArgs(SimpleNamespace):
     no_exemplars = no_fulltext = False
 
 
+# The words of a line split on shlex's whitespace alone.
+_WORDS = re.compile(r"[^ \t\r\n]+").findall
+
+
+def _split_line(line):
+    """``shlex.split(line)``, without shlex when no quote or backslash is in it."""
+    if "'" in line or '"' in line or "\\" in line:
+        return shlex.split(line)
+    return _WORDS(line)
+
+
 class _Reply(Exception):
     """A REPL reply that is not output: a hint or a usage line."""
 
@@ -259,7 +272,7 @@ def _repl_command(lexicon, options, stack, command, arg, out):
             rows, names = lexicon.store.lu_column()
             if names.count(arg) != 1:
                 raise LookupFailure(f"no unique lexical unit named {arg!r}")
-            lu = lexicon.lu(rows[names.index(arg)]["ID"])
+            lu = lexicon.lu(rows[names.index(arg)][LU_ID])
         out.write(render.render_lu(lu, options))
         stack[:] = [(lu.frame.name, lu.frame), (lu.name, lu)]
     elif query is not None:
@@ -313,7 +326,7 @@ def repl(lexicon, options, stdin, stdout):
             return 0
         try:
             # Padded, so a missing command or argument reads None.
-            command, arg = (shlex.split(line.strip()) + [None, None])[:2]
+            command, arg = (_split_line(line.strip()) + [None, None])[:2]
             if command in ("quit", "exit"):
                 return 0
             if command is not None:

@@ -15,6 +15,7 @@ from operator import itemgetter
 from .errors import LookupFailure, PatternError, UsageError
 from .records import LOCK, Record
 from .store import open_store
+from .xmlio import LU_FRAME_ID, LU_ID, LU_NAME
 
 
 def compile_pattern(pattern):
@@ -77,7 +78,7 @@ class FrameLexicon:
 
     def frames_by_lemma(self, pattern):
         """Frames defining at least one LU whose name matches, ID ascending."""
-        frame_ids = {row["frameID"] for row in _scan(pattern, self._store.lu_column)}
+        frame_ids = {row[LU_FRAME_ID] for row in _scan(pattern, self._store.lu_column)}
         return [self._store.get_frame(fid) for fid in sorted(frame_ids)]
 
     # ------------------------------------------------------------ lexical units
@@ -93,7 +94,7 @@ class FrameLexicon:
             rows = _scan(name_pattern, self._store.lu_column)
         else:
             rows = _scan(name_pattern, self._frame_lu_column, frame)
-        return [self._store.get_lu(row["ID"]) for row in rows]
+        return [self._store.get_lu(row[LU_ID]) for row in rows]
 
     def lu(self, lu_id):
         """One lexical unit, by numeric ID."""
@@ -110,8 +111,8 @@ class FrameLexicon:
         by_frame = self._store.lus_by_frame()
         allowed = self._frame_restriction_ids(frame)
         rows = [row for fid in allowed for row in by_frame.get(fid, ())]
-        rows.sort(key=itemgetter("ID"))
-        return rows, [row["name"] for row in rows]
+        rows.sort(key=itemgetter(LU_ID))
+        return rows, [row[LU_NAME] for row in rows]
 
     def _frame_restriction_ids(self, frame):
         if _is_record(frame, "frame"):
@@ -240,7 +241,7 @@ class FrameLexicon:
 
     def _iter_exemplars(self, pattern=None):
         for row in _scan(pattern, self._store.lu_column):
-            lu = self._store.get_lu(row["ID"])
+            lu = self._store.get_lu(row[LU_ID])
             yield from sorted(lu["exemplars"], key=lambda s: s["ID"])
 
     def exemplars(self, pattern=None):

@@ -19,9 +19,12 @@ memo.  So concurrent first accesses to the same entity parse its file exactly
 once and repeated lookups return the identical cached record.
 
 The index files and the relation registry are streamed by ``xmlio``, with
-no element tree.  The store keys index rows by their ``ID`` and files
-relations by frame reading those plain fields with ``dict``'s own lookup,
-not ``Record.__getitem__``'s check for lazy values.
+no element tree.  LU index rows are plain tuples whose fields sit at the
+``xmlio.LU_*`` positions; the other tables' rows are records.  The store
+keys each table's rows by ID and files relations by frame, reading the
+relations' plain fields with ``dict``'s own lookup, not
+``Record.__getitem__``'s check for lazy values.  A relation's FE mapping
+records are built on the first read of its ``feRelations``.
 
 The same memo holds the name columns that pattern scans search, one per
 table: the frame, LU and document indexes, each frame's FEs, and all FEs.  A
@@ -39,7 +42,7 @@ A frame's or FE's semantic type reference resolves the same way.
 """
 
 import os
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 
@@ -95,16 +98,16 @@ class Store:
         self.fileAccessLog.append(relpath)
         return data
 
-    def _parse_rows(self, relpath, parse):
-        """An index or registry file's records as {ID: record}, file order."""
+    def _parse_rows(self, relpath, parse, row_id=itemgetter("ID")):
+        """An index or registry file's rows as {ID: row}, file order."""
         rows = parse(self._read(relpath))
-        return dict(zip(map(_field, rows, repeat("ID")), rows))
+        return dict(zip(map(row_id, rows), rows))
 
     @staticmethod
-    def _index_column(rows):
-        """The (rows, names) column of ID-keyed index records, ID ascending."""
+    def _index_column(rows, row_name=itemgetter("name")):
+        """The (rows, names) column of ID-keyed index rows, ID ascending."""
         rows = tuple(rows[key] for key in sorted(rows))
-        return rows, tuple(map(_field, rows, repeat("name")))
+        return rows, tuple(map(row_name, rows))
 
     # ------------------------------------------------------------ frames
 
@@ -214,15 +217,18 @@ class Store:
     # ------------------------------------------------------------ lexical units
 
     def _lu_rows(self):
-        return self._load("luIndex.xml", self._parse_rows, "luIndex.xml", xmlio.parse_lu_index)
+        parse, row_id = xmlio.parse_lu_index, itemgetter(xmlio.LU_ID)
+        return self._load("luIndex.xml", self._parse_rows, "luIndex.xml", parse, row_id)
 
     def lu_index(self):
-        """All LU index rows (ID, name, frameID, frameName, status)."""
+        """All LU index rows, ``xmlio.LU_FIELDS`` tuples, in file order."""
         return list(self._lu_rows().values())
 
     def lu_column(self):
         """The LU index rows and their names, ID ascending."""
-        return self._load("LU column", self._index_column, self._lu_rows())
+        return self._load(
+            "LU column", self._index_column, self._lu_rows(), itemgetter(xmlio.LU_NAME)
+        )
 
     def lus_by_frame(self):
         """{frame ID: its LU index rows}, each list ID ascending."""
@@ -231,7 +237,7 @@ class Store:
     def _lus_by_frame(self):
         by_frame = {}
         for row in self.lu_column()[0]:
-            by_frame.setdefault(row["frameID"], []).append(row)
+            by_frame.setdefault(row[xmlio.LU_FRAME_ID], []).append(row)
         return by_frame
 
     def lu_defined(self, lu_id):
@@ -242,16 +248,16 @@ class Store:
         row = self._lu_rows().get(lu_id)
         if row is None:
             raise LookupFailure(f"no lexical unit with ID {lu_id}")
-        if not self.frame_defined(row.frameID):
+        name, frame_id = row[xmlio.LU_NAME], row[xmlio.LU_FRAME_ID]
+        if not self.frame_defined(frame_id):
             raise IntegrityError(
-                f"luIndex.xml: entry {lu_id} ({row.name!r}) names unknown frame ID {row.frameID}"
+                f"luIndex.xml: entry {lu_id} ({name!r}) names unknown frame ID {frame_id}"
             )
-        frame = self.get_frame(row.frameID)
-        lu = frame["lexUnit"].get(row.name)
+        lu = self.get_frame(frame_id)["lexUnit"].get(name)
         if lu is None or lu["ID"] != lu_id:
             raise IntegrityError(
-                f"luIndex.xml: entry {lu_id} ({row.name!r}) not found in frame "
-                f"{row.frameName!r}"
+                f"luIndex.xml: entry {lu_id} ({name!r}) not found in frame "
+                f"{row[xmlio.LU_FRAME_NAME]!r}"
             )
         return lu
 

@@ -41,6 +41,13 @@ are the LU index's frame names and statuses.  The span views (``Target``
 aside) hold those same tuples, and an annotation set's ``layer`` is a
 ``Lazy`` over ``((rank, name, labels), ...)`` that builds the layer and label
 records on first read.
+
+Registry rows are compact too.  The frame index is ``(ID, name)`` pairs and
+the LU index plain ``LU_FIELDS`` tuples.  Each ``<FERelation>`` is checked at
+its start tag and kept as an attribute tuple; a relation's ``feRelations`` is
+a ``Lazy`` that builds its FE-relation records on first read.  These hot start tags read
+their attributes directly and fall back to ``_int`` and ``_req_attr`` only
+when a lookup fails, so every error keeps its message and precedence.
 """
 
 import html
@@ -268,22 +275,33 @@ def parse_frame_index(data, source="frameIndex.xml"):
     return list(names.items())
 
 
+# The LU index row layout: ``parse_lu_index`` returns exact tuples of these
+# fields, in this order, and readers index them with the constants below.
+LU_FIELDS = ("ID", "name", "frameID", "frameName", "status")
+LU_ID, LU_NAME, LU_FRAME_ID, LU_FRAME_NAME, LU_STATUS = range(len(LU_FIELDS))
+
+
 def parse_lu_index(data, source="luIndex.xml"):
-    """The LU index: one row per lexical unit across the whole lexicon."""
+    """The LU index: one ``LU_FIELDS`` tuple per lexical unit, in file order."""
     rows = {}
+    intern = sys.intern
 
     def lu(tag, attrs):
-        lu_id = _int(tag, attrs, "ID", source)
-        if lu_id in rows:
-            raise IntegrityError(f"{source}: duplicate lexical unit ID {lu_id}")
+        try:
+            lu_id, name, frame_id = int(attrs["ID"]), attrs["name"], int(attrs["frameID"])
+            frame_name = attrs["frameName"]
+        except (KeyError, ValueError):
+            lu_id = None
+        if lu_id is None or lu_id in rows:
+            # The checked readers, in the order their errors take precedence.
+            lu_id = _int(tag, attrs, "ID", source)
+            if lu_id in rows:
+                raise IntegrityError(f"{source}: duplicate lexical unit ID {lu_id}")
+            name = _req_attr(tag, attrs, "name", source)
+            frame_id = _int(tag, attrs, "frameID", source)
+            frame_name = _req_attr(tag, attrs, "frameName", source)
         # Frame names and statuses repeat across rows, so they are interned.
-        rows[lu_id] = Record(
-            ID=lu_id,
-            name=_req_attr(tag, attrs, "name", source),
-            frameID=_int(tag, attrs, "frameID", source),
-            frameName=sys.intern(_req_attr(tag, attrs, "frameName", source)),
-            status=sys.intern(attrs.get("status", "")),
-        )
+        rows[lu_id] = (lu_id, name, frame_id, intern(frame_name), intern(attrs.get("status", "")))
 
     _stream(data, source, "luIndex", {"lu": lu})
     return list(rows.values())
@@ -798,25 +816,51 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
         rel["subFrame"] = _ref(
             frame_resolver, f"frame {sub_name!r}", sub_id, sub_name, source, rel
         )
-        rel["feRelations"] = []
+        mappings = []
+        rel["feRelations"] = Lazy(_fe_relation_records, source, rel, mappings)
         rtype["frameRelations"].append(rel)
-        return {"FERelation": partial(fe_relation, rel)}
+        return {"FERelation": partial(fe_relation, mappings)}
 
-    def fe_relation(rel, tag, attrs):
-        ferel = Record()
-        ferel["ID"] = _int(tag, attrs, "ID", source)
-        ferel["superFEName"] = sup_name = _req_attr(tag, attrs, "superFEName", source)
-        ferel["subFEName"] = sub_name = _req_attr(tag, attrs, "subFEName", source)
-        ferel["supID"] = _int(tag, attrs, "supID", source)
-        ferel["subID"] = _int(tag, attrs, "subID", source)
-        ferel["_type"] = "ferelation"
-        ferel["frameRelation"] = rel
-        ferel["superFE"] = Lazy(_relation_fe, source, rel, "superFrame", sup_name)
-        ferel["subFE"] = Lazy(_relation_fe, source, rel, "subFrame", sub_name)
-        rel["feRelations"].append(ferel)
+    def fe_relation(mappings, tag, attrs):
+        try:
+            mapping = (
+                int(attrs["ID"]),
+                attrs["superFEName"],
+                attrs["subFEName"],
+                int(attrs["supID"]),
+                int(attrs["subID"]),
+            )
+        except (KeyError, ValueError):
+            # The checked readers, to raise the first error in field order.
+            mapping = (
+                _int(tag, attrs, "ID", source),
+                _req_attr(tag, attrs, "superFEName", source),
+                _req_attr(tag, attrs, "subFEName", source),
+                _int(tag, attrs, "supID", source),
+                _int(tag, attrs, "subID", source),
+            )
+        mappings.append(mapping)
 
     _stream(data, source, "frameRelations", {"frameRelationType": relation_type}, anywhere=False)
     return types
+
+
+def _fe_relation_records(source, rel, mappings):
+    """The FE-relation records of relation ``rel``'s attribute tuples."""
+    return [
+        Record(
+            ID=fe_id,
+            superFEName=sup_name,
+            subFEName=sub_name,
+            supID=sup_id,
+            subID=sub_id,
+            _type="ferelation",
+            frameRelation=rel,
+            superFE=Lazy(_relation_fe, source, rel, "superFrame", sup_name),
+            subFE=Lazy(_relation_fe, source, rel, "subFrame", sub_name),
+        )
+        for fe_id, sup_name, sub_name, sup_id, sub_id in mappings
+    ]
 
 
 def _relation_fe(source, relation, side, fe_name):

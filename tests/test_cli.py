@@ -1,9 +1,10 @@
 import io
 import random
+import shlex
 import shutil
 from pathlib import Path
 
-from framelex.cli import build_parser, run
+from framelex.cli import _split_line, build_parser, run
 from framelex.errors import UsageError
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "fixture17"
@@ -205,19 +206,40 @@ def test_repl_eof_is_clean_exit():
     assert code == 0
 
 
+def _random_lines(seed, alphabet, count=1000):
+    rng = random.Random(seed)
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60))) for _ in range(count)]
+
+
+FUZZ_LINES = _random_lines(
+    408,
+    "abcdefghijklmnopqrstuvwxyz ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+    "()[]{}<>|&;\"'`$*?.^\\/-_\t\x00\x1b\x07",
+)
+
+
 def test_repl_survives_fuzz():
-    rng = random.Random(408)
-    alphabet = (
-        "abcdefghijklmnopqrstuvwxyz ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-        "()[]{}<>|&;\"'`$*?.^\\/-_\t\x00\x1b\x07"
-    )
-    lines = []
-    for _ in range(1000):
-        n = rng.randint(0, 60)
-        lines.append("".join(rng.choice(alphabet) for _ in range(n)))
-    lines.append("quit")
+    lines = FUZZ_LINES + ["quit"]
     code, _, _ = cli("browse", stdin="\n".join(lines) + "\n")
     assert code == 0
+
+
+def _split_outcome(split, line):
+    try:
+        return split(line)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_repl_line_split_matches_shlex():
+    # Quote-free lines with whitespace that shlex does not split on.
+    plain = _random_lines(11, "ab1.;# \t\r\n\x0b\x0c\xa0\x1c\x85\u2028")
+    checked = 0
+    for line in FUZZ_LINES + plain:
+        for form in (line, line.strip()):
+            assert _split_outcome(_split_line, form) == _split_outcome(shlex.split, form), form
+            checked += 1
+    assert checked == 4000
 
 
 def test_repl_lu_by_exact_name_without_frame_context(golden, tmp_path):

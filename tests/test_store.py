@@ -262,8 +262,14 @@ def test_missing_file_is_a_corpus_error(data_dir, tmp_path, damage):
     assert _cli_code(clone, "frame", "Omen") == 3
 
 
-# Per damaged file: the library call and the CLI command that parse it.
+# Per file, streamed or tree-parsed: the library call and a CLI command that
+# parse it.
 _TOUCH = {
+    "frameIndex.xml": (lambda lex: lex, ("frames",)),
+    "luIndex.xml": (lambda lex: lex.store.lu_index(), ("lus",)),
+    "fulltextIndex.xml": (lambda lex: lex.store.doc_index(), ("docs",)),
+    "frRelation.xml": (lambda lex: lex.frame_relation_types(), ("relation-types",)),
+    "semTypes.xml": (lambda lex: lex.semtypes(), ("semtypes",)),
     "lu/lu6067.xml": (lambda lex: lex.lu(6067).exemplars, ("lu", "6067")),
     "frame/Revenge.xml": (lambda lex: lex.frame("Revenge"), ("frame", "Revenge")),
     "fulltext/Tiger_Of_San_Pedro.xml": (lambda lex: lex.doc(23802), ("doc", "23802")),
@@ -347,30 +353,24 @@ def test_seeded_attribute_mutations_keep_the_error_contract(data_dir, tmp_path):
     assert runs == 120
 
 
-# Per streamed file: the library call that parses it.
-_STREAMED_TOUCH = {
-    "frameIndex.xml": lambda lex: lex,
-    "luIndex.xml": lambda lex: lex.store.lu_index(),
-    "fulltextIndex.xml": lambda lex: lex.store.doc_index(),
-    "frRelation.xml": lambda lex: lex.frame_relation_types(),
-}
-
-
-@pytest.mark.parametrize("relpath", sorted(_STREAMED_TOUCH))
+@pytest.mark.parametrize("relpath", sorted(_TOUCH))
 def test_truncated_streamed_files_keep_the_error_contract(data_dir, tmp_path, relpath):
-    """The file cut at 50 evenly spaced offsets before its last ``>``: each cut
-    is malformed, so the library raises a FramelexError and ``stats`` exits 3."""
+    """The file, streamed or tree-parsed, cut at 50 evenly spaced offsets
+    before its last ``>``: each cut is malformed, so the library raises a
+    FramelexError, and ``stats`` and the file's own CLI command exit 3."""
     clone = tmp_path / "corpus"
     shutil.copytree(data_dir, clone)
     path = clone / relpath
     body = path.read_bytes()
     end = body.rindex(b">")
+    touch, command = _TOUCH[relpath]
     for k in range(50):
         cut = k * end // 50
         path.write_bytes(body[:cut])
         with pytest.raises(FramelexError):
-            _STREAMED_TOUCH[relpath](open_lexicon(clone))
+            touch(open_lexicon(clone))
         assert _cli_code(clone, "stats") == 3, f"{relpath} cut at byte {cut}"
+        assert _cli_code(clone, *command) == 3, f"{relpath} cut at byte {cut}"
 
 
 def test_negative_label_start_is_an_integrity_error(data_dir, tmp_path):

@@ -14,6 +14,11 @@ import pytest
 from framelex.errors import CorpusError, IntegrityError, ParseError
 from framelex.records import Lazy, Record, attribute_names
 from framelex.xmlio import (
+    LU_FIELDS,
+    LU_FRAME_NAME,
+    LU_ID,
+    LU_NAME,
+    LU_STATUS,
     parse_frame_file,
     parse_frame_index,
     parse_fulltext_file,
@@ -50,11 +55,11 @@ def test_lu_index_count_matches_raw_text(data_dir):
     body = text(data_dir, "luIndex.xml")
     rows = parse_lu_index(raw(data_dir, "luIndex.xml"))
     assert len(rows) == body.count("<lu ")
-    assert [r["ID"] for r in rows] == sorted(r["ID"] for r in rows)
-    by_id = {r["ID"]: r for r in rows}
-    assert by_id[6067]["name"] == "revenge.n"
-    assert by_id[6067]["frameName"] == "Revenge"
-    assert by_id[6067]["status"] == "FN1_Sent"
+    assert [r[LU_ID] for r in rows] == sorted(r[LU_ID] for r in rows)
+    by_id = {r[LU_ID]: r for r in rows}
+    assert by_id[6067][LU_NAME] == "revenge.n"
+    assert by_id[6067][LU_FRAME_NAME] == "Revenge"
+    assert by_id[6067][LU_STATUS] == "FN1_Sent"
 
 
 def test_fulltext_index_counts(data_dir):
@@ -666,6 +671,143 @@ def test_concurrent_first_reads_of_a_layer_build_one_list(data_dir):
         sys.setswitchinterval(interval)
 
 
+# ------------------------------------------------------------ registry rows oracle
+
+
+def _raw_elements(data, tag):
+    from xml.etree import ElementTree
+
+    return [elt for elt in ElementTree.fromstring(data).iter() if _local(elt.tag) == tag]
+
+
+def test_lu_index_rows_match_raw_xml(data_dir):
+    # The fixture's index, and one with a row that has no status.
+    for data in raw(data_dir, "luIndex.xml"), _streamed_input("luIndex", "plain"):
+        expected = [
+            (int(elt.get("ID")), elt.get("name"), int(elt.get("frameID")),
+             elt.get("frameName"), elt.get("status", ""))
+            for elt in _raw_elements(data, "lu")
+        ]
+        rows = parse_lu_index(data)
+        assert rows == expected
+        assert all(type(row) is tuple and len(row) == len(LU_FIELDS) for row in rows)
+    assert len(parse_lu_index(raw(data_dir, "luIndex.xml"))) > 20
+
+
+def test_fe_relations_match_raw_xml(data_dir):
+    data = raw(data_dir, "frRelation.xml")
+    rels = [rel for rtype in parse_relations_file(data) for rel in rtype.frameRelations]
+    rel_elts = _raw_elements(data, "frameRelation")
+    assert [int(elt.get("ID")) for elt in rel_elts] == [rel.ID for rel in rels]
+    checked = 0
+    for rel_elt, rel in zip(rel_elts, rels):
+        assert isinstance(dict.__getitem__(rel, "feRelations"), Lazy)
+        ferels = rel.feRelations
+        assert rel.feRelations is ferels
+        assert isinstance(ferels, list)
+        expected = [
+            [("ID", int(elt.get("ID"))), ("superFEName", elt.get("superFEName")),
+             ("subFEName", elt.get("subFEName")), ("supID", int(elt.get("supID"))),
+             ("subID", int(elt.get("subID"))), ("_type", "ferelation")]
+            for elt in _children(rel_elt, "FERelation")
+        ]
+        got = [list(dict.items(ferel))[:6] for ferel in ferels]
+        assert got == expected, rel.ID
+        for ferel in ferels:
+            assert list(ferel) == [
+                "ID", "superFEName", "subFEName", "supID", "subID", "_type",
+                "frameRelation", "superFE", "subFE",
+            ]
+            assert dict.__getitem__(ferel, "frameRelation") is rel
+            assert isinstance(dict.__getitem__(ferel, "superFE"), Lazy)
+            assert isinstance(dict.__getitem__(ferel, "subFE"), Lazy)
+            checked += 1
+    assert checked == raw(data_dir, "frRelation.xml").count(b"<FERelation ")
+    assert checked > 10
+
+
+# Record attributes that break a rule, one case per rule the readers check:
+# (parser, record start tag, exception class, message).  Where a record breaks
+# two rules, the first in field order wins, and a duplicate LU ID comes before
+# the LU's other attributes.
+_LU = '<lu ID="1" name="a.v" frameID="7" frameName="F" status="S"/>'
+_FE_REL = '<FERelation ID="3" superFEName="X" subFEName="Y" supID="3" subID="4"/>'
+ATTRIBUTE_ERRORS = [
+    (_LU.replace(' name="a.v"', ""), ParseError, "<lu> is missing required attribute 'name'"),
+    (_LU.replace('ID="1"', 'ID=""'), ParseError, "<lu> attribute 'ID' is not an integer: ''"),
+    (_LU.replace('frameID="7"', 'frameID="7x"'), ParseError,
+     "<lu> attribute 'frameID' is not an integer: '7x'"),
+    (_LU.replace(' frameID="7"', ""), ParseError, "<lu> is missing required attribute 'frameID'"),
+    (_LU.replace(' frameName="F"', ""), ParseError,
+     "<lu> is missing required attribute 'frameName'"),
+    (_LU.replace(' ID="1"', "").replace(' name="a.v"', ""), ParseError,
+     "<lu> is missing required attribute 'ID'"),
+    (_LU + _LU.replace(' name="a.v"', ""), IntegrityError, "duplicate lexical unit ID 1"),
+    (_LU.replace('ID="1"', 'ID="2"') + _LU.replace(' frameName="F"', ""), ParseError,
+     "<lu> is missing required attribute 'frameName'"),
+    (_FE_REL.replace('ID="3"', 'ID="x"', 1), ParseError,
+     "<FERelation> attribute 'ID' is not an integer: 'x'"),
+    (_FE_REL.replace(' superFEName="X"', "").replace('subID="4"', 'subID="y"'), ParseError,
+     "<FERelation> is missing required attribute 'superFEName'"),
+    (_FE_REL.replace(' subFEName="Y"', ""), ParseError,
+     "<FERelation> is missing required attribute 'subFEName'"),
+    (_FE_REL.replace('supID="3"', 'supID=""'), ParseError,
+     "<FERelation> attribute 'supID' is not an integer: ''"),
+    (_FE_REL.replace(' subID="4"', ""), ParseError,
+     "<FERelation> is missing required attribute 'subID'"),
+]
+
+
+def _attribute_error_doc(records):
+    if records.startswith("<lu "):
+        return parse_lu_index, "luIndex.xml", f'<luIndex xmlns="{FN}">{records}</luIndex>'
+    body = (
+        '<frameRelationType ID="5" name="T" superFrameName="P" subFrameName="C">'
+        '<frameRelation ID="1" superFrameName="A" subFrameName="B" supID="1" subID="2">'
+        f"{records}</frameRelation></frameRelationType>"
+    )
+    doc = f'<frameRelations xmlns="{FN}">{body}</frameRelations>'
+    return parse_relations_file, "frRelation.xml", doc
+
+
+@pytest.mark.parametrize("records, error, message", ATTRIBUTE_ERRORS)
+def test_registry_attribute_errors_keep_their_messages(records, error, message):
+    parse, source, doc = _attribute_error_doc(records)
+    with pytest.raises(error) as info:
+        parse(doc.encode())
+    assert type(info.value) is error
+    assert str(info.value) == f"{source}: {message}"
+
+
+def test_concurrent_first_reads_of_fe_relations_build_one_list(data_dir):
+    data = raw(data_dir, "frRelation.xml")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rels = [rel for rtype in parse_relations_file(data) for rel in rtype.frameRelations]
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append([rel.feRelations for rel in rels])
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(seen) == 4
+            assert any(seen[0])
+            for rel, *lists in zip(rels, *seen):
+                assert all(ferels is lists[0] for ferels in lists), rel.ID
+                assert rel.feRelations is lists[0]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # ------------------------------------------------------------ streamed parsers
 
 FN = "http://framenet.icsi.berkeley.edu"
@@ -749,18 +891,22 @@ def _streamed_input(root, case):
 def _record_ids(rows):
     """The IDs of what a streamed parser returned: relations for the registry."""
     if rows and isinstance(rows[0], tuple):
-        return [fid for fid, _ in rows]
+        return [row[0] for row in rows]
     if rows and "frameRelations" in rows[0]:
         return [rel.ID for rtype in rows for rel in rtype.frameRelations]
     return [row.ID for row in rows]
 
 
 def _plain(value):
-    """``value`` with lazy references and back-links left out, for comparison."""
+    """``value`` with lazy references and back-links left out, for comparison.
+
+    A relation's FE mappings are read, as building them resolves nothing.
+    """
     if isinstance(value, Record):
         return {
-            key: _plain(item) for key, item in dict.items(value)
-            if not isinstance(item, (Lazy, Record))
+            key: _plain(value[key] if key == "feRelations" else item)
+            for key, item in dict.items(value)
+            if key == "feRelations" or not isinstance(item, (Lazy, Record))
         }
     if isinstance(value, list):
         return [_plain(item) for item in value]

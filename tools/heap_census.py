@@ -6,7 +6,9 @@ while keeping the lexicon alive, collects garbage, and prints:
 
 - held MB: memory still allocated since the lexicon was opened (tracemalloc);
 - GC-tracked objects: ``len(gc.get_objects())`` after the sweep;
-- ``Record``s by kind tag, kindless ones (labels, layers, index rows) as "-".
+- ``Record``s by kind tag, kindless ones (lexemes, sentence counts,
+  subcorpora, labels, layers, document index rows) as "-".  LU index rows
+  are plain tuples, so they are not counted here.
 
 Usage (from the root of a checkout; stdlib only, no install needed):
 
