@@ -18,9 +18,9 @@ resolves once under the same lock and keeps its value on the stub, not in the
 memo.  So concurrent first accesses to the same entity parse its file exactly
 once and repeated lookups return the identical cached record.
 
-The index files and the relation registry are streamed by ``xmlio``, with
-no element tree.  LU index rows are plain tuples whose fields sit at the
-``xmlio.LU_*`` positions; the other tables' rows are records.  The store
+Every file is streamed by ``xmlio``, with no element tree.  LU index rows
+are plain tuples whose fields sit at the ``xmlio.LU_*`` positions; the other
+tables' rows are records.  The store
 keys each table's rows by ID and files relations by frame, reading the
 relations' plain fields with ``dict``'s own lookup, not
 ``Record.__getitem__``'s check for lazy values.  A relation's FE mapping
@@ -365,6 +365,8 @@ class Store:
         )
         if doc["ID"] != row.ID:
             raise IntegrityError(f"{relpath}: file header carries ID {doc['ID']}")
+        if doc["corpusID"] != row.corpusID:
+            raise IntegrityError(f"{relpath}: file header carries corpus ID {doc['corpusID']}")
         return doc
 
     # ------------------------------------------------------------ relations

@@ -10,15 +10,13 @@ A frame resolver is called as ``frame_resolver(frame_id, frame_name, source,
 referrer)`` and a semantic type lookup as ``semtype_lookup(st_id, st_name,
 source, referrer)``, ``referrer`` being the record that holds the reference.
 
-Files are read in one of two ways.  The frame, LU and full-text indexes and
-the relation registry hold their records in attributes only, so they are
-streamed: ``_stream`` makes one expat pass and builds each record at its
-start tag, with no element tree.  The semantic type registry and the frame,
-LU exemplar and full-text files carry text content (definitions, sentence
-text), so ``_parse_root`` parses them into an element tree.  Both drop
-namespaces from tag and attribute names, and both report errors in the same
-words and order: XML that is not well-formed first, then a wrong root
-element, then the first record that breaks a rule.
+Every file is read in one expat pass, ``_read``, with no element tree and
+with namespaces dropped from tag and attribute names.  The LU and full-text
+indexes and the relation registry build each record at its start tag.  The
+other files keep only the attributes and text that their records need, as a
+small tree of nodes, and build the records once the file is read.  Either
+way errors come in the same words and order: XML that is not well-formed
+first, then a wrong root element, then the first record that breaks a rule.
 
 The parsers read a fixed subset of elements and attributes.  Anything else in
 a file (editorial attributes, embedded relation references inside frame files,
@@ -45,9 +43,10 @@ records on first read.
 Registry rows are compact too.  The frame index is ``(ID, name)`` pairs and
 the LU index plain ``LU_FIELDS`` tuples.  Each ``<FERelation>`` is checked at
 its start tag and kept as an attribute tuple; a relation's ``feRelations`` is
-a ``Lazy`` that builds its FE-relation records on first read.  These hot start tags read
-their attributes directly and fall back to ``_int`` and ``_req_attr`` only
-when a lookup fails, so every error keeps its message and precedence.
+a ``Lazy`` that builds its FE-relation records on first read.  Labels, LU
+index rows and FE mappings, the most numerous records, read their attributes
+directly and fall back to ``_int`` and ``_req_attr`` only when a lookup or a
+check fails, so every error keeps its message and precedence.
 """
 
 import html
@@ -55,7 +54,6 @@ import re
 import sys
 from functools import partial
 from operator import itemgetter
-from xml.etree import ElementTree
 from xml.parsers import expat
 
 from .errors import CorpusError, IntegrityError, ParseError
@@ -102,30 +100,6 @@ def lu_url(lu_id):
 # ---------------------------------------------------------------- plumbing
 
 
-def _parse_root(data, source, expected_tag):
-    try:
-        root = ElementTree.fromstring(data)
-    except ElementTree.ParseError as exc:
-        line, column = getattr(exc, "position", (0, 0))
-        raise ParseError(
-            f"{source or '<data>'}: line {line}: not well-formed XML ({exc.msg})"
-        ) from None
-    except (LookupError, ValueError) as exc:
-        # An unknown or unsupported encoding declaration.
-        raise ParseError(f"{source or '<data>'}: cannot decode XML ({exc})") from None
-    plain_names = set()
-    for elt in root.iter():
-        if "}" in elt.tag:
-            elt.tag = elt.tag.split("}", 1)[1]
-        if not plain_names.issuperset(elt.attrib):
-            _strip_attrs(elt.attrib, plain_names)
-    if root.tag != expected_tag:
-        raise ParseError(
-            f"{source or '<data>'}: expected a <{expected_tag}> document, got <{root.tag}>"
-        )
-    return root
-
-
 def _strip_attrs(attrs, plain_names):
     """Drop the namespace from ``attrs``' names, in place.
 
@@ -139,31 +113,41 @@ def _strip_attrs(attrs, plain_names):
             plain_names.add(key)
 
 
+class _Anywhere(dict):
+    """A schema or handler table that applies at any depth below its element,
+    as ``Element.iter`` searches; a plain one applies to its children only."""
+
+    __slots__ = ()
+
+
+# The schema key naming the child element whose text a node keeps.
+_TEXT = "#text"
+
 _NO_HANDLERS = {}
 
 
-def _stream(data, source, root_tag, handlers, anywhere=True):
+def _read(data, source, root_tag, schema):
     """One expat pass over a ``<root_tag>`` document, with no element tree.
 
-    At each start tag below the root, ``handlers[tag](tag, attrs)`` is called,
-    with the tag and attribute names stripped of namespaces as ``_parse_root``
-    strips them.  A handler may return the table of handlers for its element's
-    content.  Otherwise that content is searched with the same table if
-    ``anywhere``, as ``Element.iter`` searches, and not at all if not, as a
-    loop over an element's children searches.
-
-    Errors come in ``_parse_root``'s order: XML that is not well-formed, then a
-    wrong root, then the first ``CorpusError`` a handler raised.  No handler
-    is called after that error.
+    Returns the root as a node of ``schema`` (see ``_node``), with tag and
+    attribute names stripped of namespaces.  A handler, called at a start tag
+    with the attributes, may return the handler table for its element's
+    content, or a list, to which the element's text is then appended as
+    ``Element.text`` holds it: the character data before its first child.
+    Otherwise that content is searched with the same table if it is an
+    ``_Anywhere`` one, and not at all if not.  Errors come in a fixed order:
+    XML that is not well-formed, then a wrong root, then the first
+    ``CorpusError`` a handler raised; no handler is called after that.
     """
     where = source or "<data>"
     parser = expat.ParserCreate(namespace_separator="}")
     local_names = {}
     plain_names = set()
+    found = []
     # The table for the content of each open element whose end is tracked.
     # Ends are tracked from the first element whose content gets a table of
     # its own; until then every open element's content has the root's table.
-    tables = [handlers]
+    tables = [_node(found, root_tag, schema, None)]
     tracking = False
     failure = None
 
@@ -174,8 +158,10 @@ def _stream(data, source, root_tag, handlers, anywhere=True):
             failure = ParseError(f"{where}: expected a <{root_tag}> document, got <{local}>")
             parser.StartElementHandler = None
             return
+        _strip_attrs(attrs, plain_names)
+        found[0][1] = attrs
         parser.StartElementHandler = start
-        if not anywhere:
+        if type(schema) is not _Anywhere:
             tracking = True
             parser.EndElementHandler = end
 
@@ -191,7 +177,7 @@ def _stream(data, source, root_tag, handlers, anywhere=True):
             if not plain_names.issuperset(attrs):
                 _strip_attrs(attrs, plain_names)
             try:
-                content = handler(local, attrs)
+                content = handler(attrs)
             except CorpusError as exc:
                 failure = exc
                 parser.StartElementHandler = parser.EndElementHandler = None
@@ -199,7 +185,13 @@ def _stream(data, source, root_tag, handlers, anywhere=True):
         if content is None:
             if not tracking:
                 return
-            content = table if anywhere else _NO_HANDLERS
+            content = table if type(table) is _Anywhere else _NO_HANDLERS
+        elif type(content) is list:
+            # Collect the element's text until its first child or its end.
+            tracking = True
+            parser.CharacterDataHandler = content.append
+            parser.StartElementHandler, parser.EndElementHandler = text_start, text_end
+            content = _NO_HANDLERS
         elif not tracking:
             tracking = True
             parser.EndElementHandler = end
@@ -209,18 +201,26 @@ def _stream(data, source, root_tag, handlers, anywhere=True):
         if len(tables) > 1:
             tables.pop()
 
-    def skipped_entity(name, is_parameter_entity):
-        # Expat skips a reference that an external DTD may declare, where
-        # ElementTree calls it undefined; report it as ElementTree does.
-        if not is_parameter_entity:
-            ref = f"&{name};".encode()[:100].decode(errors="replace")
-            line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
-            exc = expat.ExpatError(f"undefined entity {ref}: line {line}, column {column}")
-            exc.lineno = line
-            raise exc
+    def end_text(handler, *args):
+        parser.CharacterDataHandler = None
+        parser.StartElementHandler, parser.EndElementHandler = start, end
+        handler(*args)
+
+    text_start, text_end = partial(end_text, start), partial(end_text, end)
+
+    def undefined_entity(name):
+        # Expat skips a reference that an external DTD may declare, and one to an
+        # external entity, where ElementTree calls both undefined; do as it does.
+        ref = f"&{name};".encode()[:100].decode(errors="replace")
+        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+        exc = expat.ExpatError(f"undefined entity {ref}: line {line}, column {column}")
+        exc.lineno = line
+        raise exc
 
     parser.StartElementHandler = root
-    parser.SkippedEntityHandler = skipped_entity
+    parser.SkippedEntityHandler = lambda name, is_parameter: is_parameter or undefined_entity(name)
+    # An external entity's context ends with its name.
+    parser.ExternalEntityRefHandler = lambda context, *_: undefined_entity(context.split("\f")[-1])
     try:
         parser.Parse(data, True)
     except expat.ExpatError as exc:
@@ -228,8 +228,46 @@ def _stream(data, source, root_tag, handlers, anywhere=True):
     except (LookupError, ValueError) as exc:
         # An unknown or unsupported encoding declaration.
         raise ParseError(f"{where}: cannot decode XML ({exc})") from None
+    finally:
+        # The handlers refer to the parser and to each other: break those
+        # cycles, so that the nodes are freed now, not by the garbage collector.
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
+        text_start = text_end = None
     if failure is not None:
         raise failure
+    return found[0]
+
+
+def _node(siblings, tag, schema, attrs):
+    """A handler: the element goes to ``siblings`` as ``[tag, attrs, text,
+    leaves, nodes]``, keeping the children that ``schema`` names.
+
+    Where ``schema[child]`` is None, ``leaves[child]`` lists those children's
+    attributes; where it is a schema, ``nodes`` holds them as nodes of that
+    schema, in file order; where it is a function, it is their handler.
+    ``text`` is the text of the first ``schema[_TEXT]`` child as a list of
+    parts, None without one.  An ``_Anywhere`` schema keeps them at any depth.
+    """
+    node = [tag, attrs, None, {}, []]
+    siblings.append(node)
+    table = type(schema)()
+    for child, kept in schema.items():
+        if child == _TEXT:
+            table[kept] = partial(_first_text, node)
+        elif kept is None:
+            table[child] = node[3].setdefault(child, []).append
+        elif callable(kept):
+            table[child] = kept
+        else:
+            table[child] = partial(_node, node[4], child, kept)
+    return table
+
+
+def _first_text(node, attrs):
+    if node[2] is None:
+        node[2] = []
+        return node[2]
 
 
 def _req_attr(tag, attrs, name, source):
@@ -250,28 +288,18 @@ def _int(tag, attrs, name, source, default=...):
         raise ParseError(f"{source}: <{tag}> attribute {name!r} is not an integer: {value!r}")
 
 
-def _child_text(elt, tag):
-    child = elt.find(tag)
-    if child is None or child.text is None:
-        return ""
-    return child.text
-
-
 # ---------------------------------------------------------------- indexes
 
 
 def parse_frame_index(data, source="frameIndex.xml"):
     """The frame index: a list of (frame ID, frame name) in file order."""
     names = {}
-
-    def frame(tag, attrs):
-        fid = _int(tag, attrs, "ID", source)
-        name = _req_attr(tag, attrs, "name", source)
+    for attrs in _read(data, source, "frameIndex", _Anywhere(frame=None))[3]["frame"]:
+        fid = _int("frame", attrs, "ID", source)
+        name = _req_attr("frame", attrs, "name", source)
         if fid in names:
             raise IntegrityError(f"{source}: duplicate frame ID {fid}")
         names[fid] = name
-
-    _stream(data, source, "frameIndex", {"frame": frame})
     return list(names.items())
 
 
@@ -286,7 +314,7 @@ def parse_lu_index(data, source="luIndex.xml"):
     rows = {}
     intern = sys.intern
 
-    def lu(tag, attrs):
+    def lu(attrs):
         try:
             lu_id, name, frame_id = int(attrs["ID"]), attrs["name"], int(attrs["frameID"])
             frame_name = attrs["frameName"]
@@ -294,16 +322,16 @@ def parse_lu_index(data, source="luIndex.xml"):
             lu_id = None
         if lu_id is None or lu_id in rows:
             # The checked readers, in the order their errors take precedence.
-            lu_id = _int(tag, attrs, "ID", source)
+            lu_id = _int("lu", attrs, "ID", source)
             if lu_id in rows:
                 raise IntegrityError(f"{source}: duplicate lexical unit ID {lu_id}")
-            name = _req_attr(tag, attrs, "name", source)
-            frame_id = _int(tag, attrs, "frameID", source)
-            frame_name = _req_attr(tag, attrs, "frameName", source)
+            name = _req_attr("lu", attrs, "name", source)
+            frame_id = _int("lu", attrs, "frameID", source)
+            frame_name = _req_attr("lu", attrs, "frameName", source)
         # Frame names and statuses repeat across rows, so they are interned.
         rows[lu_id] = (lu_id, name, frame_id, intern(frame_name), intern(attrs.get("status", "")))
 
-    _stream(data, source, "luIndex", {"lu": lu})
+    _read(data, source, "luIndex", _Anywhere(lu=lu))
     return list(rows.values())
 
 
@@ -315,17 +343,17 @@ def parse_fulltext_index(data, source="fulltextIndex.xml"):
     """
     corpora = []  # (corpus attributes, its documents' attributes), start tag order
 
-    def corpus(open_corpora, tag, attrs):
+    def corpus(open_corpora, attrs):
         docs = []
         corpora.append((attrs, docs))
         inside = open_corpora + [docs]
-        return {"corpus": partial(corpus, inside), "document": partial(document, inside)}
+        return _Anywhere(corpus=partial(corpus, inside), document=partial(document, inside))
 
-    def document(open_corpora, tag, attrs):
+    def document(open_corpora, attrs):
         for docs in open_corpora:
             docs.append(attrs)
 
-    _stream(data, source, "fulltextIndex", {"corpus": partial(corpus, [])})
+    _read(data, source, "fulltextIndex", _Anywhere(corpus=partial(corpus, [])))
     rows = []
     seen = set()
     for attrs, docs in corpora:
@@ -350,6 +378,13 @@ def parse_fulltext_index(data, source="fulltextIndex.xml"):
 
 # ---------------------------------------------------------------- frames
 
+# What ``_read`` keeps of the files with text: see ``_node``.
+_DEFINED = {_TEXT: "definition", "semType": None}
+_FRAME = dict(_DEFINED, FE=_DEFINED, FEcoreSet=_Anywhere(memberFE=None))
+_FRAME["lexUnit"] = {_TEXT: "definition", "sentenceCount": None, "lexeme": None}
+_SENTENCE = {_TEXT: "text", "annotationSet": {"layer": {"label": None}}}
+_FULLTEXT = {"header": {"corpus": {"document": None}}, "sentence": _SENTENCE}
+
 
 def parse_frame_file(
     data,
@@ -368,14 +403,17 @@ def parse_frame_file(
     callback is optional; the matching attributes then fail if forced, except
     that an LU with a zero sentence count resolves to empty lists eagerly.
     """
-    root = _parse_root(data, source, "frame")
-    name = _req_attr(root.tag, root.attrib, "name", source)
-    frame_id = _int(root.tag, root.attrib, "ID", source)
-    markup = _child_text(root, "definition")
+    root = _read(data, source, "frame", _FRAME)
+    _, attrs, definition, leaves, members = root
+    # The frame is built once the file is read, so its errors come in the
+    # order of the fields read: the frame's own, then FEs and LUs, then core sets.
+    name = _req_attr("frame", attrs, "name", source)
+    frame_id = _int("frame", attrs, "ID", source)
+    markup = "".join(definition or ())
 
     frame = Record()
-    frame["cBy"] = root.get("cBy", "")
-    frame["cDate"] = root.get("cDate", "")
+    frame["cBy"] = attrs.get("cBy", "")
+    frame["cDate"] = attrs.get("cDate", "")
     frame["name"] = name
     frame["ID"] = frame_id
     frame["_type"] = "frame"
@@ -385,22 +423,23 @@ def parse_frame_file(
     frame["FE"] = {}
     frame["FEcoreSets"] = []
     frame["lexUnit"] = {}
-    refs = _semtype_refs(root, source, frame, semtype_lookup, "semantic type references")
+    what = "semantic type references"
+    refs = _semtype_refs(leaves["semType"], source, frame, semtype_lookup, what)
     frame["semTypes"] = Lazy(_resolve_all, refs) if refs else []
     frame["URL"] = frame_url(name)
 
     fe_ids = set()
-    for elt in root:
-        if elt.tag == "FE":
-            fe = _parse_fe(elt, source, frame, semtype_lookup)
+    for node in members:
+        if node[0] == "FE":
+            fe = _parse_fe(node, source, frame, semtype_lookup)
             if fe.name in frame["FE"] or fe.ID in fe_ids:
                 raise IntegrityError(
                     f"{source}: duplicate frame element {fe.name!r} ({fe.ID}) in frame {name!r}"
                 )
             fe_ids.add(fe.ID)
             frame["FE"][fe.name] = fe
-        elif elt.tag == "lexUnit":
-            lu = _parse_lu_stub(elt, source, frame, exemplar_loader)
+        elif node[0] == "lexUnit":
+            lu = _parse_lu_stub(node, source, frame, exemplar_loader)
             if lu.name in frame["lexUnit"]:
                 raise IntegrityError(
                     f"{source}: duplicate lexical unit {lu.name!r} in frame {name!r}"
@@ -408,18 +447,16 @@ def parse_frame_file(
             frame["lexUnit"][lu.name] = lu
 
     # Core set membership refers to FEs by name, so resolve after the FE pass.
-    for elt in root:
-        if elt.tag != "FEcoreSet":
-            continue
-        members = []
-        for member in elt.iter("memberFE"):
-            member_name = _req_attr(member.tag, member.attrib, "name", source)
+    for core_set in (node[3]["memberFE"] for node in members if node[0] == "FEcoreSet"):
+        core = []
+        for member in core_set:
+            member_name = _req_attr("memberFE", member, "name", source)
             if member_name not in frame["FE"]:
                 raise IntegrityError(
                     f"{source}: core set of frame {name!r} names unknown FE {member_name!r}"
                 )
-            members.append(frame["FE"][member_name])
-        frame["FEcoreSets"].append(members)
+            core.append(frame["FE"][member_name])
+        frame["FEcoreSets"].append(core)
 
     return frame
 
@@ -431,14 +468,13 @@ def _ref(resolve, what, *args):
     return Lazy(resolve, *args)
 
 
-def _semtype_refs(elt, source, referrer, semtype_lookup, what):
-    """One reference per ``<semType>`` child of ``elt``, in file order."""
+def _semtype_refs(semtypes, source, referrer, semtype_lookup, what):
+    """One reference per ``<semType>``'s attributes, in file order."""
     refs = []
-    for child in elt:
-        if child.tag == "semType":
-            st_id = _int(child.tag, child.attrib, "ID", source)
-            st_name = _req_attr(child.tag, child.attrib, "name", source)
-            refs.append(_ref(semtype_lookup, what, st_id, st_name, source, referrer))
+    for attrs in semtypes:
+        st_id = _int("semType", attrs, "ID", source)
+        st_name = _req_attr("semType", attrs, "name", source)
+        refs.append(_ref(semtype_lookup, what, st_id, st_name, source, referrer))
     return refs
 
 
@@ -446,57 +482,57 @@ def _resolve_all(refs):
     return [ref.resolve() for ref in refs]
 
 
-def _parse_fe(elt, source, frame, semtype_lookup):
-    core_type = _req_attr(elt.tag, elt.attrib, "coreType", source)
+def _parse_fe(node, source, frame, semtype_lookup):
+    _, attrs, definition, leaves, _ = node
+    core_type = _req_attr("FE", attrs, "coreType", source)
     if core_type not in CORE_TYPES:
         raise IntegrityError(
-            f"{source}: frame element {elt.get('name')!r} has unknown coreType {core_type!r}"
+            f"{source}: frame element {attrs.get('name')!r} has unknown coreType {core_type!r}"
         )
-    markup = _child_text(elt, "definition")
+    markup = "".join(definition or ())
     fe = Record()
-    fe["cBy"] = elt.get("cBy", "")
-    fe["cDate"] = elt.get("cDate", "")
-    fe["abbrev"] = elt.get("abbrev", "")
-    fe["name"] = _req_attr(elt.tag, elt.attrib, "name", source)
-    fe["ID"] = _int(elt.tag, elt.attrib, "ID", source)
+    fe["cBy"] = attrs.get("cBy", "")
+    fe["cDate"] = attrs.get("cDate", "")
+    fe["abbrev"] = attrs.get("abbrev", "")
+    fe["name"] = _req_attr("FE", attrs, "name", source)
+    fe["ID"] = _int("FE", attrs, "ID", source)
     fe["_type"] = "fe"
     fe["coreType"] = core_type
     fe["definition"] = strip_markup(markup)
     fe["definitionMarkup"] = markup
     what = f"semantic type of FE {fe['name']!r}"
-    refs = _semtype_refs(elt, source, fe, semtype_lookup, what)
+    refs = _semtype_refs(leaves["semType"], source, fe, semtype_lookup, what)
     fe["semType"] = refs[0] if refs else None
     fe["frame"] = frame
     return fe
 
 
-def _parse_lu_stub(elt, source, frame, exemplar_loader):
-    markup = _child_text(elt, "definition")
-    count = elt.find("sentenceCount")
-    counts = count.attrib if count is not None else {}
+def _parse_lu_stub(node, source, frame, exemplar_loader):
+    _, attrs, definition, leaves, _ = node
+    markup = "".join(definition or ())
+    counts = next(iter(leaves["sentenceCount"]), {})
     annotated = _int("sentenceCount", counts, "annotated", source, 0)
     total = _int("sentenceCount", counts, "total", source, 0)
     if annotated > total:
         raise IntegrityError(
-            f"{source}: lexical unit {elt.get('name')!r} has annotated > total sentence count"
+            f"{source}: lexical unit {attrs.get('name')!r} has annotated > total sentence count"
         )
     lexemes = [
         Record(
-            name=_req_attr(lex.tag, lex.attrib, "name", source),
+            name=_req_attr("lexeme", lex, "name", source),
             POS=lex.get("POS", ""),
             headword=lex.get("headword", "false") == "true",
             breakBefore=lex.get("breakBefore", "false") == "true",
-            order=_int(lex.tag, lex.attrib, "order", source, 1),
+            order=_int("lexeme", lex, "order", source, 1),
         )
-        for lex in elt
-        if lex.tag == "lexeme"
+        for lex in leaves["lexeme"]
     ]
 
     lu = Record()
-    lu["status"] = elt.get("status", "")
-    lu["POS"] = elt.get("POS", "")
-    lu["name"] = _req_attr(elt.tag, elt.attrib, "name", source)
-    lu["ID"] = _int(elt.tag, elt.attrib, "ID", source)
+    lu["status"] = attrs.get("status", "")
+    lu["POS"] = attrs.get("POS", "")
+    lu["name"] = _req_attr("lexUnit", attrs, "name", source)
+    lu["ID"] = _int("lexUnit", attrs, "ID", source)
     lu["_type"] = "lu"
     lu["definition"] = strip_markup(markup)
     lu["definitionMarkup"] = markup
@@ -529,8 +565,18 @@ _STRICT_SPAN_LAYERS = frozenset(_MIRRORED_VIEWS + POS_TAGSET_LAYERS)
 _START_END = itemgetter(0, 1)
 
 
-def _parse_label(elt, source, layer_name, text_len, sent_id):
-    tag, attrs = elt.tag, elt.attrib
+def _parse_label(attrs, source, layer_name, text_len, sent_id, fe_ids):
+    try:  # Most labels: a span inside the text, naming a known FE if any.
+        span = (int(attrs["start"]), int(attrs["end"]), sys.intern(attrs["name"]))
+        fe_id = attrs.get("feID")
+        if 0 <= span[0] <= span[1] < text_len and "itype" not in attrs:
+            if fe_id is None:
+                return span
+            if fe_ids is None or int(fe_id) in fe_ids:
+                return span, int(fe_id)
+    except (KeyError, ValueError):
+        pass  # Read again below, field by field, to name the fault.
+    tag = "label"
     start = _int(tag, attrs, "start", source, None)
     end = _int(tag, attrs, "end", source, None)
     name = _req_attr(tag, attrs, "name", source)
@@ -549,12 +595,15 @@ def _parse_label(elt, source, layer_name, text_len, sent_id):
         problem = "has both a span and itype"
     elif end >= text_len:
         problem = "spans past the end of the text"
+    if problem is None:
+        fe_id = _int(tag, attrs, "feID", source, None)
+        if fe_id is not None and fe_ids is not None and fe_id not in fe_ids:
+            problem = f"names unknown FE ID {fe_id}"
     if problem is not None:
         raise IntegrityError(
             f"{source}: sentence {sent_id}: label {name!r} on layer {layer_name!r} {problem}"
         )
     name = sys.intern(name)
-    fe_id = _int(tag, attrs, "feID", source, None)
     if start is not None:
         span = (start, end, name)
         return span if fe_id is None else (span, fe_id)
@@ -566,32 +615,26 @@ def _parse_label(elt, source, layer_name, text_len, sent_id):
     return label
 
 
-def _parse_layers(elt, source, text_len, sent_id):
-    """A set's layer atoms, and its labels grouped by layer name.
-
-    The atoms are ``((rank, name, labels), ...)``, with ``labels`` as
-    ``_parse_label`` returns them.  ``groups[name]`` lists one ``(rank, spans,
-    unspanned labels)`` per layer of that name; ``spans`` are the ``(start,
-    end, label name)`` tuples of its spanned labels.  Everything is in file
-    order.
+def _parse_layers(layer_nodes, source, text_len, sent_id, fe_ids):
+    """A set's layer atoms, ``((rank, name, labels), ...)`` with ``labels`` as
+    ``_parse_label`` returns them, and its labels grouped by layer name:
+    ``groups[name]`` lists one ``(rank, spans, unspanned labels)`` per layer of
+    that name, ``spans`` being its ``(start, end, label name)`` tuples.
+    Everything is in file order.
     """
     layers = []
     groups = {}
-    for child in elt:
-        if child.tag != "layer":
-            continue
-        layer_name = sys.intern(_req_attr(child.tag, child.attrib, "name", source))
+    for _, layer_attrs, _, leaves, _ in layer_nodes:
+        layer_name = sys.intern(_req_attr("layer", layer_attrs, "name", source))
         labels, spans, unspanned = [], [], []
-        for label_elt in child:
-            if label_elt.tag != "label":
-                continue
-            label = _parse_label(label_elt, source, layer_name, text_len, sent_id)
+        for attrs in leaves["label"]:
+            label = _parse_label(attrs, source, layer_name, text_len, sent_id, fe_ids)
             labels.append(label)
             if isinstance(label, Record):
                 unspanned.append(label)
             else:
                 spans.append(label if len(label) == 3 else label[0])
-        rank = _int(child.tag, child.attrib, "rank", source, 1)
+        rank = _int("layer", layer_attrs, "rank", source, 1)
         layers.append((rank, layer_name, tuple(labels)))
         groups.setdefault(layer_name, []).append((rank, spans, unspanned))
     return tuple(layers), groups
@@ -648,49 +691,41 @@ def _add_views(aset, groups):
                 aset[pos_layer] = pos_spans
 
 
-def _parse_annotation_set(elt, source, sent, link):
+def _parse_annotation_set(node, source, sent, link, fe_ids):
+    _, attrs, _, _, layer_nodes = node
     aset = Record()
-    aset["ID"] = _int(elt.tag, elt.attrib, "ID", source)
-    aset["status"] = elt.get("status", "")
+    aset["ID"] = _int("annotationSet", attrs, "ID", source)
+    aset["status"] = attrs.get("status", "")
     aset["_type"] = "annotationset"
-    link(elt, aset)
+    link(attrs, aset)
     aset["sent"] = sent
-    layers, groups = _parse_layers(elt, source, len(sent["text"]), sent["ID"])
+    layers, groups = _parse_layers(layer_nodes, source, len(sent["text"]), sent["ID"], fe_ids)
     aset["layer"] = Lazy(_layer_records, layers)
     _add_views(aset, groups)
     return aset
 
 
-def _parse_sentence(elt, source, link, doc=None):
-    """A sentence record; ``doc`` is the owning document of a full-text one.
-
-    ``link(elt, record)`` adds the LU and frame references to each annotation
-    set, and to a lexicographic sentence itself.
+def _parse_sentence(node, source, link, doc=None, fe_ids=None):
+    """A sentence record from its node; ``doc`` is the owning document of a
+    full-text one, and ``fe_ids`` the FE IDs that labels may name, if known.
+    ``link(attrs, record)`` adds the LU and frame references to each
+    annotation set, and to a lexicographic sentence itself.
     """
+    _, attrs, text, _, set_nodes = node
     fulltext = doc is not None
-    tag, attrs = elt.tag, elt.attrib
     sent = Record()
-    if fulltext:
-        sent["corpID"] = _int(tag, attrs, "corpID", source, None)
-        sent["docID"] = _int(tag, attrs, "docID", source, None)
-    sent["sentNo"] = _int(tag, attrs, "sentNo", source, None)
-    if fulltext:
-        sent["paragNo"] = _int(tag, attrs, "paragNo", source, None)
-    sent["aPos"] = _int(tag, attrs, "aPos", source, None)
-    sent["ID"] = _int(tag, attrs, "ID", source)
+    keys = ("corpID", "docID", "sentNo", "paragNo", "aPos") if fulltext else ("sentNo", "aPos")
+    for key in keys:
+        sent[key] = _int("sentence", attrs, key, source, None)
+    sent["ID"] = _int("sentence", attrs, "ID", source)
     sent["_type"] = "fulltext_sentence" if fulltext else "sentence"
-    text_elt = elt.find("text")
-    if text_elt is None:
+    if text is None:
         raise ParseError(f"{source}: sentence {sent['ID']} has no <text> element")
-    sent["text"] = text_elt.text or ""
+    sent["text"] = "".join(text)
     if not fulltext:
-        link(elt, sent)
+        link(attrs, sent)
 
-    asets = [
-        _parse_annotation_set(child, source, sent, link)
-        for child in elt
-        if child.tag == "annotationSet"
-    ]
+    asets = [_parse_annotation_set(set_node, source, sent, link, fe_ids) for set_node in set_nodes]
     sent["annotationSet"] = asets
     first_set = asets[0] if asets else {}
     sent["POS"] = first_set.get("POS", [])
@@ -709,26 +744,27 @@ def parse_lu_file(data, source=None, *, lu=None):
     """One LU exemplar file -> (LU ID, list of subcorpus records).
 
     Every sentence and annotation set links to ``lu`` and its frame; with no
-    ``lu`` those links fail if forced.
+    ``lu`` those links fail if forced.  A label's ``feID`` must name an FE of
+    ``lu``'s frame, when that frame has its FEs.
     """
-    root = _parse_root(data, source, "lexUnit")
-    lu_id = _int(root.tag, root.attrib, "ID", source)
+    root = _read(data, source, "lexUnit", {"subCorpus": {"sentence": _SENTENCE}})
+    lu_id = _int("lexUnit", root[1], "ID", source)
     lu_ref = lu if lu is not None else unbound_lazy("the exemplars' lexical unit")
     frame_ref = lu["frame"] if lu is not None else unbound_lazy("the exemplars' frame")
+    fes = frame_ref.get("FE") if lu is not None else None
+    fe_ids = None if fes is None else {fe["ID"] for fe in fes.values()}
 
-    def link(elt, record):
+    def link(attrs, record):
         record["LU"] = lu_ref
         record["frame"] = frame_ref
 
-    subcorpora = []
-    for sub in root:
-        if sub.tag != "subCorpus":
-            continue
-        sentences = [
-            _parse_sentence(child, source, link) for child in sub if child.tag == "sentence"
-        ]
-        subcorpora.append(Record(name=sub.get("name", ""), sentence=sentences))
-    return lu_id, subcorpora
+    return lu_id, [
+        Record(
+            name=attrs.get("name", ""),
+            sentence=[_parse_sentence(node, source, link, None, fe_ids) for node in sentences],
+        )
+        for _, attrs, _, _, sentences in root[4]
+    ]
 
 
 def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=None):
@@ -739,20 +775,20 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
     ``frame_resolver(frame_id, frame_name, source, aset)``; absent values are
     None.
     """
-    root = _parse_root(data, source, "fullTextAnnotation")
-    header = root.find("header")
-    corpus = header.find("corpus") if header is not None else None
-    doc_elt = corpus.find("document") if corpus is not None else None
-    if doc_elt is None:
+    root = _read(data, source, "fullTextAnnotation", _FULLTEXT)
+    header = next((node for node in root[4] if node[0] == "header"), None)
+    corpus = header[4][0] if header and header[4] else None
+    if not (corpus and corpus[3]["document"]):
         raise ParseError(f"{source}: missing header/corpus/document element")
+    corpus, doc_attrs = corpus[1], corpus[3]["document"][0]
 
-    def link(elt, aset):
+    def link(attrs, aset):
         for key in ("luID", "frameID"):
-            value = _int(elt.tag, elt.attrib, key, source, None)
+            value = _int("annotationSet", attrs, key, source, None)
             if value is not None:
                 aset[key] = value
         for key in ("luName", "frameName"):
-            value = elt.get(key)
+            value = attrs.get(key)
             if value is not None:
                 aset[key] = value
         lu_id, lu_name = aset.get("luID"), aset.get("luName")
@@ -766,15 +802,14 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
             )
 
     doc = Record()
-    doc["ID"] = _int(doc_elt.tag, doc_elt.attrib, "ID", source)
-    doc["name"] = _req_attr(doc_elt.tag, doc_elt.attrib, "name", source)
-    doc["description"] = doc_elt.get("description", "")
+    doc["ID"] = _int("document", doc_attrs, "ID", source)
+    doc["name"] = _req_attr("document", doc_attrs, "name", source)
+    doc["description"] = doc_attrs.get("description", "")
     doc["corpusName"] = corpus.get("name", "")
-    doc["corpusID"] = _int(corpus.tag, corpus.attrib, "ID", source, None)
+    doc["corpusID"] = _int("corpus", corpus, "ID", source, None)
     doc["_type"] = "document"
-    doc["sentences"] = [
-        _parse_sentence(child, source, link, doc) for child in root if child.tag == "sentence"
-    ]
+    sentences = (node for node in root[4] if node[0] == "sentence")
+    doc["sentences"] = [_parse_sentence(node, source, link, doc) for node in sentences]
     return doc
 
 
@@ -790,7 +825,8 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
     """
     types = []
 
-    def relation_type(tag, attrs):
+    def relation_type(attrs):
+        tag = "frameRelationType"
         rtype = Record()
         rtype["ID"] = _int(tag, attrs, "ID", source)
         rtype["name"] = _req_attr(tag, attrs, "name", source)
@@ -801,7 +837,8 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
         types.append(rtype)
         return {"frameRelation": partial(relation, rtype)}
 
-    def relation(rtype, tag, attrs):
+    def relation(rtype, attrs):
+        tag = "frameRelation"
         rel = Record()
         rel["ID"] = _int(tag, attrs, "ID", source)
         rel["type"] = rtype
@@ -810,18 +847,16 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
         rel["supID"] = sup_id = _int(tag, attrs, "supID", source)
         rel["subID"] = sub_id = _int(tag, attrs, "subID", source)
         rel["_type"] = "framerelation"
-        rel["superFrame"] = _ref(
-            frame_resolver, f"frame {sup_name!r}", sup_id, sup_name, source, rel
-        )
-        rel["subFrame"] = _ref(
-            frame_resolver, f"frame {sub_name!r}", sub_id, sub_name, source, rel
-        )
+        what = f"frame {sup_name!r}"
+        rel["superFrame"] = _ref(frame_resolver, what, sup_id, sup_name, source, rel)
+        what = f"frame {sub_name!r}"
+        rel["subFrame"] = _ref(frame_resolver, what, sub_id, sub_name, source, rel)
         mappings = []
         rel["feRelations"] = Lazy(_fe_relation_records, source, rel, mappings)
         rtype["frameRelations"].append(rel)
         return {"FERelation": partial(fe_relation, mappings)}
 
-    def fe_relation(mappings, tag, attrs):
+    def fe_relation(mappings, attrs):
         try:
             mapping = (
                 int(attrs["ID"]),
@@ -832,6 +867,7 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
             )
         except (KeyError, ValueError):
             # The checked readers, to raise the first error in field order.
+            tag = "FERelation"
             mapping = (
                 _int(tag, attrs, "ID", source),
                 _req_attr(tag, attrs, "superFEName", source),
@@ -841,7 +877,7 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
             )
         mappings.append(mapping)
 
-    _stream(data, source, "frameRelations", {"frameRelationType": relation_type}, anywhere=False)
+    _read(data, source, "frameRelations", {"frameRelationType": relation_type})
     return types
 
 
@@ -883,28 +919,25 @@ def parse_semtypes_file(data, source="semTypes.xml"):
     Types form a forest over their ``superType`` links; dangling parents and
     cycles are integrity errors.
     """
-    root = _parse_root(data, source, "semTypes")
+    root = _read(data, source, "semTypes", {"semType": {_TEXT: "definition", "superType": None}})
     types = []
     by_id = {}
     parent_of = {}
-    for elt in root:
-        if elt.tag != "semType":
-            continue
+    for _, attrs, definition, leaves, _ in root[4]:
         st = Record()
-        st["abbrev"] = elt.get("abbrev", "")
-        st["name"] = _req_attr(elt.tag, elt.attrib, "name", source)
-        st["ID"] = _int(elt.tag, elt.attrib, "ID", source)
+        st["abbrev"] = attrs.get("abbrev", "")
+        st["name"] = _req_attr("semType", attrs, "name", source)
+        st["ID"] = _int("semType", attrs, "ID", source)
         st["_type"] = "semtype"
-        st["definition"] = strip_markup(_child_text(elt, "definition"))
+        st["definition"] = strip_markup("".join(definition or ()))
         st["superType"] = None
         st["subTypes"] = []
         if st["ID"] in by_id:
             raise IntegrityError(f"{source}: duplicate semantic type ID {st['ID']}")
         by_id[st["ID"]] = st
         types.append(st)
-        sup = elt.find("superType")
-        if sup is not None:
-            parent_of[st["ID"]] = _int(sup.tag, sup.attrib, "supID", source)
+        if leaves["superType"]:
+            parent_of[st["ID"]] = _int("superType", leaves["superType"][0], "supID", source)
 
     for st_id, sup_id in parent_of.items():
         if sup_id not in by_id:

@@ -7,7 +7,19 @@ import threading
 
 import pytest
 
-from framelex import Store, open_lexicon, open_store
+from framelex import (
+    Store,
+    open_lexicon,
+    open_store,
+    render_annotation_set,
+    render_document,
+    render_frame,
+    render_frame_element,
+    render_fulltext_sentence,
+    render_lexicographic_sentence,
+    render_lu,
+    render_semtype,
+)
 from framelex.cli import run
 from framelex.errors import (
     CorpusError,
@@ -243,6 +255,34 @@ def test_index_header_id_mismatch(data_dir, tmp_path):
         st.get_frame("Revenge")
 
 
+def test_fulltext_corpus_id_mismatch(data_dir, tmp_path):
+    relpath = "fulltext/Tiger_Of_San_Pedro.xml"
+    old = re.search(r'<corpus [^>]*>', (data_dir / relpath).read_text()).group(0)
+    clone = _corrupt_copy(data_dir, tmp_path, relpath, old, re.sub(r'ID="\d+"', 'ID="99999"', old))
+    where = r"fulltext/Tiger_Of_San_Pedro\.xml: file header carries corpus ID 99999$"
+    with pytest.raises(IntegrityError, match=where):
+        Store(clone).get_document(23802)
+    assert _cli_code(clone, "doc", "23802") == 3
+
+
+@pytest.mark.parametrize(
+    "old, label",
+    [
+        ('name="Offender" feID="3012"', "Offender"),
+        ('name="Injury" itype="INI" feID="3018"', "Injury"),
+    ],
+)
+def test_label_naming_unknown_fe_is_an_integrity_error(data_dir, tmp_path, old, label):
+    clone = _corrupt_copy(data_dir, tmp_path, "lu/lu6067.xml", old, old[:-5] + '99999"')
+    where = (
+        rf"lu/lu6067\.xml: sentence 929501: label '{label}' on layer 'FE' "
+        "names unknown FE ID 99999"
+    )
+    with pytest.raises(IntegrityError, match=where):
+        open_lexicon(clone).lu(6067).exemplars
+    assert _cli_code(clone, "lu", "6067") == 3
+
+
 def _cli_code(clone, *args):
     out, err = io.StringIO(), io.StringIO()
     return run(["--data", str(clone), *args], stdin=io.StringIO(), stdout=out, stderr=err)
@@ -262,8 +302,7 @@ def test_missing_file_is_a_corpus_error(data_dir, tmp_path, damage):
     assert _cli_code(clone, "frame", "Omen") == 3
 
 
-# Per file, streamed or tree-parsed: the library call and a CLI command that
-# parse it.
+# Per file: the library call and a CLI command that parse it.
 _TOUCH = {
     "frameIndex.xml": (lambda lex: lex, ("frames",)),
     "luIndex.xml": (lambda lex: lex.store.lu_index(), ("lus",)),
@@ -353,11 +392,134 @@ def test_seeded_attribute_mutations_keep_the_error_contract(data_dir, tmp_path):
     assert runs == 120
 
 
+_RENDER = {
+    "frame": render_frame,
+    "fe": render_frame_element,
+    "lu": render_lu,
+    "sentence": render_lexicographic_sentence,
+    "fulltext_sentence": render_fulltext_sentence,
+    "annotationset": render_annotation_set,
+    "document": render_document,
+    "semtype": render_semtype,
+}
+_NESTED = (dict, list, tuple)
+_FILE_ROOTS = {
+    "frameIndex.xml": lambda lex: lex.frames(),
+    "luIndex.xml": lambda lex: lex.lus(),
+    "fulltextIndex.xml": lambda lex: lex.docs(),
+    "frRelation.xml": lambda lex: lex.frame_relation_types(),
+    "semTypes.xml": lambda lex: lex.semtypes(),
+}
+
+
+def _walk_file(lex, relpath):
+    """Force every lazy value of the records read from ``relpath`` and of the
+    records they hold, and render each.  A frame, FE, LU stub or semantic
+    type from another file is resolved but not walked, which keeps the walk
+    to this file."""
+    if relpath.startswith("frame/"):
+        frame = lex.frame(relpath[len("frame/") : -len(".xml")])
+        roots = [frame, *frame.FE.values(), *frame.lexUnit.values()]
+    elif relpath.startswith("lu/"):
+        roots = [lex.lu(int(relpath[len("lu/lu") : -len(".xml")]))]
+    elif relpath.startswith("fulltext/"):
+        rows = lex.store.doc_index()
+        names = {row.ID: (f"{row.name}.xml", f"{row.corpusName}__{row.name}.xml") for row in rows}
+        name = relpath[len("fulltext/") :]
+        roots = [lex.doc(doc_id) for doc_id, names in names.items() if name in names]
+    else:
+        roots = _FILE_ROOTS[relpath](lex)
+    rooted = {id(root) for root in roots}
+    index = relpath.endswith("Index.xml")  # an index's records are the roots alone
+    stack, seen = list(roots), set()
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (list, tuple)):
+            stack.extend(item for item in value if isinstance(item, _NESTED))
+        elif isinstance(value, dict) and id(value) not in seen:
+            kind = dict.get(value, "_type")
+            other_file = kind is not None and (
+                index
+                or kind in ("frame", "fe", "semtype")
+                or kind == "lu" and dict.get(value, "status") != "Problem"
+            )
+            if other_file and id(value) not in rooted:
+                continue
+            seen.add(id(value))
+            values = map(value.__getitem__, value)
+            stack.extend(item for item in values if isinstance(item, _NESTED))
+            if kind in _RENDER:
+                _RENDER[kind](value)
+    if relpath in ("frRelation.xml", "semTypes.xml"):
+        lex.propagate_semtypes()
+
+
+_TAG = re.compile(r"<(/?)([\w:]+)[^>]*?(/?)>")
+
+
+def _elements(body):
+    """[start, end, parent] of each element below the root, from its tags."""
+    spans, open_elements = [], []
+    for tag in _TAG.finditer(body):
+        if tag.group(1):
+            spans[open_elements.pop()][1] = tag.end()
+            continue
+        spans.append([tag.start(), tag.end(), open_elements[-1] if open_elements else None])
+        if not tag.group(3):
+            open_elements.append(len(spans) - 1)
+    return spans[1:]
+
+
+def _mutation(body, rng):
+    """``body`` with one element deleted, duplicated or swapped with a sibling,
+    or one ID attribute set to 99999; and what was done."""
+    kind = rng.choice(["delete", "duplicate", "swap", "ID"])
+    spans = _elements(body)
+    start, end, parent = rng.choice(spans)
+    if kind == "delete":
+        return body[:start] + body[end:], f"{kind} at {start}"
+    if kind == "duplicate":
+        return body[:end] + body[start:end] + body[end:], f"{kind} at {start}"
+    if kind == "swap":
+        (a, b, _), (c, d, _) = sorted([[start, end, parent], rng.choice(
+            [span for span in spans if span[2] == parent])])
+        if c < b:  # the same element
+            return body, "nothing"
+        return body[:a] + body[c:d] + body[b:c] + body[a:b] + body[d:], f"{kind} at {a}, {c}"
+    spot = rng.choice(list(re.finditer(r'\b(\w*ID)="[^"]*"', body)))
+    return body[: spot.start()] + f'{spot.group(1)}="99999"' + body[spot.end() :], spot.group(0)
+
+
+def test_seeded_structural_mutations_keep_the_error_contract(data_dir, tmp_path):
+    """20 mutations of each fixture file: an element deleted, duplicated or
+    swapped, or an ID set to 99999.  Each time, every record read from the
+    file is walked and rendered; only a FramelexError may escape."""
+    clone = tmp_path / "corpus"
+    shutil.copytree(data_dir, clone)
+    rng = random.Random(11)
+    runs = 0
+    for path in sorted(clone.rglob("*.xml")):
+        relpath = path.relative_to(clone).as_posix()
+        body = path.read_text()
+        for _ in range(20):
+            mutated, what = _mutation(body, rng)
+            path.write_text(mutated)
+            try:
+                _walk_file(open_lexicon(clone), relpath)
+            except FramelexError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{relpath}, {what}: {type(exc).__name__}: {exc}")
+            runs += 1
+        path.write_text(body)
+    assert runs == 400
+
+
 @pytest.mark.parametrize("relpath", sorted(_TOUCH))
 def test_truncated_streamed_files_keep_the_error_contract(data_dir, tmp_path, relpath):
-    """The file, streamed or tree-parsed, cut at 50 evenly spaced offsets
-    before its last ``>``: each cut is malformed, so the library raises a
-    FramelexError, and ``stats`` and the file's own CLI command exit 3."""
+    """The file cut at 50 evenly spaced offsets before its last ``>``: each
+    cut is malformed, so the library raises a FramelexError, and ``stats``
+    and the file's own CLI command exit 3."""
     clone = tmp_path / "corpus"
     shutil.copytree(data_dir, clone)
     path = clone / relpath

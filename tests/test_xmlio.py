@@ -379,6 +379,18 @@ def test_lu_file_without_lu_leaves_links_unbound(data_dir):
         sent.annotationSet[1].frame
 
 
+def test_lu_file_checks_label_fe_ids_against_the_lu_frame(data_dir):
+    stub = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x").lexUnit["revenge.n"]
+    data = raw(data_dir, "lu/lu6067.xml")
+    assert parse_lu_file(data, "x", lu=stub)[0] == 6067
+    damaged = data.replace(b'feID="3012"', b'feID="3009"').replace(b'feID="3018"', b'feID="1"')
+    with pytest.raises(IntegrityError, match="label 'Injury' on layer 'FE' names unknown FE ID 1"):
+        parse_lu_file(damaged, "x", lu=stub)
+    # With no LU, or one whose frame has no FEs, there is nothing to check against.
+    parse_lu_file(damaged, "x")
+    parse_lu_file(damaged, "x", lu=Record(_type="lu", ID=6067, frame=Record(_type="frame")))
+
+
 def _frames(data_dir):
     paths = sorted((data_dir / "frame").glob("*.xml"))
     return [parse_frame_file(path.read_bytes(), path.name) for path in paths]
@@ -812,45 +824,81 @@ def test_concurrent_first_reads_of_fe_relations_build_one_list(data_dir):
 
 FN = "http://framenet.icsi.berkeley.edu"
 
-# Each streamed parser: its root tag, its record tag, that record's name
-# attribute, and a body of two records with IDs 1 and 2.
+# Each streamed parser: its source name, its record tag, that record's name
+# attribute (or a required one), and a body of two records with IDs 1 and 2.
+_SENTENCES = (
+    '<sentence ID="1"><text>abc def</text><annotationSet ID="11" luID="3" luName="a.v">'
+    '<layer name="Target"><label name="Target" start="4" end="6"/></layer>'
+    '</annotationSet></sentence><sentence ID="2"><text>gh</text></sentence>'
+)
 STREAMED = {
     "frameIndex": (
-        parse_frame_index, "frame", "name",
+        parse_frame_index, "frameIndex.xml", "frame", "name",
         '<frame ID="1" name="A"/><frame ID="2" name="B"/>',
     ),
     "luIndex": (
-        parse_lu_index, "lu", "name",
+        parse_lu_index, "luIndex.xml", "lu", "name",
         '<lu ID="1" name="a.v" frameID="7" frameName="F" status="S"/>'
         '<lu ID="2" name="b.n" frameID="7" frameName="F"/>',
     ),
     "fulltextIndex": (
-        parse_fulltext_index, "document", "name",
+        parse_fulltext_index, "fulltextIndex.xml", "document", "name",
         '<corpus ID="9" name="C"><document ID="1" name="A" description="d"/>'
         '<document ID="2" name="B"/></corpus><document ID="3" name="Outside"/>',
     ),
     "frameRelations": (
-        parse_relations_file, "frameRelation", "superFrameName",
+        parse_relations_file, "frRelation.xml", "frameRelation", "superFrameName",
         '<frameRelationType ID="5" name="T" superFrameName="P" subFrameName="C">'
         '<frameRelation ID="1" superFrameName="A" subFrameName="B" supID="1" subID="2"/>'
         '<frameRelation ID="2" superFrameName="B" subFrameName="A" supID="2" subID="1">'
         '<FERelation ID="3" superFEName="X" subFEName="Y" supID="3" subID="4"/>'
         "</frameRelation></frameRelationType>",
     ),
+    "lexUnit": (
+        parse_lu_file, "lu/lu9.xml", "sentence", "ID",
+        f'<subCorpus name="s">{_SENTENCES}</subCorpus>',
+    ),
+    "fullTextAnnotation": (
+        parse_fulltext_file, "fulltext/D.xml", "sentence", "ID",
+        '<header><corpus ID="5" name="C"><document ID="7" name="D"/></corpus></header>'
+        + _SENTENCES,
+    ),
+    "frame": (
+        parse_frame_file, "frame/F.xml", "FE", "name",
+        '<definition>A &lt;def-root&gt;frame&lt;/def-root&gt;</definition>'
+        '<semType ID="5" name="S"/>'
+        '<FE ID="1" name="A" coreType="Core"><definition>fe</definition></FE>'
+        '<FE ID="2" name="B" coreType="Peripheral"/>'
+        '<FEcoreSet><memberFE name="A"/><memberFE name="B"/></FEcoreSet>'
+        '<lexUnit ID="3" name="a.v" POS="V"><definition>lu</definition>'
+        '<sentenceCount annotated="0" total="0"/><lexeme name="a" POS="V"/></lexUnit>',
+    ),
+    "semTypes": (
+        parse_semtypes_file, "semTypes.xml", "semType", "name",
+        '<semType ID="1" name="A" abbrev="a"><definition>first</definition></semType>'
+        '<semType ID="2" name="B"><superType supID="1"/></semType>',
+    ),
 }
+
+# The root attributes each document needs.
+_ROOT_ATTRS = {"lexUnit": ' ID="9" name="a.v"', "frame": ' name="F" ID="9"'}
 
 
 def _streamed_input(root, case):
     """The document bytes of one parity case for the parser of ``root``."""
-    _, tag, name_attr, body = STREAMED[root]
+    _, _, tag, name_attr, body = STREAMED[root]
     first = re.search(rf"<{tag} [^>]*>", body)
+    # The whole first record, up to its end tag.
+    first_end = first.end() if first.group(0).endswith("/>") else (
+        body.index(f"</{tag}>", first.end()) + len(f"</{tag}>"))
+    root_attrs = _ROOT_ATTRS.get(root, "")
 
     def edit_first(pattern, new):
         start = re.sub(pattern, new, first.group(0), count=1)
         return body[: first.start()] + start + body[first.end() :]
 
     def doc(inner, head="", root_tag=root):
-        return f'{head}<{root_tag} xmlns="{FN}">{inner}</{root_tag}>'.encode()
+        return f'{head}<{root_tag} xmlns="{FN}"{root_attrs}>{inner}</{root_tag}>'.encode()
 
     duplicate = body.replace('ID="2"', 'ID="1"')
     if case == "plain":
@@ -874,22 +922,67 @@ def _streamed_input(root, case):
     if case == "prefixed namespace":
         prefixed = re.sub(r"<(/?)(\w+)", r"<\1x:\2", body)
         prefixed = re.sub(r' (\w+)="', r' x:\1="', prefixed)
-        return f'<x:{root} xmlns:x="{FN}">{prefixed}</x:{root}>'.encode()
+        attrs = re.sub(r' (\w+)="', r' x:\1="', root_attrs)
+        return f'<x:{root} xmlns:x="{FN}"{attrs}>{prefixed}</x:{root}>'.encode()
     if case == "nested with xml:lang":
-        inner = re.sub(rf"<{tag} ", f'<{tag} xml:lang="en" ', first.group(0))
-        return doc(body[: first.start()] + f'<w xml:lang="en">{inner}' + (
-            "</w>" if inner.endswith("/>") else "") + body[first.end() :])
+        inner = re.sub(rf"<{tag} ", f'<{tag} xml:lang="en" ', body[first.start() : first_end])
+        return doc(body[: first.start()] + f'<w xml:lang="en">{inner}</w>' + body[first_end:])
     if case == "records in a wrapper, then again":
         return doc(f"<w>{body}</w>{body}")
     if case == "corpus inside a corpus":
         return doc(f'<corpus ID="8" name="Outer">{body}</corpus>')
     if case == "undefined entity under an external DTD":
         return f'<!DOCTYPE {root} SYSTEM "x.dtd">'.encode() + doc(body + "&e;")
+    # Cases for the files with text content.
+    text, definition = "<text>abc def</text>", "<definition>fe</definition>"
+    if case == "text after the sets":
+        moved = body.replace(text, "", 1).replace("</annotationSet>", f"</annotationSet>{text}", 1)
+        return doc(moved)
+    if case == "no text":
+        return doc(body.replace(text, "", 1))
+    if case == "text with a child element":
+        return doc(body.replace(text, "<text>a<b>bc</b> def</text>", 1))
+    if case == "a second text":
+        return doc(body.replace(text, f"{text}<text>x</text>", 1))
+    if case == "text split by a comment and a CDATA section":
+        return doc(body.replace(text, "<text>ab<!-- c -->c<![CDATA[ de]]>f</text>", 1))
+    if case == "undefined entity in the text under an external DTD":
+        edited = body.replace(text, "<text>abc&e; def</text>", 1).replace(definition, (
+            "<definition>f&e;e</definition>"))
+        return f'<!DOCTYPE {root} SYSTEM "x.dtd">'.encode() + doc(edited)
+    if case == "external entity in the text":
+        edited = body.replace(text, "<text>abc&e; def</text>", 1).replace(definition, (
+            "<definition>f&e;e</definition>"))
+        return f'<!DOCTYPE {root} [<!ENTITY e SYSTEM "x">]>'.encode() + doc(edited)
+    if case == "definition with a child element":
+        return doc(body.replace(definition, "<definition>f<b>x</b>e</definition>"))
+    if case == "memberFE nested below FEcoreSet":
+        return doc(body.replace('<memberFE name="B"/>', '<w><memberFE name="Z"/></w>'))
+    if case == "memberFE inside a memberFE":
+        nested = '<memberFE name="A"><memberFE/></memberFE>'
+        return doc(body.replace('<memberFE name="A"/>', nested))
+    if case == "missing header/corpus/document":
+        return doc(body.replace('<document ID="7" name="D"/>', ""))
+    if case == "header after the sentences":
+        header = body[: body.index("<sentence ")]
+        return doc(body.replace(header, "") + header)
+    if case == "second header first":
+        return doc('<header><corpus ID="6" name="E"/></header>' + body)
     raise ValueError(case)
 
 
 def _record_ids(rows):
-    """The IDs of what a streamed parser returned: relations for the registry."""
+    """The IDs of what a streamed parser returned: relations for the registry;
+    (ID, text) for the sentences of an LU or full-text file, and (ID,
+    definition) for a frame's FEs and for semantic types."""
+    if isinstance(rows, tuple):
+        return [(sent.ID, sent.text) for sub in rows[1] for sent in sub.sentence]
+    if isinstance(rows, Record):
+        if "sentences" in rows:
+            return [(sent.ID, sent.text) for sent in rows.sentences]
+        return [(fe.ID, fe.definition) for fe in rows.FE.values()]
+    if rows and "definition" in rows[0]:
+        return [(st.ID, st.definition) for st in rows]
     if rows and isinstance(rows[0], tuple):
         return [row[0] for row in rows]
     if rows and "frameRelations" in rows[0]:
@@ -908,13 +1001,16 @@ def _plain(value):
             for key, item in dict.items(value)
             if key == "feRelations" or not isinstance(item, (Lazy, Record))
         }
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
     return value
 
 
-# The outcome of each case with the ElementTree parsers these replaced: the
-# record IDs returned, or the exception class and message.
+# The outcome of each case with the ElementTree parsers these replaced: what
+# ``_record_ids`` reads of the records returned, or the exception class and
+# message.
 _TRUNCATED = "{}: line 1: not well-formed XML (unclosed token: line 1, column {})"
 _EMPTY = "{}: line 1: not well-formed XML (no element found: line 1, column 0)"
 _MISMATCH = "{}: line 1: not well-formed XML (mismatched tag: line 1, column {})"
@@ -922,6 +1018,7 @@ _ENTITY = "{}: line 1: not well-formed XML (undefined entity &e;: line 1, column
 _FOO = "{}: cannot decode XML (unknown encoding: foo)"
 _SJIS = "{}: cannot decode XML (multi-byte encodings are not supported)"
 _ROOT = "{}: expected a <{}> document, got <other>"
+_PAST_END = "{}: sentence 1: label 'Target' on layer 'Target' spans past the end of the text"
 STREAMED_PARITY = {
     ("frameIndex", "plain"): [1, 2],
     ("frameIndex", "truncated"): (ParseError, _TRUNCATED.format("frameIndex.xml", 78)),
@@ -1007,21 +1104,132 @@ STREAMED_PARITY = {
     ("frameRelations", "records in a wrapper, then again"): [1, 2],
     ("frameRelations", "undefined entity under an external DTD"): (
         ParseError, _ENTITY.format("frRelation.xml", 432)),
+    # The files with text content, which the tree parsers read until the
+    # streamed reader replaced them too.
+    ("lexUnit", "plain"): [(1, "abc def"), (2, "gh")],
+    ("lexUnit", "truncated"): (ParseError, _TRUNCATED.format("lu/lu9.xml", 267)),
+    ("lexUnit", "empty"): (ParseError, _EMPTY.format("lu/lu9.xml")),
+    ("lexUnit", "wrong root"): (ParseError, _ROOT.format("lu/lu9.xml", "lexUnit")),
+    ("lexUnit", "non-integer ID"): (
+        ParseError, "lu/lu9.xml: <sentence> attribute 'ID' is not an integer: 'one'"),
+    ("lexUnit", "missing name"): (
+        ParseError, "lu/lu9.xml: <sentence> is missing required attribute 'ID'"),
+    ("lexUnit", "duplicate ID"): [(1, "abc def"), (1, "gh")],
+    ("lexUnit", "duplicate ID, then a mismatched tag"): (
+        ParseError, _MISMATCH.format("lu/lu9.xml", 324)),
+    ("lexUnit", "foo"): (ParseError, _FOO.format("lu/lu9.xml")),
+    ("lexUnit", "shift_jis"): (ParseError, _SJIS.format("lu/lu9.xml")),
+    ("lexUnit", "prefixed namespace"): [(1, "abc def"), (2, "gh")],
+    ("lexUnit", "nested with xml:lang"): [(2, "gh")],
+    ("lexUnit", "records in a wrapper, then again"): [(1, "abc def"), (2, "gh")],
+    ("lexUnit", "undefined entity under an external DTD"): (
+        ParseError, _ENTITY.format("lu/lu9.xml", 355)),
+    ("lexUnit", "text after the sets"): [(1, "abc def"), (2, "gh")],
+    ("lexUnit", "no text"): (ParseError, "lu/lu9.xml: sentence 1 has no <text> element"),
+    ("lexUnit", "text with a child element"): (IntegrityError, _PAST_END.format("lu/lu9.xml")),
+    ("lexUnit", "a second text"): [(1, "abc def"), (2, "gh")],
+    ("lexUnit", "text split by a comment and a CDATA section"): [(1, "abc def"), (2, "gh")],
+    ("lexUnit", "undefined entity in the text under an external DTD"): (
+        ParseError, _ENTITY.format("lu/lu9.xml", 148)),
+    ("lexUnit", "external entity in the text"): (ParseError, _ENTITY.format("lu/lu9.xml", 158)),
+    ("fullTextAnnotation", "plain"): [(1, "abc def"), (2, "gh")],
+    ("fullTextAnnotation", "truncated"): (ParseError, _TRUNCATED.format("fulltext/D.xml", 317)),
+    ("fullTextAnnotation", "empty"): (ParseError, _EMPTY.format("fulltext/D.xml")),
+    ("fullTextAnnotation", "wrong root"): (
+        ParseError, _ROOT.format("fulltext/D.xml", "fullTextAnnotation")),
+    ("fullTextAnnotation", "non-integer ID"): (
+        ParseError, "fulltext/D.xml: <sentence> attribute 'ID' is not an integer: 'one'"),
+    ("fullTextAnnotation", "missing name"): (
+        ParseError, "fulltext/D.xml: <sentence> is missing required attribute 'ID'"),
+    ("fullTextAnnotation", "duplicate ID"): [(1, "abc def"), (1, "gh")],
+    ("fullTextAnnotation", "duplicate ID, then a mismatched tag"): (
+        ParseError, _MISMATCH.format("fulltext/D.xml", 362)),
+    ("fullTextAnnotation", "foo"): (ParseError, _FOO.format("fulltext/D.xml")),
+    ("fullTextAnnotation", "shift_jis"): (ParseError, _SJIS.format("fulltext/D.xml")),
+    ("fullTextAnnotation", "prefixed namespace"): [(1, "abc def"), (2, "gh")],
+    ("fullTextAnnotation", "nested with xml:lang"): [(2, "gh")],
+    ("fullTextAnnotation", "records in a wrapper, then again"): [(1, "abc def"), (2, "gh")],
+    ("fullTextAnnotation", "undefined entity under an external DTD"): (
+        ParseError, _ENTITY.format("fulltext/D.xml", 404)),
+    ("fullTextAnnotation", "text after the sets"): [(1, "abc def"), (2, "gh")],
+    ("fullTextAnnotation", "no text"): (
+        ParseError, "fulltext/D.xml: sentence 1 has no <text> element"),
+    ("fullTextAnnotation", "text with a child element"): (
+        IntegrityError, _PAST_END.format("fulltext/D.xml")),
+    ("fullTextAnnotation", "a second text"): [(1, "abc def"), (2, "gh")],
+    ("fullTextAnnotation", "text split by a comment and a CDATA section"):
+        [(1, "abc def"), (2, "gh")],
+    ("fullTextAnnotation", "undefined entity in the text under an external DTD"): (
+        ParseError, _ENTITY.format("fulltext/D.xml", 209)),
+    ("fullTextAnnotation", "external entity in the text"): (
+        ParseError, _ENTITY.format("fulltext/D.xml", 219)),
+    ("fullTextAnnotation", "missing header/corpus/document"): (
+        ParseError, "fulltext/D.xml: missing header/corpus/document element"),
+    ("fullTextAnnotation", "header after the sentences"): [(1, "abc def"), (2, "gh")],
+    ("fullTextAnnotation", "second header first"): (
+        ParseError, "fulltext/D.xml: missing header/corpus/document element"),
+    ("frame", "plain"): [(1, "fe"), (2, "")],
+    ("frame", "truncated"): (ParseError, _TRUNCATED.format("frame/F.xml", 224)),
+    ("frame", "empty"): (ParseError, _EMPTY.format("frame/F.xml")),
+    ("frame", "wrong root"): (ParseError, _ROOT.format("frame/F.xml", "frame")),
+    ("frame", "non-integer ID"): (
+        ParseError, "frame/F.xml: <FE> attribute 'ID' is not an integer: 'one'"),
+    ("frame", "missing name"): (
+        ParseError, "frame/F.xml: <FE> is missing required attribute 'name'"),
+    ("frame", "duplicate ID"): (
+        IntegrityError, "frame/F.xml: duplicate frame element 'B' (1) in frame 'F'"),
+    ("frame", "duplicate ID, then a mismatched tag"): (
+        ParseError, _MISMATCH.format("frame/F.xml", 470)),
+    ("frame", "foo"): (ParseError, _FOO.format("frame/F.xml")),
+    ("frame", "shift_jis"): (ParseError, _SJIS.format("frame/F.xml")),
+    ("frame", "prefixed namespace"): [(1, "fe"), (2, "")],
+    ("frame", "nested with xml:lang"): (
+        IntegrityError, "frame/F.xml: core set of frame 'F' names unknown FE 'A'"),
+    ("frame", "records in a wrapper, then again"): [(1, "fe"), (2, "")],
+    ("frame", "undefined entity under an external DTD"): (
+        ParseError, _ENTITY.format("frame/F.xml", 499)),
+    ("frame", "definition with a child element"): [(1, "f"), (2, "")],
+    ("frame", "memberFE nested below FEcoreSet"): (
+        IntegrityError, "frame/F.xml: core set of frame 'F' names unknown FE 'Z'"),
+    ("frame", "memberFE inside a memberFE"): (
+        ParseError, "frame/F.xml: <memberFE> is missing required attribute 'name'"),
+    ("frame", "undefined entity in the text under an external DTD"): (
+        ParseError, _ENTITY.format("frame/F.xml", 236)),
+    ("frame", "external entity in the text"): (ParseError, _ENTITY.format("frame/F.xml", 246)),
+    ("semTypes", "plain"): [(1, "first"), (2, "")],
+    ("semTypes", "truncated"): (ParseError, _TRUNCATED.format("semTypes.xml", 128)),
+    ("semTypes", "empty"): (ParseError, _EMPTY.format("semTypes.xml")),
+    ("semTypes", "wrong root"): (ParseError, _ROOT.format("semTypes.xml", "semTypes")),
+    ("semTypes", "non-integer ID"): (
+        ParseError, "semTypes.xml: <semType> attribute 'ID' is not an integer: 'one'"),
+    ("semTypes", "missing name"): (
+        ParseError, "semTypes.xml: <semType> is missing required attribute 'name'"),
+    ("semTypes", "duplicate ID"): (IntegrityError, "semTypes.xml: duplicate semantic type ID 1"),
+    ("semTypes", "duplicate ID, then a mismatched tag"): (
+        ParseError, _MISMATCH.format("semTypes.xml", 187)),
+    ("semTypes", "foo"): (ParseError, _FOO.format("semTypes.xml")),
+    ("semTypes", "shift_jis"): (ParseError, _SJIS.format("semTypes.xml")),
+    ("semTypes", "prefixed namespace"): [(1, "first"), (2, "")],
+    ("semTypes", "nested with xml:lang"): (
+        IntegrityError, "semTypes.xml: semantic type 2 names unknown parent 1"),
+    ("semTypes", "records in a wrapper, then again"): [(1, "first"), (2, "")],
+    ("semTypes", "undefined entity under an external DTD"): (
+        ParseError, _ENTITY.format("semTypes.xml", 219)),
 }
 
 
 @pytest.mark.parametrize("root, case", sorted(STREAMED_PARITY))
 def test_streamed_parsers_match_the_tree_parsers(root, case):
-    parse = STREAMED[root][0]
+    parse, source = STREAMED[root][:2]
     data = _streamed_input(root, case)
     expected = STREAMED_PARITY[root, case]
     if isinstance(expected, list):
-        rows = parse(data)
+        rows = parse(data, source)
         assert _record_ids(rows) == expected
         if case == "prefixed namespace":
-            assert _plain(rows) == _plain(parse(_streamed_input(root, "plain")))
+            assert _plain(rows) == _plain(parse(_streamed_input(root, "plain"), source))
     else:
         with pytest.raises(expected[0]) as info:
-            parse(data)
+            parse(data, source)
         assert type(info.value) is expected[0]
         assert str(info.value) == expected[1]
