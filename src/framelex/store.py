@@ -37,8 +37,9 @@ frame-restricted LU listing.
 A reference from one file into another (a relation's frames, a full-text
 annotation set's frame) resolves through ``resolve_frame_ref``: a frame the
 index lacks is corrupt data, an ``IntegrityError`` naming the referring file
-and record, where a direct lookup of the same frame is a ``LookupFailure``.
-A frame's or FE's semantic type reference resolves the same way.
+and record, where a direct lookup of the same frame is a ``LookupFailure``.  A
+frame's or FE's semantic type reference resolves the same way.  A full-text
+sentence's corpus and document IDs, where present, must be its header's.
 """
 
 import os
@@ -48,7 +49,7 @@ from pathlib import Path
 
 from . import xmlio
 from .errors import CorpusError, IntegrityError, LookupFailure
-from .records import LOCK, Lazy, Record
+from .records import LOCK, Lazy
 
 ENV_DATA_DIR = "FRAMELEX_DATA"
 
@@ -288,21 +289,9 @@ class Store:
         )
 
     def _problem_lu(self, lu_id, lu_name, frame_id, frame_name, source, referrer):
-        lu = Record()
-        lu["status"] = "Problem"
-        lu["POS"] = (lu_name or "").rpartition(".")[2].upper()
-        lu["name"] = lu_name or ""
-        lu["ID"] = lu_id
-        lu["_type"] = "lu"
-        lu["definition"] = ""
-        lu["definitionMarkup"] = ""
-        lu["lexemes"] = []
-        lu["sentenceCount"] = Record(annotated=0, total=0)
-        lu["frame"] = Lazy(self.resolve_frame_ref, frame_id, frame_name, source, referrer)
-        lu["URL"] = xmlio.lu_url(lu_id)
-        lu["subCorpus"] = []
-        lu["exemplars"] = []
-        return lu
+        frame = Lazy(self.resolve_frame_ref, frame_id, frame_name, source, referrer)
+        pos = (lu_name or "").rpartition(".")[2].upper()
+        return xmlio.lu_record("Problem", pos, lu_name or "", lu_id, "", [], (0, 0), frame)
 
     # ------------------------------------------------------------ documents
 
@@ -367,6 +356,14 @@ class Store:
             raise IntegrityError(f"{relpath}: file header carries ID {doc['ID']}")
         if doc["corpusID"] != row.corpusID:
             raise IntegrityError(f"{relpath}: file header carries corpus ID {doc['corpusID']}")
+        headers = (("corpID", "corpus", doc["corpusID"]), ("docID", "document", doc["ID"]))
+        for sent in doc["sentences"]:
+            for key, kind, own in headers:
+                if sent[key] not in (None, own):
+                    raise IntegrityError(
+                        f"{relpath}: fulltext_sentence {sent['ID']} of {kind} {own} "
+                        f"names another {kind} ({sent[key]})"
+                    )
         return doc
 
     # ------------------------------------------------------------ relations

@@ -13,10 +13,10 @@ source, referrer)``, ``referrer`` being the record that holds the reference.
 Every file is read in one expat pass, ``_read``, with no element tree and
 with namespaces dropped from tag and attribute names.  The LU and full-text
 indexes and the relation registry build each record at its start tag.  The
-other files keep only the attributes and text that their records need, as a
-small tree of nodes, and build the records once the file is read.  Either
-way errors come in the same words and order: XML that is not well-formed
-first, then a wrong root element, then the first record that breaks a rule.
+other files keep what a schema of their elements names, as a small tree of
+nodes, and build the records once the file is read.  Either way errors come
+in the same words and order: XML that is not well-formed first, then a wrong
+root element, then the first record that breaks a rule.
 
 The parsers read a fixed subset of elements and attributes.  Anything else in
 a file (editorial attributes, embedded relation references inside frame files,
@@ -52,6 +52,7 @@ check fails, so every error keeps its message and precedence.
 import html
 import re
 import sys
+from collections import defaultdict
 from functools import partial
 from operator import itemgetter
 from xml.parsers import expat
@@ -114,40 +115,39 @@ def _strip_attrs(attrs, plain_names):
 
 
 class _Anywhere(dict):
-    """A schema or handler table that applies at any depth below its element,
-    as ``Element.iter`` searches; a plain one applies to its children only."""
+    """A schema that applies at any depth below its element, as
+    ``Element.iter`` searches; a plain one applies to its children only."""
 
     __slots__ = ()
 
 
-# The schema key naming the child element whose text a node keeps.
+# The schema value for a child element whose text a node keeps.
 _TEXT = "#text"
-
-_NO_HANDLERS = {}
 
 
 def _read(data, source, root_tag, schema):
     """One expat pass over a ``<root_tag>`` document, with no element tree.
 
-    Returns the root as a node of ``schema`` (see ``_node``), with tag and
-    attribute names stripped of namespaces.  A handler, called at a start tag
-    with the attributes, may return the handler table for its element's
-    content, or a list, to which the element's text is then appended as
-    ``Element.text`` holds it: the character data before its first child.
-    Otherwise that content is searched with the same table if it is an
-    ``_Anywhere`` one, and not at all if not.  Errors come in a fixed order:
-    XML that is not well-formed, then a wrong root, then the first
-    ``CorpusError`` a handler raised; no handler is called after that.
+    Returns the root as a node ``[tag, attrs, text, leaves, nodes]``, names
+    stripped of namespaces.  ``schema`` maps the name of each child that a
+    node keeps to what it keeps: None lists the child's attributes in
+    ``leaves[name]``; a schema adds the child to ``nodes`` as a node of that
+    schema; ``_TEXT`` keeps the first such child's text, as ``Element.text``
+    holds it, as a list of parts (``text`` is None without one); a function
+    gets the child's attributes and may return the schema for its content.
+    Other content goes unread, unless the schema is an ``_Anywhere`` one.
+    Errors come in a fixed order: XML that is not well-formed, then a wrong
+    root, then the first ``CorpusError`` a function raised; none runs after.
     """
     where = source or "<data>"
     parser = expat.ParserCreate(namespace_separator="}")
     local_names = {}
     plain_names = set()
-    found = []
-    # The table for the content of each open element whose end is tracked.
-    # Ends are tracked from the first element whose content gets a table of
-    # its own; until then every open element's content has the root's table.
-    tables = [_node(found, root_tag, schema, None)]
+    found = [root_tag, None, None, defaultdict(list), []]
+    skipped = ({}, None)  # for content that nothing reads, and as "not in the schema"
+    # (schema, node) for each open element's content.  Until some content gets
+    # a schema of its own, all have the root's, and ends are not tracked.
+    stack = [(schema, found)]
     tracking = False
     failure = None
 
@@ -159,7 +159,7 @@ def _read(data, source, root_tag, schema):
             parser.StartElementHandler = None
             return
         _strip_attrs(attrs, plain_names)
-        found[0][1] = attrs
+        found[1] = attrs
         parser.StartElementHandler = start
         if type(schema) is not _Anywhere:
             tracking = True
@@ -170,36 +170,45 @@ def _read(data, source, root_tag, schema):
         local = local_names.get(tag)
         if local is None:
             local = local_names[tag] = tag.split("}", 1)[-1]
-        table = tables[-1]
-        handler = table.get(local)
+        schema, node = stack[-1]
+        kept = schema.get(local, skipped)
+        if not plain_names.issuperset(attrs):
+            _strip_attrs(attrs, plain_names)
         content = None
-        if handler is not None:
-            if not plain_names.issuperset(attrs):
-                _strip_attrs(attrs, plain_names)
+        if kept is None:
+            node[3][local].append(attrs)
+        elif callable(kept):
             try:
-                content = handler(attrs)
+                kept = kept(attrs)
             except CorpusError as exc:
                 failure = exc
                 parser.StartElementHandler = parser.EndElementHandler = None
                 return
+            if kept is not None:
+                content = (kept, node)
+        elif isinstance(kept, dict):
+            child = [local, attrs, None, defaultdict(list), []]
+            node[4].append(child)
+            content = (kept, child)
+        elif kept is _TEXT and node[2] is None:
+            # Collect the element's text until its first child or its end.
+            node[2] = []
+            tracking = True
+            parser.CharacterDataHandler = node[2].append
+            parser.StartElementHandler, parser.EndElementHandler = text_start, text_end
+            content = skipped
         if content is None:
             if not tracking:
                 return
-            content = table if type(table) is _Anywhere else _NO_HANDLERS
-        elif type(content) is list:
-            # Collect the element's text until its first child or its end.
-            tracking = True
-            parser.CharacterDataHandler = content.append
-            parser.StartElementHandler, parser.EndElementHandler = text_start, text_end
-            content = _NO_HANDLERS
+            content = stack[-1] if type(schema) is _Anywhere else skipped
         elif not tracking:
             tracking = True
             parser.EndElementHandler = end
-        tables.append(content)
+        stack.append(content)
 
     def end(tag):
-        if len(tables) > 1:
-            tables.pop()
+        if len(stack) > 1:
+            stack.pop()
 
     def end_text(handler, *args):
         parser.CharacterDataHandler = None
@@ -236,38 +245,7 @@ def _read(data, source, root_tag, schema):
         text_start = text_end = None
     if failure is not None:
         raise failure
-    return found[0]
-
-
-def _node(siblings, tag, schema, attrs):
-    """A handler: the element goes to ``siblings`` as ``[tag, attrs, text,
-    leaves, nodes]``, keeping the children that ``schema`` names.
-
-    Where ``schema[child]`` is None, ``leaves[child]`` lists those children's
-    attributes; where it is a schema, ``nodes`` holds them as nodes of that
-    schema, in file order; where it is a function, it is their handler.
-    ``text`` is the text of the first ``schema[_TEXT]`` child as a list of
-    parts, None without one.  An ``_Anywhere`` schema keeps them at any depth.
-    """
-    node = [tag, attrs, None, {}, []]
-    siblings.append(node)
-    table = type(schema)()
-    for child, kept in schema.items():
-        if child == _TEXT:
-            table[kept] = partial(_first_text, node)
-        elif kept is None:
-            table[child] = node[3].setdefault(child, []).append
-        elif callable(kept):
-            table[child] = kept
-        else:
-            table[child] = partial(_node, node[4], child, kept)
-    return table
-
-
-def _first_text(node, attrs):
-    if node[2] is None:
-        node[2] = []
-        return node[2]
+    return found
 
 
 def _req_attr(tag, attrs, name, source):
@@ -378,11 +356,11 @@ def parse_fulltext_index(data, source="fulltextIndex.xml"):
 
 # ---------------------------------------------------------------- frames
 
-# What ``_read`` keeps of the files with text: see ``_node``.
-_DEFINED = {_TEXT: "definition", "semType": None}
+# The ``_read`` schemas of the files with text.
+_DEFINED = {"definition": _TEXT, "semType": None}
 _FRAME = dict(_DEFINED, FE=_DEFINED, FEcoreSet=_Anywhere(memberFE=None))
-_FRAME["lexUnit"] = {_TEXT: "definition", "sentenceCount": None, "lexeme": None}
-_SENTENCE = {_TEXT: "text", "annotationSet": {"layer": {"label": None}}}
+_FRAME["lexUnit"] = {"definition": _TEXT, "sentenceCount": None, "lexeme": None}
+_SENTENCE = {"text": _TEXT, "annotationSet": {"layer": {"label": None}}}
 _FULLTEXT = {"header": {"corpus": {"document": None}}, "sentence": _SENTENCE}
 
 
@@ -403,8 +381,7 @@ def parse_frame_file(
     callback is optional; the matching attributes then fail if forced, except
     that an LU with a zero sentence count resolves to empty lists eagerly.
     """
-    root = _read(data, source, "frame", _FRAME)
-    _, attrs, definition, leaves, members = root
+    _, attrs, definition, leaves, members = _read(data, source, "frame", _FRAME)
     # The frame is built once the file is read, so its errors come in the
     # order of the fields read: the frame's own, then FEs and LUs, then core sets.
     name = _req_attr("frame", attrs, "name", source)
@@ -510,9 +487,9 @@ def _parse_fe(node, source, frame, semtype_lookup):
 def _parse_lu_stub(node, source, frame, exemplar_loader):
     _, attrs, definition, leaves, _ = node
     markup = "".join(definition or ())
-    counts = next(iter(leaves["sentenceCount"]), {})
-    annotated = _int("sentenceCount", counts, "annotated", source, 0)
-    total = _int("sentenceCount", counts, "total", source, 0)
+    count_attrs = next(iter(leaves["sentenceCount"]), {})
+    annotated = _int("sentenceCount", count_attrs, "annotated", source, 0)
+    total = _int("sentenceCount", count_attrs, "total", source, 0)
     if annotated > total:
         raise IntegrityError(
             f"{source}: lexical unit {attrs.get('name')!r} has annotated > total sentence count"
@@ -527,24 +504,37 @@ def _parse_lu_stub(node, source, frame, exemplar_loader):
         )
         for lex in leaves["lexeme"]
     ]
+    name = _req_attr("lexUnit", attrs, "name", source)
+    lu_id = _int("lexUnit", attrs, "ID", source)
+    status, pos = attrs.get("status", ""), attrs.get("POS", "")
+    counts = (annotated, total)
+    return lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, exemplar_loader)
 
+
+def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, exemplar_loader=None):
+    """An LU record: a frame's LU stub, or a placeholder with no exemplars.
+
+    ``counts`` is its (annotated, total) sentence count; with a nonzero total
+    the subcorpora load through ``exemplar_loader(lu)`` on first read.
+    """
+    annotated, total = counts
     lu = Record()
-    lu["status"] = attrs.get("status", "")
-    lu["POS"] = attrs.get("POS", "")
-    lu["name"] = _req_attr("lexUnit", attrs, "name", source)
-    lu["ID"] = _int("lexUnit", attrs, "ID", source)
+    lu["status"] = status
+    lu["POS"] = pos
+    lu["name"] = name
+    lu["ID"] = lu_id
     lu["_type"] = "lu"
     lu["definition"] = strip_markup(markup)
     lu["definitionMarkup"] = markup
     lu["lexemes"] = lexemes
     lu["sentenceCount"] = Record(annotated=annotated, total=total)
     lu["frame"] = frame
-    lu["URL"] = lu_url(lu["ID"])
+    lu["URL"] = lu_url(lu_id)
     if total == 0:
         lu["subCorpus"] = []
         lu["exemplars"] = []
     else:
-        lu["subCorpus"] = _ref(exemplar_loader, f"exemplars of {lu['name']!r}", lu)
+        lu["subCorpus"] = _ref(exemplar_loader, f"exemplars of {name!r}", lu)
         lu["exemplars"] = Lazy(_exemplars_of, lu)
     return lu
 
@@ -744,13 +734,19 @@ def parse_lu_file(data, source=None, *, lu=None):
     """One LU exemplar file -> (LU ID, list of subcorpus records).
 
     Every sentence and annotation set links to ``lu`` and its frame; with no
-    ``lu`` those links fail if forced.  A label's ``feID`` must name an FE of
-    ``lu``'s frame, when that frame has its FEs.
+    ``lu`` those links fail if forced.  The root's ``frameID`` must be the ID
+    of ``lu``'s frame and a label's ``feID`` one of its FEs', where known.
     """
     root = _read(data, source, "lexUnit", {"subCorpus": {"sentence": _SENTENCE}})
     lu_id = _int("lexUnit", root[1], "ID", source)
     lu_ref = lu if lu is not None else unbound_lazy("the exemplars' lexical unit")
     frame_ref = lu["frame"] if lu is not None else unbound_lazy("the exemplars' frame")
+    frame_id = frame_ref.get("ID") if lu is not None else None
+    if frame_id is not None and _int("lexUnit", root[1], "frameID", source, frame_id) != frame_id:
+        raise IntegrityError(
+            f"{source}: lu {lu['ID']} of frame {frame_ref.get('name')!r} ({frame_id}) "
+            f"names another frame ({root[1]['frameID']})"
+        )
     fes = frame_ref.get("FE") if lu is not None else None
     fe_ids = None if fes is None else {fe["ID"] for fe in fes.values()}
 
@@ -919,7 +915,7 @@ def parse_semtypes_file(data, source="semTypes.xml"):
     Types form a forest over their ``superType`` links; dangling parents and
     cycles are integrity errors.
     """
-    root = _read(data, source, "semTypes", {"semType": {_TEXT: "definition", "superType": None}})
+    root = _read(data, source, "semTypes", {"semType": {"definition": _TEXT, "superType": None}})
     types = []
     by_id = {}
     parent_of = {}

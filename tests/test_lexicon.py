@@ -77,6 +77,23 @@ def test_lu_unknown_id(lexicon):
         lexicon.lu(1)
 
 
+def test_record_and_id_arguments(lexicon):
+    frame = lexicon.frame("Revenge")
+    assert lexicon.frame(frame) is frame
+    assert lexicon.lu("6067") is lexicon.lu(6067)
+    with pytest.raises(LookupFailure):
+        lexicon.lu(6067.0)
+
+
+def test_frame_record_restrictions(lexicon):
+    frame = lexicon.frame("Revenge")
+    by_record = lexicon.lus(frame=frame)
+    assert by_record
+    assert by_record == lexicon.lus(frame=frame.ID)
+    with pytest.raises(LookupFailure):
+        lexicon.frame_relations(frame=99999)
+
+
 def test_lus_pattern_against_raw_index(lexicon, data_dir):
     pairs = index_pairs(data_dir, "luIndex.xml", "lu")
     for pattern in [r".+en\.v", r"\.n$", "revenge", "^get", "(?i)RE"]:

@@ -48,6 +48,13 @@ def test_relations_type_filter(lexicon):
         lexicon.frame_relations(type="NoSuchType")
 
 
+def test_relation_type_given_by_record_or_name(lexicon):
+    rtype = lexicon.frame_relation_types()[0]
+    rels = lexicon.frame_relations(type=rtype)
+    assert [r.ID for r in rels] == [r.ID for r in lexicon.frame_relations(type=rtype.name)]
+    assert len(rels) == 3
+
+
 def test_relation_record_shape(lexicon):
     rel = lexicon.frame_relations(frame="Revenge")[0]
     assert rel.superFrameName == "Rewards_and_punishments"

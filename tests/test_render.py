@@ -20,6 +20,7 @@ from framelex import (
     render_semtype,
 )
 from framelex.records import Record
+from framelex.render import wrap_segments
 from framelex.xmlio import parse_fulltext_file
 
 # ------------------------------------------------------------ goldens
@@ -109,6 +110,40 @@ def test_narrow_fulltext_sentence_golden(golden, alignment):
     out = render_fulltext_sentence(sent, DisplayOptions(wrap_width=24))
     assert out == golden("sent_fulltext_w24.txt")
     alignment.fulltext(sent, 24)
+
+
+def test_colliding_abbreviations_stay_distinct():
+    sets = [("Commerce_pay", 4, 7), ("Commerce_buy", 16, 19)]
+    asets = "".join(
+        f'<annotationSet ID="{k}" status="MANUAL" frameName="{frame_name}"><layer name="Target">'
+        f'<label name="Target" start="{start}" end="{end}"/></layer></annotationSet>'
+        for k, (frame_name, start, end) in enumerate(sets, start=1)
+    )
+    xml = (
+        '<fullTextAnnotation><header><corpus name="C" ID="1"><document ID="1" name="D"/>'
+        '</corpus></header><sentence ID="7"><text>She pays and he buys .</text>'
+        f'<annotationSet ID="0" status="UNANN"/>{asets}</sentence></fullTextAnnotation>'
+    )
+    sent = parse_fulltext_file(xml.encode(), "collide.xml").sentences[0]
+    lines = render_fulltext_sentence(sent, DisplayOptions()).splitlines()
+    # Both frame names cut to four characters read "Comm".
+    label_line = lines[lines.index(sent.text) + 2]
+    shorts = [label_line[start : end + 1] for _, start, end in sets]
+    assert shorts[0] != shorts[1]
+    footer = dict(item.split("=") for item in lines[-1].strip("()").split(", "))
+    assert [footer[short] for short in shorts] == [frame_name for frame_name, _, _ in sets]
+
+
+def test_wrap_splits_a_word_longer_than_the_width():
+    text = "a " + "x" * 45 + " b"
+    segments = wrap_segments(text, 20)
+    chunks = [chunk for _, chunk in segments]
+    assert "".join(chunks) == text
+    assert all(len(chunk) <= 20 for chunk in chunks)
+    assert chunks.count("x" * 20) == 2
+    assert [offset for offset, _ in segments] == [
+        sum(map(len, chunks[:i])) for i in range(len(chunks))
+    ]
 
 
 # ------------------------------------------------------------ shape checks

@@ -28,6 +28,7 @@ from framelex.errors import (
     LookupFailure,
     ParseError,
 )
+from framelex.records import attribute_names
 
 
 def test_open_reads_only_the_frame_index(store):
@@ -115,6 +116,13 @@ def test_problem_lu_stub(store):
     assert stub.POS == "V"
     assert store.resolve_annotation_lu(18997, "look.v", 2001, "Seeking") is stub
     assert stub.frame.name == "Seeking"
+
+
+def test_problem_lu_lists_the_attributes_of_a_frame_lu(store):
+    stub = store.get_frame("Revenge").lexUnit["revenge.n"]
+    problem = store.resolve_annotation_lu(18997, "look.v", 2001, "Seeking")
+    assert problem.status == "Problem"
+    assert attribute_names(problem) == attribute_names(stub)
 
 
 def test_document_primary_path(store):
@@ -253,6 +261,15 @@ def test_index_header_id_mismatch(data_dir, tmp_path):
     st = Store(clone)
     with pytest.raises(IntegrityError):
         st.get_frame("Revenge")
+
+
+def test_lu_file_header_id_mismatch(data_dir, tmp_path):
+    clone = _corrupt_copy(
+        data_dir, tmp_path, "lu/lu6067.xml", ' ID="6067" frame=', ' ID="6068" frame='
+    )
+    with pytest.raises(IntegrityError, match=r"^lu/lu6067\.xml: file header carries ID 6068$"):
+        open_lexicon(clone).lu(6067).exemplars
+    assert _cli_code(clone, "lu", "6067") == 3
 
 
 def test_fulltext_corpus_id_mismatch(data_dir, tmp_path):
@@ -594,6 +611,16 @@ def test_fulltext_set_naming_unknown_frame_is_an_integrity_error(data_dir, tmp_p
         ("frame/Event.xml", '<semType name="Abstract_entity" ID="200" />',
          "frame 5 names unknown semantic type 'Abstract_entity'",
          lambda lex: lex.frame("Event").semTypes, ["frame", "Event"]),
+        # IDs that disagree with the record holding them, under the same contract.
+        ("lu/lu6067.xml", 'frame="Revenge" frameID="347"',
+         "lu 6067 of frame 'Revenge' (347) names another frame",
+         lambda lex: lex.lu(6067).exemplars, ["lu", "6067"]),
+        ("fulltext/Tiger_Of_San_Pedro.xml", '<sentence corpID="195"',
+         "fulltext_sentence 4148526 of corpus 195 names another corpus",
+         lambda lex: lex.doc(23802), ["doc", "23802"]),
+        ("fulltext/Tiger_Of_San_Pedro.xml", 'docID="23802" sentNo="1"',
+         "fulltext_sentence 4148526 of document 23802 names another document",
+         lambda lex: lex.doc(23802), ["doc", "23802"]),
     ],
 )
 def test_semtype_naming_unknown_type_is_an_integrity_error(

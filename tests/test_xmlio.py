@@ -391,6 +391,15 @@ def test_lu_file_checks_label_fe_ids_against_the_lu_frame(data_dir):
     parse_lu_file(damaged, "x", lu=Record(_type="lu", ID=6067, frame=Record(_type="frame")))
 
 
+def test_lu_stub_with_more_annotated_than_total_sentences_is_rejected(data_dir):
+    data = raw(data_dir, "frame/Revenge.xml")
+    damaged = data.replace(b'annotated="21" total="21"', b'annotated="22" total="21"')
+    assert damaged != data
+    message = "^x: lexical unit 'revenge.n' has annotated > total sentence count$"
+    with pytest.raises(IntegrityError, match=message):
+        parse_frame_file(damaged, "x")
+
+
 def _frames(data_dir):
     paths = sorted((data_dir / "frame").glob("*.xml"))
     return [parse_frame_file(path.read_bytes(), path.name) for path in paths]
