@@ -20,7 +20,18 @@ from .store import ENV_DATA_DIR
 from .xmlio import LU_ID
 
 
-def build_parser():
+# What ``build_parser`` hands back for a subcommand it does not build.
+_UNBUILT = SimpleNamespace(add_argument=lambda *args, **kwargs: None)
+
+
+def build_parser(argv=None):
+    """The command line parser.
+
+    Given an ``argv`` whose command comes after nothing but the shared
+    options, it builds that command's subparser alone.  The other
+    subcommands are then names only, and nothing that parsing ``argv``
+    prints shows more of them.
+    """
     # The shared options hang off every subparser too, so they are accepted
     # before and after the subcommand.  SUPPRESS keeps an absent subcommand
     # flag from clobbering a value parsed up front; run() fills in defaults.
@@ -36,9 +47,13 @@ def build_parser():
         prog="framelex", description="Browse a FrameNet-1.7-format lexical database.",
         parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
+    command = None if argv is None else _command_of(argv)
 
     def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+        if command in (None, name):
+            return sub.add_parser(name, parents=[common], **kwargs)
+        sub.choices[name] = None  # a name only: parsing argv never reaches it
+        return _UNBUILT
 
     add_parser("frame", help="show one frame").add_argument("key", help="frame name or ID")
     add_parser("frames", help="list frames by name pattern").add_argument("pattern", nargs="?")
@@ -70,6 +85,19 @@ def build_parser():
     add_parser("stats", help="corpus-wide counts")
     add_parser("browse", help="interactive browser")
     return parser
+
+
+def _command_of(argv):
+    """The first word of ``argv`` after any ``--ids``, ``--data DIR`` and
+    ``--width N``, which argparse reads as the command; None if another
+    option comes first."""
+    words = iter(argv)
+    for word in words:
+        if word in ("--data", "--width"):
+            next(words, None)  # the option's value: argparse takes it or fails
+        elif word != "--ids" and not word.startswith(("--data=", "--width=")):
+            return None if word.startswith("-") else word
+    return None
 
 
 def _key(text):
@@ -168,8 +196,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None):
     """Run one CLI invocation; returns the process exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -20,11 +20,14 @@ once and repeated lookups return the identical cached record.
 
 Every file is streamed by ``xmlio``, with no element tree.  LU index rows
 are plain tuples whose fields sit at the ``xmlio.LU_*`` positions; the other
-tables' rows are records.  The store
-keys each table's rows by ID and files relations by frame, reading the
-relations' plain fields with ``dict``'s own lookup, not
-``Record.__getitem__``'s check for lazy values.  A relation's FE mapping
-records are built on the first read of its ``feRelations``.
+tables' rows are records.  The store keys each table's rows by ID.  The
+relation registry keeps each relation as the ``Lazy`` of its record, over a
+row of its attributes and FE mappings, and the store files those by frame.
+So ``frame_relations_involving`` builds the records of one frame's
+relations only, and a relation type's ``frameRelations`` builds the rest
+through the same ``Lazy``s: each relation has one record, whichever path
+reads it first.  A relation's FE mapping records are built on the first
+read of its ``feRelations``.
 
 The same memo holds the name columns that pattern scans search, one per
 table: the frame, LU and document indexes, each frame's FEs, and all FEs.  A
@@ -52,9 +55,6 @@ from .errors import CorpusError, IntegrityError, LookupFailure
 from .records import LOCK, Lazy
 
 ENV_DATA_DIR = "FRAMELEX_DATA"
-
-# A record field that is never lazy, read without Record.__getitem__'s check.
-_field = dict.__getitem__
 
 
 def open_store(root=None):
@@ -378,10 +378,9 @@ class Store:
             frame_resolver=self.resolve_frame_ref,
         )
         by_frame = {}
-        for rtype in types:
-            for rel in _field(rtype, "frameRelations"):
-                for fid in {_field(rel, "supID"), _field(rel, "subID")}:
-                    by_frame.setdefault(fid, []).append(rel)
+        for sup_id, sub_id, rel in types.relations:
+            for fid in {sup_id, sub_id}:
+                by_frame.setdefault(fid, []).append(rel)
         return types, by_frame
 
     def relation_types(self):
@@ -393,8 +392,12 @@ class Store:
         return [rel for rtype in self._relations()[0] for rel in rtype["frameRelations"]]
 
     def frame_relations_involving(self, frame_id):
-        """Relations with the given frame on either side, registry order."""
-        return list(self._relations()[1].get(frame_id, ()))
+        """Relations with the given frame on either side, registry order.
+
+        Only their records are built; a type's ``frameRelations`` builds the
+        rest, through the same ``Lazy`` of each relation.
+        """
+        return [rel.resolve() for rel in self._relations()[1].get(frame_id, ())]
 
     def fe_relations_all(self):
         """Every FE-to-FE mapping across all relations, registry order."""

@@ -41,12 +41,14 @@ aside) hold those same tuples, and an annotation set's ``layer`` is a
 records on first read.
 
 Registry rows are compact too.  The frame index is ``(ID, name)`` pairs and
-the LU index plain ``LU_FIELDS`` tuples.  Each ``<FERelation>`` is checked at
-its start tag and kept as an attribute tuple; a relation's ``feRelations`` is
-a ``Lazy`` that builds its FE-relation records on first read.  Labels, LU
-index rows and FE mappings, the most numerous records, read their attributes
-directly and fall back to ``_int`` and ``_req_attr`` only when a lookup or a
-check fails, so every error keeps its message and precedence.
+the LU index plain ``LU_FIELDS`` tuples.  Each ``<frameRelation>`` and
+``<FERelation>`` is checked at its start tag and kept as an attribute tuple.
+A relation's record is a ``Lazy`` over its tuple and those of its FE
+mappings, and its ``feRelations`` one more that builds its FE-relation
+records; each is built on first read.  Labels, LU index rows, relations and
+FE mappings, the most numerous records, read their attributes directly and
+fall back to ``_int`` and ``_req_attr`` only when a lookup or a check fails,
+so every error keeps its message and precedence.
 """
 
 import html
@@ -734,19 +736,25 @@ def parse_lu_file(data, source=None, *, lu=None):
     """One LU exemplar file -> (LU ID, list of subcorpus records).
 
     Every sentence and annotation set links to ``lu`` and its frame; with no
-    ``lu`` those links fail if forced.  The root's ``frameID`` must be the ID
-    of ``lu``'s frame and a label's ``feID`` one of its FEs', where known.
+    ``lu`` those links fail if forced.  The root's ``frameID``, ``frame`` and
+    ``name`` must be those of ``lu``'s frame and of ``lu``, and a label's
+    ``feID`` one of its FEs', where known.
     """
     root = _read(data, source, "lexUnit", {"subCorpus": {"sentence": _SENTENCE}})
-    lu_id = _int("lexUnit", root[1], "ID", source)
+    attrs = root[1]
+    lu_id = _int("lexUnit", attrs, "ID", source)
     lu_ref = lu if lu is not None else unbound_lazy("the exemplars' lexical unit")
     frame_ref = lu["frame"] if lu is not None else unbound_lazy("the exemplars' frame")
     frame_id = frame_ref.get("ID") if lu is not None else None
-    if frame_id is not None and _int("lexUnit", root[1], "frameID", source, frame_id) != frame_id:
-        raise IntegrityError(
-            f"{source}: lu {lu['ID']} of frame {frame_ref.get('name')!r} ({frame_id}) "
-            f"names another frame ({root[1]['frameID']})"
-        )
+    if frame_id is not None:
+        frame_name = frame_ref.get("name")
+        what = f"{source}: lu {lu['ID']} of frame {frame_name!r} ({frame_id}) names another"
+        if _int("lexUnit", attrs, "frameID", source, frame_id) != frame_id:
+            raise IntegrityError(f"{what} frame ({attrs['frameID']})")
+        if attrs.get("frame", frame_name) != frame_name:
+            raise IntegrityError(f"{what} frame ({attrs['frame']!r})")
+        if attrs.get("name", lu["name"]) != lu["name"]:
+            raise IntegrityError(f"{what} lexical unit ({attrs['name']!r})")
     fes = frame_ref.get("FE") if lu is not None else None
     fe_ids = None if fes is None else {fe["ID"] for fe in fes.values()}
 
@@ -812,14 +820,29 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
 # ---------------------------------------------------------------- relations
 
 
-def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
-    """The relation registry -> list of relation-type records.
+class RelationTypes(list):
+    """The relation-type records of a registry, in file order.
 
-    Each type carries its relations; each relation carries its FE mappings.
-    Frames are resolved lazily through ``frame_resolver(frame_id, name,
-    source, relation)``.
+    ``relations`` holds ``(supID, subID, relation)`` for every relation, in
+    file order, ``relation`` being the ``Lazy`` of its record.
     """
-    types = []
+
+    __slots__ = ("relations",)
+
+
+def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
+    """The relation registry -> a ``RelationTypes`` list of relation-type records.
+
+    Each ``<frameRelation>`` is checked at its start tag and kept as a tuple
+    of its attributes, with a list of its FE mappings' attribute tuples; a
+    ``Lazy`` over those builds its record on first read.  A type's
+    ``frameRelations`` is a ``Lazy`` over its relations' records.  Frames are
+    resolved lazily through ``frame_resolver(frame_id, name, source,
+    relation)``.
+    """
+    types = RelationTypes()
+    types.relations = []
+    mappings = []  # those of the relation last opened
 
     def relation_type(attrs):
         tag = "frameRelationType"
@@ -829,52 +852,65 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
         rtype["superFrameName"] = _req_attr(tag, attrs, "superFrameName", source)
         rtype["subFrameName"] = _req_attr(tag, attrs, "subFrameName", source)
         rtype["_type"] = "framerelationtype"
-        rtype["frameRelations"] = []
+        relations = []
+        rtype["frameRelations"] = Lazy(_resolve_all, relations)
         types.append(rtype)
-        return {"frameRelation": partial(relation, rtype)}
+        return {"frameRelation": partial(relation, rtype, relations)}
 
-    def relation(rtype, attrs):
-        tag = "frameRelation"
-        rel = Record()
-        rel["ID"] = _int(tag, attrs, "ID", source)
-        rel["type"] = rtype
-        rel["superFrameName"] = sup_name = _req_attr(tag, attrs, "superFrameName", source)
-        rel["subFrameName"] = sub_name = _req_attr(tag, attrs, "subFrameName", source)
-        rel["supID"] = sup_id = _int(tag, attrs, "supID", source)
-        rel["subID"] = sub_id = _int(tag, attrs, "subID", source)
-        rel["_type"] = "framerelation"
-        what = f"frame {sup_name!r}"
-        rel["superFrame"] = _ref(frame_resolver, what, sup_id, sup_name, source, rel)
-        what = f"frame {sub_name!r}"
-        rel["subFrame"] = _ref(frame_resolver, what, sub_id, sub_name, source, rel)
+    def relation(rtype, relations, attrs):
+        nonlocal mappings
+        row = _relation_row("frameRelation", attrs, source, "superFrameName", "subFrameName")
         mappings = []
-        rel["feRelations"] = Lazy(_fe_relation_records, source, rel, mappings)
-        rtype["frameRelations"].append(rel)
-        return {"FERelation": partial(fe_relation, mappings)}
+        rel = Lazy(_relation_record, source, frame_resolver, rtype, row, mappings)
+        relations.append(rel)
+        types.relations.append((row[3], row[4], rel))
+        return fe_relations
 
-    def fe_relation(mappings, attrs):
-        try:
-            mapping = (
-                int(attrs["ID"]),
-                attrs["superFEName"],
-                attrs["subFEName"],
-                int(attrs["supID"]),
-                int(attrs["subID"]),
-            )
-        except (KeyError, ValueError):
-            # The checked readers, to raise the first error in field order.
-            tag = "FERelation"
-            mapping = (
-                _int(tag, attrs, "ID", source),
-                _req_attr(tag, attrs, "superFEName", source),
-                _req_attr(tag, attrs, "subFEName", source),
-                _int(tag, attrs, "supID", source),
-                _int(tag, attrs, "subID", source),
-            )
-        mappings.append(mapping)
+    def fe_relation(attrs):
+        mappings.append(_relation_row("FERelation", attrs, source, "superFEName", "subFEName"))
 
+    fe_relations = {"FERelation": fe_relation}
     _read(data, source, "frameRelations", {"frameRelationType": relation_type})
     return types
+
+
+def _relation_row(tag, attrs, source, sup_name, sub_name):
+    """A relation's or an FE mapping's ``(ID, super name, sub name, supID,
+    subID)``, its names read from attributes ``sup_name`` and ``sub_name``."""
+    try:
+        return (
+            int(attrs["ID"]),
+            attrs[sup_name],
+            attrs[sub_name],
+            int(attrs["supID"]),
+            int(attrs["subID"]),
+        )
+    except (KeyError, ValueError):
+        # The checked readers, to raise the first error in field order.
+        return (
+            _int(tag, attrs, "ID", source),
+            _req_attr(tag, attrs, sup_name, source),
+            _req_attr(tag, attrs, sub_name, source),
+            _int(tag, attrs, "supID", source),
+            _int(tag, attrs, "subID", source),
+        )
+
+
+def _relation_record(source, frame_resolver, rtype, row, mappings):
+    """The record of relation ``row`` of type ``rtype``, with its FE mappings."""
+    rel_id, sup_name, sub_name, sup_id, sub_id = row
+    rel = Record()
+    rel["ID"] = rel_id
+    rel["type"] = rtype
+    rel["superFrameName"] = sup_name
+    rel["subFrameName"] = sub_name
+    rel["supID"] = sup_id
+    rel["subID"] = sub_id
+    rel["_type"] = "framerelation"
+    rel["superFrame"] = _ref(frame_resolver, f"frame {sup_name!r}", sup_id, sup_name, source, rel)
+    rel["subFrame"] = _ref(frame_resolver, f"frame {sub_name!r}", sub_id, sub_name, source, rel)
+    rel["feRelations"] = Lazy(_fe_relation_records, source, rel, mappings)
+    return rel
 
 
 def _fe_relation_records(source, rel, mappings):

@@ -2,7 +2,10 @@ import io
 import random
 import shlex
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from framelex.cli import _split_line, build_parser, run
 from framelex.errors import UsageError
@@ -161,6 +164,62 @@ def test_parser_covers_every_query_surface():
         "fe-relations", "semtypes", "semtype", "propagate-semtypes",
         "annotations", "exemplars", "ft-sents", "doc", "docs", "stats", "browse",
     } <= subcommands
+
+
+SUBCOMMANDS = (
+    "frame", "frames", "lu", "lus", "fes", "relations", "relation-types", "fe-relations",
+    "semtypes", "semtype", "propagate-semtypes", "annotations", "exemplars", "ft-sents",
+    "doc", "docs", "stats", "browse",
+)
+# Golden under golden/parser/ -> (argv, exit code); help goes to stdout, errors to stderr.
+PARSER_OUTPUT = {
+    "help.txt": (["--help"], 0),
+    "no_command.txt": ([], 2),
+    "unknown_command.txt": (["nosuch"], 2),
+    "lu_abc.txt": (["lu", "abc"], 2),
+    **{f"help_{name}.txt": ([name, "--help"], 0) for name in SUBCOMMANDS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_OUTPUT))
+def test_parser_output_matches_golden(name, golden, capsys, monkeypatch):
+    # Wide enough that argparse wraps no line: its wrapping differs across versions.
+    monkeypatch.setenv("COLUMNS", "400")
+    argv, want_code = PARSER_OUTPUT[name]
+    code = run(argv, stdin=io.StringIO(), stdout=io.StringIO(), stderr=io.StringIO())
+    out, err = capsys.readouterr()
+    assert code == want_code
+    want = golden(f"parser/{name}")
+    assert (out, err) == ((want, "") if code == 0 else ("", want))
+
+
+def _parse(parser, argv):
+    """(parsed arguments or exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+PARSER_WORDS = (
+    "--data", "--data=d", "d", "--width", "--width=9", "9", "-5", "--ids", "--ids=1", "-h",
+    "--help", "--he", "--dat", "--", "", "frame", "lu", "lus", "relations", "browse", "nosuch",
+    "--frame", "--type", "x",
+)
+
+
+def test_parser_for_the_command_run_parses_as_the_full_one(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(13)
+    argvs = [[rng.choice(PARSER_WORDS) for _ in range(rng.randint(0, 6))] for _ in range(600)]
+    argvs += [["--data", "frame", "lu", "5"], ["--data", "--", "frame", "lu", "5"],
+              ["--width", "-5", "lu", "5"], ["--ids", "--data=lu", "frame", "x", "--ids"]]
+    full = build_parser()
+    for argv in argvs:
+        assert _parse(build_parser(argv), argv) == _parse(full, argv), argv
 
 
 # ------------------------------------------------------------ the REPL

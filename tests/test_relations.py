@@ -1,9 +1,12 @@
+import gc
 import shutil
+import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from framelex import Store
+from framelex import Record, Store, open_lexicon
 from framelex.errors import LookupFailure
 
 
@@ -180,3 +183,55 @@ def test_relations_involving_each_frame_match_the_registry(data_dir, tmp_path):
             assert got == [rid for rid, sup, sub in raw if fid in (sup, sub)], (corpus, fid)
     assert [rel.ID for rel in store.frame_relations_involving(5)] == [802, 803, 820]
     assert store.frame_relations_involving(2003) == []
+
+
+def test_concurrent_first_touch_of_relations_builds_one_record_each(data_dir):
+    """A frame's relations, its types' relations and a frame-filtered query,
+    all first read together, hold the identical records."""
+    reads = [
+        lambda lex: lex.frame(347).frameRelations,
+        lambda lex: [
+            rel for rtype in lex.frame_relation_types() for rel in rtype.frameRelations
+            if 347 in (rel.supID, rel.subID)
+        ],
+        lambda lex: lex.frame_relations(frame=347),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            lex = open_lexicon(data_dir)
+            results = []
+            barrier = threading.Barrier(6)
+
+            def work(read):
+                barrier.wait()
+                results.append(read(lex))
+
+            threads = [threading.Thread(target=work, args=(reads[i % 3],)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 6
+            assert [rel.ID for rel in results[0]] == [810]
+            for rels in results:
+                assert all(a is b for a, b in zip(rels, results[0], strict=True))
+            assert lex.store.fileAccessLog.count("frRelation.xml") == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_showing_a_frame_builds_only_its_relation_records(data_dir):
+    lex = open_lexicon(data_dir)
+    assert [rel.ID for rel in lex.frame(347).frameRelations] == [810]
+    types = lex.frame_relation_types()
+    gc.collect()
+    live = [
+        obj for obj in gc.get_objects()
+        if type(obj) is Record and dict.get(obj, "_type") == "framerelation"
+        and any(dict.__getitem__(obj, "type") is rtype for rtype in types)
+    ]
+    assert [rel.ID for rel in live] == [810]
+    assert sum(len(rtype.frameRelations) for rtype in types) > 1

@@ -635,3 +635,25 @@ def test_semtype_naming_unknown_type_is_an_integrity_error(
                stderr=err)
     assert code == 3
     assert re.search(where, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('name="revenge.n" ID="6067"', 'name="zzz.n" ID="6067"',
+         "lu 6067 of frame 'Revenge' (347) names another lexical unit ('zzz.n')"),
+        ('frame="Revenge" frameID="347"', 'frame="Nope" frameID="347"',
+         "lu 6067 of frame 'Revenge' (347) names another frame ('Nope')"),
+    ],
+)
+def test_lu_file_root_naming_another_lu_is_an_integrity_error(
+    data_dir, tmp_path, old, new, message
+):
+    clone = _corrupt_copy(data_dir, tmp_path, "lu/lu6067.xml", old, new)
+    with pytest.raises(IntegrityError) as info:
+        open_lexicon(clone).lu(6067).exemplars
+    assert str(info.value) == f"lu/lu6067.xml: {message}"
+    err = io.StringIO()
+    code = run(["--data", str(clone), "lu", "6067"], stdin=io.StringIO(), stdout=io.StringIO(),
+               stderr=err)
+    assert (code, err.getvalue()) == (3, f"framelex: data: lu/lu6067.xml: {message}\n")

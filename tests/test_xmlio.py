@@ -999,16 +999,22 @@ def _record_ids(rows):
     return [row.ID for row in rows]
 
 
+# Per record kind, the lazy value that builds records and resolves nothing.
+_BUILT_ON_READ = {"framerelationtype": "frameRelations", "framerelation": "feRelations"}
+
+
 def _plain(value):
     """``value`` with lazy references and back-links left out, for comparison.
 
-    A relation's FE mappings are read, as building them resolves nothing.
+    A relation type's relations and a relation's FE mappings are read, as
+    building them resolves nothing.
     """
     if isinstance(value, Record):
+        built = _BUILT_ON_READ.get(dict.get(value, "_type"))
         return {
-            key: _plain(value[key] if key == "feRelations" else item)
+            key: _plain(value[key] if key == built else item)
             for key, item in dict.items(value)
-            if key == "feRelations" or not isinstance(item, (Lazy, Record))
+            if key == built or not isinstance(item, (Lazy, Record))
         }
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
