@@ -11,6 +11,7 @@ import os
 import re
 import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 from .errors import CorpusError, LookupFailure, PatternError, UsageError
@@ -198,7 +199,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None):
     stderr = stderr if stderr is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -13,7 +13,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .errors import LookupFailure, PatternError, UsageError
-from .records import LOCK, Record
+from .records import Record, build
 from .store import open_store
 from .xmlio import LU_FRAME_ID, LU_ID, LU_NAME
 
@@ -44,6 +44,11 @@ def _is_record(obj, kind):
     return isinstance(obj, Record) and obj.get("_type") == kind
 
 
+def _decimal(key):
+    """A decimal string as its int (an ID typed as text); any other key as is."""
+    return int(key) if isinstance(key, str) and key.isdecimal() else key
+
+
 class FrameLexicon:
     def __init__(self, store):
         self._store = store
@@ -68,9 +73,7 @@ class FrameLexicon:
         """One frame, by exact name or numeric ID."""
         if _is_record(key, "frame"):
             return key
-        if isinstance(key, str) and key.isdecimal():
-            key = int(key)
-        return self._store.get_frame(key)
+        return self._store.get_frame(_decimal(key))
 
     def frame_ids_and_names(self, name_pattern=None):
         """{frame ID: frame name} for matching frames, from the index alone."""
@@ -100,8 +103,7 @@ class FrameLexicon:
         """One lexical unit, by numeric ID."""
         if _is_record(lu_id, "lu"):
             return lu_id
-        if isinstance(lu_id, str) and lu_id.isdecimal():
-            lu_id = int(lu_id)
+        lu_id = _decimal(lu_id)
         if not isinstance(lu_id, int):
             raise LookupFailure(f"no lexical unit with ID {lu_id!r}")
         return self._store.get_lu(lu_id)
@@ -154,9 +156,10 @@ class FrameLexicon:
         if frame is None:
             relations = self._store.frame_relations_all()
         else:
-            relations = self._store.frame_relations_involving(self._frame_id(frame))
+            fid = self._frame_id(frame)
+            relations = self._store.frame_relations_involving(fid)
         if frame2 is not None:
-            fid, fid2 = self._frame_id(frame), self._frame_id(frame2)
+            fid2 = self._frame_id(frame2)
             relations = [
                 rel
                 for rel in relations
@@ -172,13 +175,10 @@ class FrameLexicon:
         return self._store.fe_relations_all()
 
     def _frame_id(self, key):
+        """The ID of a frame record, name or ID, without loading the frame."""
         if _is_record(key, "frame"):
             return key["ID"]
-        if isinstance(key, int):
-            if not self._store.frame_defined(key):
-                raise LookupFailure(f"no frame with ID {key}")
-            return key
-        return self.frame(key)["ID"]
+        return self._store.frame_id(_decimal(key))
 
     def _relation_type(self, key):
         if _is_record(key, "framerelationtype"):
@@ -220,21 +220,23 @@ class FrameLexicon:
 
         Requires exclusive use of the store for the duration of the call.
         """
+        return build(self._propagate_semtypes)
+
+    def _propagate_semtypes(self):
         added = 0
-        with LOCK:
-            mappings = self._store.fe_relations_all()
-            changed = True
-            while changed:
-                changed = False
-                for mapping in mappings:
-                    st = mapping["superFE"]["semType"]
-                    if st is None:
-                        continue
-                    sub_fe = mapping["subFE"]
-                    if sub_fe["semType"] is None:
-                        sub_fe["semType"] = st
-                        added += 1
-                        changed = True
+        mappings = self._store.fe_relations_all()
+        changed = True
+        while changed:
+            changed = False
+            for mapping in mappings:
+                st = mapping["superFE"]["semType"]
+                if st is None:
+                    continue
+                sub_fe = mapping["subFE"]
+                if sub_fe["semType"] is None:
+                    sub_fe["semType"] = st
+                    added += 1
+                    changed = True
         return added
 
     # ------------------------------------------------------------ annotated sentences

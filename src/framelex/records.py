@@ -16,11 +16,33 @@ first resolution runs under ``LOCK``, so threads that first touch a value
 together resolve it once.  The store loads files under the same re-entrant
 lock: resolving a value may load a file and loading a file may resolve
 values, so two locks could deadlock against each other.
+
+Everything that runs under ``LOCK`` runs through ``build``, with the cyclic
+garbage collector paused.  A file's parse makes many short-lived containers;
+a collection in the middle of it would promote them to the oldest generation,
+and the count of those promotions later sets off full passes over the whole
+growing lexicon.  With no collection inside a build, the first one after it
+sees only the records that outlive it.  A nested build finds the collector
+off and leaves it off; the outermost one restores the state it found, also
+when the build raises.
 """
 
+import gc
 import threading
 
 LOCK = threading.RLock()
+
+
+def build(fn, *args):
+    """``fn(*args)`` under ``LOCK``, with the cyclic collector paused."""
+    with LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class Lazy:
@@ -38,7 +60,7 @@ class Lazy:
         if not self._done:
             with LOCK:
                 if not self._done:
-                    self._value = self._fn(*self._args)
+                    self._value = build(self._fn, *self._args)
                     self._fn = self._args = None
                     self._done = True
         return self._value

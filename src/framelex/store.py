@@ -11,12 +11,14 @@ record that loaded them, so the store returns their records unchanged.
 Every file actually opened is appended to ``fileAccessLog`` (path relative to
 the corpus root, posix separators), which makes load behavior observable and
 replayable.  Every load but one goes through one memo, ``Store._load``.  A
-cache hit takes no lock; a miss builds under ``records.LOCK``, the package's
-single re-entrant lock.  The exception is an LU's exemplar file:
-``_load_exemplars`` runs as the LU stub's ``subCorpus`` ``Lazy``, which
-resolves once under the same lock and keeps its value on the stub, not in the
-memo.  So concurrent first accesses to the same entity parse its file exactly
-once and repeated lookups return the identical cached record.
+cache hit takes no lock; a miss builds through ``records.build``: under
+``records.LOCK``, the package's single re-entrant lock, with the cyclic
+garbage collector paused until the build returns or raises.  The exception is
+an LU's exemplar file: ``_load_exemplars`` runs as the LU stub's
+``subCorpus`` ``Lazy``, which resolves once through the same ``build`` and
+keeps its value on the stub, not in the memo.  So concurrent first accesses
+to the same entity parse its file exactly once, repeated lookups return the
+identical cached record, and no collection runs while a file is parsed.
 
 Every file is streamed by ``xmlio``, with no element tree.  LU index rows
 are plain tuples whose fields sit at the ``xmlio.LU_*`` positions; the other
@@ -52,7 +54,7 @@ from pathlib import Path
 
 from . import xmlio
 from .errors import CorpusError, IntegrityError, LookupFailure
-from .records import LOCK, Lazy
+from .records import LOCK, Lazy, build
 
 ENV_DATA_DIR = "FRAMELEX_DATA"
 
@@ -80,14 +82,14 @@ class Store:
 
     # ------------------------------------------------------------ loading
 
-    def _load(self, key, build, *args):
-        """The cache entry under ``key``, made by ``build(*args)`` on first use."""
+    def _load(self, key, fn, *args):
+        """The cache entry under ``key``, made by ``build(fn, *args)`` on first use."""
         value = self._cache.get(key)
         if value is None:
             with LOCK:
                 value = self._cache.get(key)
                 if value is None:
-                    value = self._cache[key] = build(*args)
+                    value = self._cache[key] = build(fn, *args)
         return value
 
     def _read(self, relpath):
@@ -136,18 +138,22 @@ class Store:
         names, ids = self._frame_index()
         return name_or_id in (names if isinstance(name_or_id, int) else ids)
 
-    def get_frame(self, name_or_id):
-        """The frame record for a name or ID, loading its file on first use."""
+    def frame_id(self, name_or_id):
+        """The ID of the frame a name or ID names, from the index alone."""
         names, ids = self._frame_index()
         if isinstance(name_or_id, int):
-            fid = name_or_id
-            if fid not in names:
-                raise LookupFailure(f"no frame with ID {fid}")
-        else:
-            fid = ids.get(name_or_id)
-            if fid is None:
-                raise LookupFailure(f"no frame named {name_or_id!r}")
-        return self._load(("frame", fid), self._parse_frame, fid, names[fid])
+            if name_or_id not in names:
+                raise LookupFailure(f"no frame with ID {name_or_id}")
+            return name_or_id
+        fid = ids.get(name_or_id)
+        if fid is None:
+            raise LookupFailure(f"no frame named {name_or_id!r}")
+        return fid
+
+    def get_frame(self, name_or_id):
+        """The frame record for a name or ID, loading its file on first use."""
+        fid = self.frame_id(name_or_id)
+        return self._load(("frame", fid), self._parse_frame, fid, self._frame_index()[0][fid])
 
     def _parse_frame(self, fid, name):
         relpath = f"frame/{name}.xml"

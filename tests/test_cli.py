@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from framelex import cli as cli_module
 from framelex.cli import _split_line, build_parser, run
+from framelex.lexicon import open_lexicon
 from framelex.errors import UsageError
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "fixture17"
@@ -105,6 +107,25 @@ def test_semtypes_and_relations_listings():
     )
 
 
+def test_relations_for_a_named_frame_read_no_frame_file(monkeypatch):
+    """The frame index names the frame's ID, so its file is never opened."""
+    opened = []
+    monkeypatch.setattr(cli_module, "open_lexicon",
+                        lambda *args: opened.append(open_lexicon(*args)) or opened[-1])
+    code, out, err = cli("relations", "--frame", "Revenge")
+    assert (code, err) == (0, "")
+    assert opened[0].store.fileAccessLog == ["frameIndex.xml", "frRelation.xml"]
+    assert cli("relations", "--frame", "347")[1] == out
+    opened.clear()
+    assert cli("relations", "--frame", "Nope") == (
+        1, "", "framelex: not found: no frame named 'Nope'\n"
+    )
+    assert opened[0].store.fileAccessLog == ["frameIndex.xml"]
+    assert cli("relations", "--frame", "99999") == (
+        1, "", "framelex: not found: no frame with ID 99999\n"
+    )
+
+
 def test_propagate_subcommand():
     code, out, _ = cli("propagate-semtypes")
     assert code == 0
@@ -153,6 +174,16 @@ def test_help_exits_zero():
     assert code == 0
 
 
+def test_parser_output_goes_to_the_given_streams(capsys):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["--help"], stdin=io.StringIO(), stdout=out, stderr=err) == 0
+    assert out.getvalue().startswith("usage: framelex") and err.getvalue() == ""
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["lu", "abc"], stdin=io.StringIO(), stdout=out, stderr=err) == 2
+    assert out.getvalue() == "" and "invalid int value: 'abc'" in err.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+
 def test_parser_covers_every_query_surface():
     parser = build_parser()
     subcommands = set()
@@ -183,14 +214,19 @@ PARSER_OUTPUT = {
 
 @pytest.mark.parametrize("name", sorted(PARSER_OUTPUT))
 def test_parser_output_matches_golden(name, golden, capsys, monkeypatch):
+    """The same bytes on the process's streams (read through capsys) when
+    ``run`` is given none, and on the streams it is given otherwise."""
     # Wide enough that argparse wraps no line: its wrapping differs across versions.
     monkeypatch.setenv("COLUMNS", "400")
     argv, want_code = PARSER_OUTPUT[name]
-    code = run(argv, stdin=io.StringIO(), stdout=io.StringIO(), stderr=io.StringIO())
-    out, err = capsys.readouterr()
-    assert code == want_code
     want = golden(f"parser/{name}")
-    assert (out, err) == ((want, "") if code == 0 else ("", want))
+    want = (want, "") if want_code == 0 else ("", want)
+    assert run(argv, stdin=io.StringIO()) == want_code
+    assert capsys.readouterr() == want
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, stdin=io.StringIO(), stdout=out, stderr=err) == want_code
+    assert (out.getvalue(), err.getvalue()) == want
+    assert capsys.readouterr() == ("", "")
 
 
 def _parse(parser, argv):

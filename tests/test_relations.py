@@ -38,6 +38,18 @@ def test_relations_frame_pair(lexicon):
     assert [r.ID for r in rels] == [810]
 
 
+def test_relations_by_frame_name_read_no_frame_file(lexicon):
+    rels = lexicon.frame_relations(frame="Rewards_and_punishments", frame2="Revenge")
+    assert [r.ID for r in rels] == [810]
+    assert lexicon.store.fileAccessLog == ["frameIndex.xml", "frRelation.xml"]
+    assert lexicon.frame_relations(frame="344", frame2="347") == rels
+    with pytest.raises(LookupFailure, match="^no frame named 'Nope'$"):
+        lexicon.frame_relations(frame="Revenge", frame2="Nope")
+    with pytest.raises(LookupFailure, match="^no frame with ID 99999$"):
+        lexicon.frame_relations(frame="Revenge", frame2=99999)
+    assert lexicon.store.fileAccessLog == ["frameIndex.xml", "frRelation.xml"]
+
+
 def test_relations_frame2_requires_frame(lexicon):
     with pytest.raises(ValueError):
         lexicon.frame_relations(frame2="Revenge")

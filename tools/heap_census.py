@@ -4,6 +4,9 @@
 Opens the corpus at ``--data DIR``, runs ``FrameLexicon.sents()`` to the end
 while keeping the lexicon alive, collects garbage, and prints:
 
+- collections per generation that the cyclic collector ran during the
+  sweep, counted through ``gc.callbacks`` (framelex pauses the collector
+  while it loads a file, so these run between loads);
 - held MB: memory still allocated since the lexicon was opened (tracemalloc);
 - GC-tracked objects: ``len(gc.get_objects())`` after the sweep;
 - ``Record``s by kind tag, kindless ones (lexemes, sentence counts,
@@ -30,27 +33,40 @@ from framelex import FrameLexicon, Record  # noqa: E402
 
 
 def census(data_dir):
-    """(held bytes, sentences, sweep seconds, tracked objects, Records by kind)."""
+    """(held bytes, sentences, sweep seconds, collections by generation,
+    tracked objects, Records by kind)."""
+    collections = Counter()
+
+    def count(phase, info):
+        if phase == "start":
+            collections[info["generation"]] += 1
+
     tracemalloc.start()
     lexicon = FrameLexicon.open(data_dir)
+    gc.callbacks.append(count)
     start = time.perf_counter()
-    sentences = sum(1 for _ in lexicon.sents())
-    seconds = time.perf_counter() - start
+    try:
+        sentences = sum(1 for _ in lexicon.sents())
+    finally:
+        seconds = time.perf_counter() - start
+        gc.callbacks.remove(count)
     gc.collect()
     held = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
     objects = gc.get_objects()
     kinds = Counter(dict.get(obj, "_type", "-") for obj in objects if isinstance(obj, Record))
-    return held, sentences, seconds, len(objects), kinds
+    return held, sentences, seconds, collections, len(objects), kinds
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--data", required=True, help="corpus directory")
     args = parser.parse_args(argv)
-    held, sentences, seconds, tracked, kinds = census(args.data)
+    held, sentences, seconds, collections, tracked, kinds = census(args.data)
     print(f"sentences          {sentences}")
     print(f"sweep s            {seconds:.2f} (under tracemalloc)")
+    counts = " ".join(f"gen{gen} {collections[gen]}" for gen in range(3))
+    print(f"collections        {counts} (during the sweep)")
     print(f"held MB            {held / 1e6:.1f}")
     print(f"GC-tracked objects {tracked}")
     print(f"Records            {sum(kinds.values())}")
