@@ -101,11 +101,6 @@ def _command_of(argv):
     return None
 
 
-def _key(text):
-    """A name-or-ID argument: a decimal string is an ID."""
-    return int(text) if text is not None and text.isdecimal() else text
-
-
 def _listing(line, ids_field="{name}"):
     """Listing output: ``line`` per item, ``ID<TAB>ids_field`` with ``--ids``;
     each a function of the item or a ``str.format_map`` template over it."""
@@ -163,19 +158,19 @@ COMMANDS = {
     "frames": (lambda lex, a: lex.frames(a.pattern), _listing("({ID}) {name}"), "[pattern]"),
     "lu": (lambda lex, a: lex.lu(a.id),
            lambda lu, options, ids: render.render_lu(lu, options), "<name-or-id>"),
-    "lus": (lambda lex, a: lex.lus(a.pattern, frame=_key(a.frame)),
+    "lus": (lambda lex, a: lex.lus(a.pattern, frame=a.frame),
             _listing("({ID}) {name} in {frame.name}"), "[pattern]"),
-    "fes": (lambda lex, a: lex.fes(a.pattern, frame=_key(a.frame)),
+    "fes": (lambda lex, a: lex.fes(a.pattern, frame=a.frame),
             _listing("({ID}) {name} [{coreType}] in {frame.name}"), "[pattern]"),
     "relations": (lambda lex, a: lex.frame_relations(
-                      frame=_key(a.frame), frame2=_key(a.frame2), type=a.type),
+                      frame=a.frame, frame2=a.frame2, type=a.type),
                   _listing(_RELATION, _RELATION), ""),
     "relation-types": (lambda lex, a: lex.frame_relation_types(),
                        _listing("({ID}) {name}: {superFrameName} -> {subFrameName}"), ""),
     "fe-relations": (lambda lex, a: lex.fe_relations(),
                      _listing("({ID}) " + _FE_MAPPING, _FE_MAPPING), ""),
     "semtypes": (lambda lex, a: lex.semtypes(), _listing(_semtype_line), ""),
-    "semtype": (lambda lex, a: lex.semtype(_key(a.key)),
+    "semtype": (lambda lex, a: lex.semtype(a.key),
                 lambda st, options, ids: render.render_semtype(st, options), "<key>"),
     "propagate-semtypes": (
         lambda lex, a: [f"added {lex.propagate_semtypes()} semantic type labels"], _lines, ""),
@@ -184,8 +179,7 @@ COMMANDS = {
                     _listing(_annotation_line, _annotation_lu), "[pattern]"),
     "exemplars": (lambda lex, a: lex.exemplars(a.pattern), _SENTS, "[pattern]"),
     "ft-sents": (lambda lex, a: lex.ft_sents(a.pattern), _SENTS, "[pattern]"),
-    # int(): argparse has converted a CLI ID already, a REPL one is a string.
-    "doc": (lambda lex, a: lex.doc(int(a.id)),
+    "doc": (lambda lex, a: lex.doc(a.id),
             lambda doc, options, ids: render.render_document(doc, options), "<id>"),
     "docs": (lambda lex, a: lex.docs(a.pattern), _listing("({ID}) {name} ({corpusName})"),
              "[pattern]"),

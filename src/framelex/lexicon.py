@@ -4,13 +4,13 @@ One FrameLexicon wraps one Store and answers every query: frames, lexical
 units, frame elements, relations, semantic types and annotated sentences.
 Name lookups take regular expression patterns with unanchored search
 semantics (embed ``(?i)`` for case insensitivity); exact-match lookups take a
-name or numeric ID and raise LookupFailure when nothing matches.  All list
-results have fixed orders, so repeated calls are identical.
+name or numeric ID and raise LookupFailure when nothing matches.  Wherever an
+ID is accepted, a decimal string is that ID (``_decimal``).  All list results
+have fixed orders, so repeated calls are identical.
 """
 
 import re
 from itertools import compress
-from operator import itemgetter
 
 from .errors import LookupFailure, PatternError, UsageError
 from .records import Record, build
@@ -42,6 +42,18 @@ def _scan(pattern, column, *args):
 
 def _is_record(obj, kind):
     return isinstance(obj, Record) and obj.get("_type") == kind
+
+
+def _frame_sets(sentences, search=None):
+    """The frame annotation sets of ``sentences`` whose LU name ``search``
+    finds (all if None), by (sentence ID, set ID)."""
+    sets = [
+        aset
+        for sent in sentences
+        for aset in sent["annotationSet"][1:]
+        if search is None or aset.get("luName") is not None and search(aset["luName"])
+    ]
+    return sorted(sets, key=lambda aset: (aset["sent"]["ID"], aset["ID"]))
 
 
 def _decimal(key):
@@ -89,9 +101,11 @@ class FrameLexicon:
     def lus(self, name_pattern=None, frame=None):
         """Lexical units whose name matches, LU ID ascending.
 
-        ``frame`` confines the result to one or more frames: a numeric ID, a
-        frame record, an exact frame name, or a name pattern (a restriction
-        matching no frame yields an empty list, not an error).
+        ``frame`` confines the result to one or more frames: a numeric or
+        decimal-string ID, a frame record, an exact frame name, or a name
+        pattern (a restriction matching no frame yields an empty list, not an
+        error).  The restriction resolves before the LU index loads, and the
+        LU column is then filtered by frame in one pass.
         """
         if frame is None:
             rows = _scan(name_pattern, self._store.lu_column)
@@ -110,28 +124,30 @@ class FrameLexicon:
 
     def _frame_lu_column(self, frame):
         """The (rows, names) column of the restricted frames' LUs, ID ascending."""
-        by_frame = self._store.lus_by_frame()
         allowed = self._frame_restriction_ids(frame)
-        rows = [row for fid in allowed for row in by_frame.get(fid, ())]
-        rows.sort(key=itemgetter(LU_ID))
+        rows = [row for row in self._store.lu_column()[0] if row[LU_FRAME_ID] in allowed]
         return rows, [row[LU_NAME] for row in rows]
 
     def _frame_restriction_ids(self, frame):
+        """The IDs a ``frame=`` restriction names, from the frame index alone."""
         if _is_record(frame, "frame"):
             return {frame["ID"]}
+        frame = _decimal(frame)
         if isinstance(frame, int):
             return {frame}
-        rows, _ = self._store.frame_column()
-        exact = {fid for fid, name in rows if name == frame}
-        return exact.union(fid for fid, _ in _scan(frame, self._store.frame_column))
+        ids = {fid for fid, _ in _scan(frame, self._store.frame_column)}
+        if self._store.frame_defined(frame):
+            ids.add(self._store.frame_id(frame))
+        return ids
 
     # ------------------------------------------------------------ frame elements
 
     def fes(self, name_pattern=None, frame=None):
         """Frame elements whose name matches, by (frame ID, FE ID).
 
-        Scans every frame unless ``frame`` confines the search, loading the
-        scanned frames, ID ascending, as a side effect.
+        Scans every frame unless ``frame`` confines the search as in ``lus``,
+        loading the scanned frames, ID ascending, as a side effect.  Only the
+        column of all frames' FEs is kept; a confined search sorts anew.
         """
         if frame is None:
             return _scan(name_pattern, self._store.fe_column)
@@ -154,7 +170,9 @@ class FrameLexicon:
         if frame2 is not None and frame is None:
             raise UsageError("frame_relations: frame2 requires frame")
         if frame is None:
-            relations = self._store.frame_relations_all()
+            relations = [
+                rel for rtype in self._store.relation_types() for rel in rtype["frameRelations"]
+            ]
         else:
             fid = self._frame_id(frame)
             relations = self._store.frame_relations_involving(fid)
@@ -172,7 +190,7 @@ class FrameLexicon:
 
     def fe_relations(self):
         """Every FE-to-FE mapping across all frame relations, registry order."""
-        return self._store.fe_relations_all()
+        return [fe for rel in self.frame_relations() for fe in rel["feRelations"]]
 
     def _frame_id(self, key):
         """The ID of a frame record, name or ID, without loading the frame."""
@@ -198,7 +216,7 @@ class FrameLexicon:
         """One semantic type, by name, abbreviation, or numeric ID."""
         if _is_record(key, "semtype"):
             return key
-        return self._store.get_semtype(key)
+        return self._store.get_semtype(_decimal(key))
 
     def semtype_inherits(self, st, ancestor):
         """Whether ``st`` is ``ancestor`` or lies below it in the hierarchy."""
@@ -224,7 +242,7 @@ class FrameLexicon:
 
     def _propagate_semtypes(self):
         added = 0
-        mappings = self._store.fe_relations_all()
+        mappings = self.fe_relations()
         changed = True
         while changed:
             changed = False
@@ -269,7 +287,7 @@ class FrameLexicon:
 
     def doc(self, doc_id):
         """One full-text document, by numeric ID."""
-        return self._store.get_document(doc_id)
+        return self._store.get_document(_decimal(doc_id))
 
     def docs(self, name_pattern=None):
         """Full-text documents whose name matches, ID ascending."""
@@ -282,22 +300,16 @@ class FrameLexicon:
         Exemplar-sourced sets come first, then full-text sets; within each
         source, ordered by (sentence ID, set ID).  Full-text sets include
         UNANN ones (target annotated, FEs not); one with no LU name matches
-        no pattern.  With both sources disabled the result is empty.
+        no pattern.  They are gathered from ``ft_sents()`` each call, which
+        loads every document.  With both sources disabled the result is empty.
         """
-        if luNamePattern is not None:
-            compile_pattern(luNamePattern)  # a bad pattern fails with both sources off too
+        # Compiled first: a bad pattern fails with both sources off too.
+        search = None if luNamePattern is None else compile_pattern(luNamePattern).search
         result = []
         if exemplars:
-            part = []
-            for sent in self._iter_exemplars(luNamePattern):
-                for aset in sent["annotationSet"][1:]:
-                    part.append(aset)
-            part.sort(key=lambda a: (a["sent"]["ID"], a["ID"]))
-            result.extend(part)
+            result += _frame_sets(self._iter_exemplars(luNamePattern))
         if full_text:
-            # A set with no LU name matches no pattern.
-            named = luNamePattern is not None
-            result.extend(_scan(luNamePattern, self._store.fulltext_set_column, named))
+            result += _frame_sets(self.ft_sents(), search)
         return result
 
     # ------------------------------------------------------------ help

@@ -31,13 +31,14 @@ through the same ``Lazy``s: each relation has one record, whichever path
 reads it first.  A relation's FE mapping records are built on the first
 read of its ``feRelations``.
 
-The same memo holds the name columns that pattern scans search, one per
-table: the frame, LU and document indexes, each frame's FEs, and all FEs.  A
-column is a pair ``(rows, names)`` of equal-length tuples, ID ascending,
-built on the first scan that needs it.  The full-text annotation sets make
-one more column, by (sentence ID, set ID), with every document loaded.  The
-memo also holds the LU index rows grouped by frame, built on the first
-frame-restricted LU listing.
+The memo holds the parsed files: the frame, LU and document indexes, each
+frame and document loaded, the relation and semantic type registries, and a
+placeholder LU per unknown LU a full-text set names.  It also holds the name
+columns that pattern scans search, one per table: the frame, LU and document
+indexes, and all FEs by (frame ID, FE ID).  A column is a pair
+``(rows, names)`` of equal-length tuples, ID ascending, built on the first
+scan that needs it.  Nothing else is kept: a query that no workload repeats
+is answered from these tables each time.
 
 A reference from one file into another (a relation's frames, a full-text
 annotation set's frame) resolves through ``resolve_frame_ref``: a frame the
@@ -48,7 +49,7 @@ sentence's corpus and document IDs, where present, must be its header's.
 """
 
 import os
-from itertools import chain, compress
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -172,7 +173,7 @@ class Store:
         return frame
 
     def fe_column(self, frame_ids=None):
-        """The FEs of the given frames (default: all), by (frame ID, FE ID).
+        """The FEs of the given frames (default: all, kept), by (frame ID, FE ID).
 
         Frame IDs must be ascending; IDs the index does not know are skipped.
         Frames load in that order, on first use.
@@ -184,16 +185,11 @@ class Store:
         return self._fe_column(frame_ids)
 
     def _fe_column(self, frame_ids):
-        columns = [
-            self._load(("FE column", fid), self._frame_fe_column, fid)
+        fes = tuple(chain.from_iterable(
+            sorted(self.get_frame(fid)["FE"].values(), key=itemgetter("ID"))
             for fid in frame_ids
             if self.frame_defined(fid)
-        ]
-        fes = tuple(chain.from_iterable(fes for fes, _ in columns))
-        return fes, tuple(chain.from_iterable(names for _, names in columns))
-
-    def _frame_fe_column(self, fid):
-        fes = tuple(sorted(self.get_frame(fid)["FE"].values(), key=itemgetter("ID")))
+        ))
         return fes, tuple(map(itemgetter("name"), fes))
 
     def resolve_frame_ref(self, frame_id, frame_name, source=None, referrer=None):
@@ -237,19 +233,6 @@ class Store:
             "LU column", self._index_column, self._lu_rows(), itemgetter(xmlio.LU_NAME)
         )
 
-    def lus_by_frame(self):
-        """{frame ID: its LU index rows}, each list ID ascending."""
-        return self._load("LUs by frame", self._lus_by_frame)
-
-    def _lus_by_frame(self):
-        by_frame = {}
-        for row in self.lu_column()[0]:
-            by_frame.setdefault(row[xmlio.LU_FRAME_ID], []).append(row)
-        return by_frame
-
-    def lu_defined(self, lu_id):
-        return lu_id in self._lu_rows()
-
     def get_lu(self, lu_id):
         """The LU record for an ID: the owning frame's stub, index-routed."""
         row = self._lu_rows().get(lu_id)
@@ -287,7 +270,7 @@ class Store:
         LU for.  Its frame resolves through ``resolve_frame_ref``, with the
         ``source`` and ``referrer`` of the first set that asked for it.
         """
-        if lu_id is not None and self.lu_defined(lu_id):
+        if lu_id is not None and lu_id in self._lu_rows():
             return self.get_lu(lu_id)
         key = ("problem LU", lu_id, lu_name)
         return self._load(
@@ -320,31 +303,6 @@ class Store:
         if row is None:
             raise LookupFailure(f"no full-text document with ID {doc_id}")
         return self._load(("document", doc_id), self._parse_document, row)
-
-    def fulltext_set_column(self, named=False):
-        """The frame annotation sets of every full-text sentence and their LU
-        names, by (sentence ID, set ID); ``named`` keeps the sets with a name.
-
-        Documents load ID ascending, on first use.
-        """
-        if named:
-            return self._load("named full-text set column", self._named_sets)
-        return self._load("full-text set column", self._fulltext_sets)
-
-    def _fulltext_sets(self):
-        sets = [
-            aset
-            for row in self.doc_column()[0]
-            for sent in self.get_document(row["ID"])["sentences"]
-            for aset in sent["annotationSet"][1:]
-        ]
-        sets.sort(key=lambda aset: (aset["sent"]["ID"], aset["ID"]))
-        return tuple(sets), tuple(aset.get("luName") for aset in sets)
-
-    def _named_sets(self):
-        sets, names = self.fulltext_set_column()
-        named = [name is not None for name in names]
-        return tuple(compress(sets, named)), tuple(compress(names, named))
 
     def _parse_document(self, row):
         candidates = [
@@ -393,10 +351,6 @@ class Store:
         """All frame relation types, registry file order."""
         return list(self._relations()[0])
 
-    def frame_relations_all(self):
-        """Every frame-to-frame relation, registry file order."""
-        return [rel for rtype in self._relations()[0] for rel in rtype["frameRelations"]]
-
     def frame_relations_involving(self, frame_id):
         """Relations with the given frame on either side, registry order.
 
@@ -404,10 +358,6 @@ class Store:
         rest, through the same ``Lazy`` of each relation.
         """
         return [rel.resolve() for rel in self._relations()[1].get(frame_id, ())]
-
-    def fe_relations_all(self):
-        """Every FE-to-FE mapping across all relations, registry order."""
-        return [fe for rel in self.frame_relations_all() for fe in rel["feRelations"]]
 
     # ------------------------------------------------------------ semtypes
 

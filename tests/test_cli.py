@@ -96,6 +96,31 @@ def test_stats_counts():
     assert got["frame annotation sets"] == "29"
 
 
+_ALL_FRAMES = [f"frame/{name}.xml" for name in (
+    "Event", "Cooking_creation", "Rewards_and_punishments", "Revenge", "Waking_up", "Omen",
+    "Create_physical_artwork", "Seeking", "Process_start", "Becoming_aware")]
+_DOCS = ["fulltextIndex.xml", "fulltext/Tiger_Of_San_Pedro.xml",
+         "fulltext/Sherlock__Wisteria_Report.xml"]
+
+
+@pytest.mark.parametrize("argv, lines, reads", [
+    (["stats"], 10, [*_ALL_FRAMES, "luIndex.xml", "lu/lu5331.xml", "lu/lu6067.xml",
+                     "lu/lu7544.xml", *_DOCS, "frRelation.xml", "semTypes.xml"]),
+    (["annotations", "^r"], 23, ["luIndex.xml", "frame/Revenge.xml", "lu/lu6067.xml",
+                                 "frame/Rewards_and_punishments.xml", *_DOCS]),
+    (["annotations", "^r", "--no-exemplars"], 2, _DOCS),
+    (["lus", "--frame", "347"], 18, ["luIndex.xml", "frame/Revenge.xml"]),
+])
+def test_files_each_command_reads(monkeypatch, argv, lines, reads):
+    """The lines a command prints and the files it reads after the frame index."""
+    opened = []
+    monkeypatch.setattr(cli_module, "open_lexicon",
+                        lambda *args: opened.append(open_lexicon(*args)) or opened[-1])
+    code, out, err = cli(*argv)
+    assert (code, len(out.splitlines()), err) == (0, lines, "")
+    assert opened[0].store.fileAccessLog == ["frameIndex.xml", *reads]
+
+
 def test_semtypes_and_relations_listings():
     code, out, _ = cli("semtypes")
     assert code == 0

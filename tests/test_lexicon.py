@@ -136,6 +136,49 @@ def test_fes_without_pattern_lists_everything(lexicon):
     assert len(lexicon.fes()) == 45
 
 
+REVENGE_LUS = [6056, 6057, 6058, *range(6065, 6077), 10003, 10124, 10676]
+REVENGE_FES = [(347, fe_id) for fe_id in [*range(3009, 3019), 3020, 3021, 3022, 12060]]
+REWARDS_FES = [(344, fe_id) for fe_id in range(2501, 2509)]
+REVENGE, REWARDS = "frame/Revenge.xml", "frame/Rewards_and_punishments.xml"
+
+
+QUERIES = [
+    ("lus(r'\\.v$', frame='Revenge')", [6056, 6065, 6066, 6075, 10003],
+     ["luIndex.xml", REVENGE]),
+    ("lus(frame=347)", REVENGE_LUS, ["luIndex.xml", REVENGE]),
+    ("lus(frame='347')", REVENGE_LUS, ["luIndex.xml", REVENGE]),
+    ("lus(frame='^Re')", sorted(REVENGE_LUS + [6100, 6101, 6102, 6103]),
+     ["luIndex.xml", REVENGE, REWARDS]),
+    ("lus(frame='^Nope')", [], ["luIndex.xml"]),
+    ("fes(frame='^Re')", REWARDS_FES + REVENGE_FES, [REWARDS, REVENGE]),
+    ("fes(frame='347')", REVENGE_FES, [REVENGE]),
+    ("frame_relations()", [810, 802, 803, 820], ["frRelation.xml"]),
+    ("fe_relations()", [*range(9001, 9009), *range(9101, 9105), 9201], ["frRelation.xml"]),
+    ("propagate_semtypes()", 4, ["frRelation.xml", REWARDS, "semTypes.xml", REVENGE,
+                                 "frame/Event.xml", "frame/Becoming_aware.xml"]),
+    ("doc('23802')", 23802, ["fulltextIndex.xml", "fulltext/Tiger_Of_San_Pedro.xml"]),
+    ("semtype('4')", 4, ["semTypes.xml"]),
+]
+
+
+@pytest.mark.parametrize("call, want, reads", QUERIES, ids=[call for call, _, _ in QUERIES])
+def test_query_results_and_reads_on_a_fresh_lexicon(data_dir, call, want, reads):
+    """Each call's result, by ID (an FE by (frame ID, FE ID)), and the files
+    it reads after the frame index, pinned on the fixture."""
+    lexicon = open_lexicon(data_dir)
+    got = eval("lexicon." + call)
+
+    def key(record):
+        return (record.frame.ID, record.ID) if record.get("_type") == "fe" else record.ID
+
+    if isinstance(got, list):
+        got = [key(record) for record in got]
+    elif not isinstance(got, int):
+        got = key(got)
+    assert got == want
+    assert lexicon.store.fileAccessLog == ["frameIndex.xml", *reads]
+
+
 def test_help_summary_mentions_each_operation(lexicon):
     text = lexicon.help_summary()
     for op in ("frame", "frames", "lu", "lus", "fes", "annotations", "semtypes"):
@@ -253,8 +296,8 @@ def test_every_scan_matches_a_raw_xml_oracle_cold_then_warm(data_dir, tmp_path, 
         return pattern is None or re.search(pattern, name) is not None
 
     def restriction(frame):
-        if isinstance(frame, int):
-            return {frame}
+        if isinstance(frame, int) or frame.isdecimal():
+            return {int(frame)}
         return {fid for fid, name in frames if name == frame or hit(frame, name)}
 
     rng = random.Random(2017)
@@ -264,7 +307,7 @@ def test_every_scan_matches_a_raw_xml_oracle_cold_then_warm(data_dir, tmp_path, 
         + rng.choice(["", "$", ".*e"])
         for _ in range(12)
     ]
-    restrictions = ["Revenge", "Event(s)", "^[A-R]", "(?i)ing", 347, 1017, 424242]
+    restrictions = ["Revenge", "Event(s)", "^[A-R]", "(?i)ing", 347, "347", 1017, 424242]
     calls, want = [], []
     for pat in patterns:
         calls += [
@@ -379,12 +422,17 @@ def test_fulltext_annotations_match_a_raw_xml_oracle_cold_then_warm(data_dir, tm
 @pytest.mark.parametrize(
     "scan",
     ["frames", "frame_ids_and_names", "frames_by_lemma", "lus", "fes", "exemplars",
-     "docs", "ft_sents", "annotations"],
+     "docs", "ft_sents", "annotations", "lus frame=", "fes frame="],
 )
 def test_bad_pattern_fails_before_any_file_is_read(data_dir, scan):
+    """A bad name pattern, or a bad ``frame=`` restriction pattern."""
     lexicon = open_lexicon(data_dir)
+    scan, _, restricted = scan.partition(" ")
     with pytest.raises(PatternError):
-        getattr(lexicon, scan)("(unclosed")
+        if restricted:
+            getattr(lexicon, scan)("x", frame="(unclosed")
+        else:
+            getattr(lexicon, scan)("(unclosed")
     assert lexicon.store.fileAccessLog == ["frameIndex.xml"]
 
 

@@ -2,13 +2,18 @@
 """Count what one whole-corpus sentence sweep leaves on the heap.
 
 Opens the corpus at ``--data DIR``, runs ``FrameLexicon.sents()`` to the end
-while keeping the lexicon alive, collects garbage, and prints:
+while keeping the lexicon alive, collects garbage until the heap settles, and
+prints:
 
 - collections per generation that the cyclic collector ran during the
   sweep, counted through ``gc.callbacks`` (framelex pauses the collector
   while it loads a file, so these run between loads);
 - held MB: memory still allocated since the lexicon was opened (tracemalloc);
-- GC-tracked objects: ``len(gc.get_objects())`` after the sweep;
+- GC-tracked objects: ``len(gc.get_objects())`` once a full collection no
+  longer lowers it, and the collections that took.  One collection is not
+  enough: CPython untracks a tuple only once its items are untracked, so
+  nested tuples leave the count over several passes, in an order set by
+  earlier collections;
 - ``Record``s by kind tag, kindless ones (lexemes, sentence counts,
   subcorpora, labels, layers, document index rows) as "-".  LU index rows
   are plain tuples, so they are not counted here.
@@ -34,7 +39,7 @@ from framelex import FrameLexicon, Record  # noqa: E402
 
 def census(data_dir):
     """(held bytes, sentences, sweep seconds, collections by generation,
-    tracked objects, Records by kind)."""
+    tracked objects, settling collections, Records by kind)."""
     collections = Counter()
 
     def count(phase, info):
@@ -50,25 +55,31 @@ def census(data_dir):
     finally:
         seconds = time.perf_counter() - start
         gc.callbacks.remove(count)
-    gc.collect()
+    tracked, passes = float("inf"), 0
+    while True:
+        gc.collect()
+        passes += 1
+        previous, tracked = tracked, len(gc.get_objects())
+        if tracked >= previous:
+            break
     held = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
     objects = gc.get_objects()
     kinds = Counter(dict.get(obj, "_type", "-") for obj in objects if isinstance(obj, Record))
-    return held, sentences, seconds, collections, len(objects), kinds
+    return held, sentences, seconds, collections, tracked, passes, kinds
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--data", required=True, help="corpus directory")
     args = parser.parse_args(argv)
-    held, sentences, seconds, collections, tracked, kinds = census(args.data)
+    held, sentences, seconds, collections, tracked, passes, kinds = census(args.data)
     print(f"sentences          {sentences}")
     print(f"sweep s            {seconds:.2f} (under tracemalloc)")
     counts = " ".join(f"gen{gen} {collections[gen]}" for gen in range(3))
     print(f"collections        {counts} (during the sweep)")
     print(f"held MB            {held / 1e6:.1f}")
-    print(f"GC-tracked objects {tracked}")
+    print(f"GC-tracked objects {tracked} (after {passes} full collections)")
     print(f"Records            {sum(kinds.values())}")
     for kind, count in sorted(kinds.items(), key=lambda item: (-item[1], item[0])):
         print(f"  {kind:<18} {count}")
