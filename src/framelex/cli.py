@@ -283,10 +283,18 @@ def _nth(items, arg, command):
     return items[int(arg)]
 
 
-def _repl_command(lexicon, options, stack, command, arg, out):
+# The argument of each command that only the REPL has, for its usage line.
+_REPL_TAKES = {"fe": "<name>", "exemplar": "<k>", "sent": "<k>", "annoset": "<k>", "up": "",
+               "help": ""}
+
+
+def _repl_command(lexicon, options, stack, command, args, out):
     query, output, takes = COMMANDS.get(command, (None, None, None))
-    if takes is not None and (arg is None if takes[:1] == "<" else arg is not None and not takes):
-        raise _Reply(f"usage: {command} {takes}".rstrip())
+    usage = _REPL_TAKES.get(command, takes)
+    # More words than the command takes, or a shared command's argument missing.
+    if usage is not None and (len(args) > bool(usage) or takes and takes[0] == "<" and not args):
+        raise _Reply(f"usage: {command} {usage}".rstrip())
+    arg = args[0] if args else None
     if command == "lu":
         frame = _context(stack, ("frame",))
         if frame is not None and arg in frame.lexUnit:
@@ -350,12 +358,11 @@ def repl(lexicon, options, stdin, stdout):
             stdout.write("\n")
             return 0
         try:
-            # Padded, so a missing command or argument reads None.
-            command, arg = (_split_line(line.strip()) + [None, None])[:2]
+            command, *args = _split_line(line.strip()) or [None]
             if command in ("quit", "exit"):
                 return 0
             if command is not None:
-                _repl_command(lexicon, options, stack, command, arg, stdout)
+                _repl_command(lexicon, options, stack, command, args, stdout)
         except _Reply as exc:
             stdout.write(f"{exc}\n")
         except LookupFailure as exc:

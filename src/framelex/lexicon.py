@@ -103,9 +103,9 @@ class FrameLexicon:
 
         ``frame`` confines the result to one or more frames: a numeric or
         decimal-string ID, a frame record, an exact frame name, or a name
-        pattern (a restriction matching no frame yields an empty list, not an
-        error).  The restriction resolves before the LU index loads, and the
-        LU column is then filtered by frame in one pass.
+        pattern.  The restriction resolves before the LU index loads; one
+        that matches no frame yields an empty list, not an error, and loads
+        nothing.  Otherwise the LU column is filtered by frame in one pass.
         """
         if frame is None:
             rows = _scan(name_pattern, self._store.lu_column)
@@ -125,6 +125,8 @@ class FrameLexicon:
     def _frame_lu_column(self, frame):
         """The (rows, names) column of the restricted frames' LUs, ID ascending."""
         allowed = self._frame_restriction_ids(frame)
+        if not allowed:
+            return [], []
         rows = [row for row in self._store.lu_column()[0] if row[LU_FRAME_ID] in allowed]
         return rows, [row[LU_NAME] for row in rows]
 

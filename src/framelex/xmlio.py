@@ -45,10 +45,14 @@ the LU index plain ``LU_FIELDS`` tuples.  Each ``<frameRelation>`` and
 ``<FERelation>`` is checked at its start tag and kept as an attribute tuple.
 A relation's record is a ``Lazy`` over its tuple and those of its FE
 mappings, and its ``feRelations`` one more that builds its FE-relation
-records; each is built on first read.  Labels, LU index rows, relations and
-FE mappings, the most numerous records, read their attributes directly and
-fall back to ``_int`` and ``_req_attr`` only when a lookup or a check fails,
-so every error keeps its message and precedence.
+records; each is built on first read.
+
+Attributes are read by one checked reader, ``_attr``.  It converts exactly the
+format's integer attributes, named once in ``_INTEGERS``, and returns any
+other as its string; ``_fields`` reads a run of required ones in order.
+Labels, LU index rows, relations and FE mappings, the most numerous records,
+read their attributes directly and fall back to ``_attr`` only when a lookup
+or a check fails, so every error keeps its message and precedence.
 """
 
 import html
@@ -250,22 +254,30 @@ def _read(data, source, root_tag, schema):
     return found
 
 
-def _req_attr(tag, attrs, name, source):
-    value = attrs.get(name)
-    if value is None:
-        raise ParseError(f"{source}: <{tag}> is missing required attribute {name!r}")
-    return value
+# The format's integer attributes: ``_attr`` converts these and no others.
+_INTEGERS = frozenset((
+    "ID", "frameID", "supID", "subID", "start", "end", "feID", "rank", "order", "annotated",
+    "total", "corpID", "docID", "sentNo", "paragNo", "aPos", "luID",
+))
 
 
-def _int(tag, attrs, name, source, default=...):
-    """An integer attribute: ``default`` if absent, required if no default."""
+def _attr(tag, attrs, name, source, default=...):
+    """Attribute ``name``, an integer if it is one of ``_INTEGERS``, else its
+    string: ``default`` if absent, required if there is no default."""
     value = attrs.get(name)
     if value is None:
-        return default if default is not ... else _req_attr(tag, attrs, name, source)
+        if default is ...:
+            raise ParseError(f"{source}: <{tag}> is missing required attribute {name!r}")
+        return default
     try:
-        return int(value)
+        return int(value) if name in _INTEGERS else value
     except ValueError:
         raise ParseError(f"{source}: <{tag}> attribute {name!r} is not an integer: {value!r}")
+
+
+def _fields(tag, attrs, source, *names):
+    """The required attributes ``names`` of a ``<tag>``, read in that order."""
+    return [_attr(tag, attrs, name, source) for name in names]
 
 
 # ---------------------------------------------------------------- indexes
@@ -275,8 +287,9 @@ def parse_frame_index(data, source="frameIndex.xml"):
     """The frame index: a list of (frame ID, frame name) in file order."""
     names = {}
     for attrs in _read(data, source, "frameIndex", _Anywhere(frame=None))[3]["frame"]:
-        fid = _int("frame", attrs, "ID", source)
-        name = _req_attr("frame", attrs, "name", source)
+        # Two reads, not ``_fields``, which made this parse, paid by every open, 25 % slower.
+        fid = _attr("frame", attrs, "ID", source)
+        name = _attr("frame", attrs, "name", source)
         if fid in names:
             raise IntegrityError(f"{source}: duplicate frame ID {fid}")
         names[fid] = name
@@ -301,13 +314,11 @@ def parse_lu_index(data, source="luIndex.xml"):
         except (KeyError, ValueError):
             lu_id = None
         if lu_id is None or lu_id in rows:
-            # The checked readers, in the order their errors take precedence.
-            lu_id = _int("lu", attrs, "ID", source)
+            # The checked reader, in the order its errors take precedence.
+            lu_id = _attr("lu", attrs, "ID", source)
             if lu_id in rows:
                 raise IntegrityError(f"{source}: duplicate lexical unit ID {lu_id}")
-            name = _req_attr("lu", attrs, "name", source)
-            frame_id = _int("lu", attrs, "frameID", source)
-            frame_name = _req_attr("lu", attrs, "frameName", source)
+            name, frame_id, frame_name = _fields("lu", attrs, source, *LU_FIELDS[1:4])
         # Frame names and statuses repeat across rows, so they are interned.
         rows[lu_id] = (lu_id, name, frame_id, intern(frame_name), intern(attrs.get("status", "")))
 
@@ -337,17 +348,17 @@ def parse_fulltext_index(data, source="fulltextIndex.xml"):
     rows = []
     seen = set()
     for attrs, docs in corpora:
-        corpus_id = _int("corpus", attrs, "ID", source, None)
+        corpus_id = _attr("corpus", attrs, "ID", source, None)
         corpus_name = attrs.get("name", "")
         for doc in docs:
-            doc_id = _int("document", doc, "ID", source)
+            doc_id = _attr("document", doc, "ID", source)
             if doc_id in seen:
                 raise IntegrityError(f"{source}: duplicate document ID {doc_id}")
             seen.add(doc_id)
             rows.append(
                 Record(
                     ID=doc_id,
-                    name=_req_attr("document", doc, "name", source),
+                    name=_attr("document", doc, "name", source),
                     description=doc.get("description", ""),
                     corpusName=corpus_name,
                     corpusID=corpus_id,
@@ -386,8 +397,7 @@ def parse_frame_file(
     _, attrs, definition, leaves, members = _read(data, source, "frame", _FRAME)
     # The frame is built once the file is read, so its errors come in the
     # order of the fields read: the frame's own, then FEs and LUs, then core sets.
-    name = _req_attr("frame", attrs, "name", source)
-    frame_id = _int("frame", attrs, "ID", source)
+    name, frame_id = _fields("frame", attrs, source, "name", "ID")
     markup = "".join(definition or ())
 
     frame = Record()
@@ -429,7 +439,7 @@ def parse_frame_file(
     for core_set in (node[3]["memberFE"] for node in members if node[0] == "FEcoreSet"):
         core = []
         for member in core_set:
-            member_name = _req_attr("memberFE", member, "name", source)
+            member_name = _attr("memberFE", member, "name", source)
             if member_name not in frame["FE"]:
                 raise IntegrityError(
                     f"{source}: core set of frame {name!r} names unknown FE {member_name!r}"
@@ -449,12 +459,8 @@ def _ref(resolve, what, *args):
 
 def _semtype_refs(semtypes, source, referrer, semtype_lookup, what):
     """One reference per ``<semType>``'s attributes, in file order."""
-    refs = []
-    for attrs in semtypes:
-        st_id = _int("semType", attrs, "ID", source)
-        st_name = _req_attr("semType", attrs, "name", source)
-        refs.append(_ref(semtype_lookup, what, st_id, st_name, source, referrer))
-    return refs
+    refs = (_fields("semType", attrs, source, "ID", "name") for attrs in semtypes)
+    return [_ref(semtype_lookup, what, st_id, name, source, referrer) for st_id, name in refs]
 
 
 def _resolve_all(refs):
@@ -463,7 +469,7 @@ def _resolve_all(refs):
 
 def _parse_fe(node, source, frame, semtype_lookup):
     _, attrs, definition, leaves, _ = node
-    core_type = _req_attr("FE", attrs, "coreType", source)
+    core_type = _attr("FE", attrs, "coreType", source)
     if core_type not in CORE_TYPES:
         raise IntegrityError(
             f"{source}: frame element {attrs.get('name')!r} has unknown coreType {core_type!r}"
@@ -473,8 +479,7 @@ def _parse_fe(node, source, frame, semtype_lookup):
     fe["cBy"] = attrs.get("cBy", "")
     fe["cDate"] = attrs.get("cDate", "")
     fe["abbrev"] = attrs.get("abbrev", "")
-    fe["name"] = _req_attr("FE", attrs, "name", source)
-    fe["ID"] = _int("FE", attrs, "ID", source)
+    fe["name"], fe["ID"] = _fields("FE", attrs, source, "name", "ID")
     fe["_type"] = "fe"
     fe["coreType"] = core_type
     fe["definition"] = strip_markup(markup)
@@ -490,24 +495,23 @@ def _parse_lu_stub(node, source, frame, exemplar_loader):
     _, attrs, definition, leaves, _ = node
     markup = "".join(definition or ())
     count_attrs = next(iter(leaves["sentenceCount"]), {})
-    annotated = _int("sentenceCount", count_attrs, "annotated", source, 0)
-    total = _int("sentenceCount", count_attrs, "total", source, 0)
+    annotated = _attr("sentenceCount", count_attrs, "annotated", source, 0)
+    total = _attr("sentenceCount", count_attrs, "total", source, 0)
     if annotated > total:
         raise IntegrityError(
             f"{source}: lexical unit {attrs.get('name')!r} has annotated > total sentence count"
         )
     lexemes = [
         Record(
-            name=_req_attr("lexeme", lex, "name", source),
+            name=_attr("lexeme", lex, "name", source),
             POS=lex.get("POS", ""),
             headword=lex.get("headword", "false") == "true",
             breakBefore=lex.get("breakBefore", "false") == "true",
-            order=_int("lexeme", lex, "order", source, 1),
+            order=_attr("lexeme", lex, "order", source, 1),
         )
         for lex in leaves["lexeme"]
     ]
-    name = _req_attr("lexUnit", attrs, "name", source)
-    lu_id = _int("lexUnit", attrs, "ID", source)
+    name, lu_id = _fields("lexUnit", attrs, source, "name", "ID")
     status, pos = attrs.get("status", ""), attrs.get("POS", "")
     counts = (annotated, total)
     return lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, exemplar_loader)
@@ -569,9 +573,9 @@ def _parse_label(attrs, source, layer_name, text_len, sent_id, fe_ids):
     except (KeyError, ValueError):
         pass  # Read again below, field by field, to name the fault.
     tag = "label"
-    start = _int(tag, attrs, "start", source, None)
-    end = _int(tag, attrs, "end", source, None)
-    name = _req_attr(tag, attrs, "name", source)
+    start = _attr(tag, attrs, "start", source, None)
+    end = _attr(tag, attrs, "end", source, None)
+    name = _attr(tag, attrs, "name", source)
     itype = attrs.get("itype")
     problem = None
     if start is None and end is None:
@@ -588,7 +592,7 @@ def _parse_label(attrs, source, layer_name, text_len, sent_id, fe_ids):
     elif end >= text_len:
         problem = "spans past the end of the text"
     if problem is None:
-        fe_id = _int(tag, attrs, "feID", source, None)
+        fe_id = _attr(tag, attrs, "feID", source, None)
         if fe_id is not None and fe_ids is not None and fe_id not in fe_ids:
             problem = f"names unknown FE ID {fe_id}"
     if problem is not None:
@@ -617,7 +621,7 @@ def _parse_layers(layer_nodes, source, text_len, sent_id, fe_ids):
     layers = []
     groups = {}
     for _, layer_attrs, _, leaves, _ in layer_nodes:
-        layer_name = sys.intern(_req_attr("layer", layer_attrs, "name", source))
+        layer_name = sys.intern(_attr("layer", layer_attrs, "name", source))
         labels, spans, unspanned = [], [], []
         for attrs in leaves["label"]:
             label = _parse_label(attrs, source, layer_name, text_len, sent_id, fe_ids)
@@ -626,7 +630,7 @@ def _parse_layers(layer_nodes, source, text_len, sent_id, fe_ids):
                 unspanned.append(label)
             else:
                 spans.append(label if len(label) == 3 else label[0])
-        rank = _int("layer", layer_attrs, "rank", source, 1)
+        rank = _attr("layer", layer_attrs, "rank", source, 1)
         layers.append((rank, layer_name, tuple(labels)))
         groups.setdefault(layer_name, []).append((rank, spans, unspanned))
     return tuple(layers), groups
@@ -686,7 +690,7 @@ def _add_views(aset, groups):
 def _parse_annotation_set(node, source, sent, link, fe_ids):
     _, attrs, _, _, layer_nodes = node
     aset = Record()
-    aset["ID"] = _int("annotationSet", attrs, "ID", source)
+    aset["ID"] = _attr("annotationSet", attrs, "ID", source)
     aset["status"] = attrs.get("status", "")
     aset["_type"] = "annotationset"
     link(attrs, aset)
@@ -708,8 +712,8 @@ def _parse_sentence(node, source, link, doc=None, fe_ids=None):
     sent = Record()
     keys = ("corpID", "docID", "sentNo", "paragNo", "aPos") if fulltext else ("sentNo", "aPos")
     for key in keys:
-        sent[key] = _int("sentence", attrs, key, source, None)
-    sent["ID"] = _int("sentence", attrs, "ID", source)
+        sent[key] = _attr("sentence", attrs, key, source, None)
+    sent["ID"] = _attr("sentence", attrs, "ID", source)
     sent["_type"] = "fulltext_sentence" if fulltext else "sentence"
     if text is None:
         raise ParseError(f"{source}: sentence {sent['ID']} has no <text> element")
@@ -742,14 +746,14 @@ def parse_lu_file(data, source=None, *, lu=None):
     """
     root = _read(data, source, "lexUnit", {"subCorpus": {"sentence": _SENTENCE}})
     attrs = root[1]
-    lu_id = _int("lexUnit", attrs, "ID", source)
+    lu_id = _attr("lexUnit", attrs, "ID", source)
     lu_ref = lu if lu is not None else unbound_lazy("the exemplars' lexical unit")
     frame_ref = lu["frame"] if lu is not None else unbound_lazy("the exemplars' frame")
     frame_id = frame_ref.get("ID") if lu is not None else None
     if frame_id is not None:
         frame_name = frame_ref.get("name")
         what = f"{source}: lu {lu['ID']} of frame {frame_name!r} ({frame_id}) names another"
-        if _int("lexUnit", attrs, "frameID", source, frame_id) != frame_id:
+        if _attr("lexUnit", attrs, "frameID", source, frame_id) != frame_id:
             raise IntegrityError(f"{what} frame ({attrs['frameID']})")
         if attrs.get("frame", frame_name) != frame_name:
             raise IntegrityError(f"{what} frame ({attrs['frame']!r})")
@@ -787,12 +791,8 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
     corpus, doc_attrs = corpus[1], corpus[3]["document"][0]
 
     def link(attrs, aset):
-        for key in ("luID", "frameID"):
-            value = _int("annotationSet", attrs, key, source, None)
-            if value is not None:
-                aset[key] = value
-        for key in ("luName", "frameName"):
-            value = attrs.get(key)
+        for key in ("luID", "frameID", "luName", "frameName"):
+            value = _attr("annotationSet", attrs, key, source, None)
             if value is not None:
                 aset[key] = value
         lu_id, lu_name = aset.get("luID"), aset.get("luName")
@@ -806,11 +806,10 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
             )
 
     doc = Record()
-    doc["ID"] = _int("document", doc_attrs, "ID", source)
-    doc["name"] = _req_attr("document", doc_attrs, "name", source)
+    doc["ID"], doc["name"] = _fields("document", doc_attrs, source, "ID", "name")
     doc["description"] = doc_attrs.get("description", "")
     doc["corpusName"] = corpus.get("name", "")
-    doc["corpusID"] = _int("corpus", corpus, "ID", source, None)
+    doc["corpusID"] = _attr("corpus", corpus, "ID", source, None)
     doc["_type"] = "document"
     sentences = (node for node in root[4] if node[0] == "sentence")
     doc["sentences"] = [_parse_sentence(node, source, link, doc) for node in sentences]
@@ -845,12 +844,8 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
     mappings = []  # those of the relation last opened
 
     def relation_type(attrs):
-        tag = "frameRelationType"
-        rtype = Record()
-        rtype["ID"] = _int(tag, attrs, "ID", source)
-        rtype["name"] = _req_attr(tag, attrs, "name", source)
-        rtype["superFrameName"] = _req_attr(tag, attrs, "superFrameName", source)
-        rtype["subFrameName"] = _req_attr(tag, attrs, "subFrameName", source)
+        names = ("ID", "name", "superFrameName", "subFrameName")
+        rtype = Record(zip(names, _fields("frameRelationType", attrs, source, *names)))
         rtype["_type"] = "framerelationtype"
         relations = []
         rtype["frameRelations"] = Lazy(_resolve_all, relations)
@@ -886,14 +881,8 @@ def _relation_row(tag, attrs, source, sup_name, sub_name):
             int(attrs["subID"]),
         )
     except (KeyError, ValueError):
-        # The checked readers, to raise the first error in field order.
-        return (
-            _int(tag, attrs, "ID", source),
-            _req_attr(tag, attrs, sup_name, source),
-            _req_attr(tag, attrs, sub_name, source),
-            _int(tag, attrs, "supID", source),
-            _int(tag, attrs, "subID", source),
-        )
+        # The checked reader, to raise the first error in field order.
+        return _fields(tag, attrs, source, "ID", sup_name, sub_name, "supID", "subID")
 
 
 def _relation_record(source, frame_resolver, rtype, row, mappings):
@@ -924,22 +913,21 @@ def _fe_relation_records(source, rel, mappings):
             subID=sub_id,
             _type="ferelation",
             frameRelation=rel,
-            superFE=Lazy(_relation_fe, source, rel, "superFrame", sup_name),
-            subFE=Lazy(_relation_fe, source, rel, "subFrame", sub_name),
+            superFE=Lazy(_relation_fe, source, rel, "superFrame", sup_name, sup_id),
+            subFE=Lazy(_relation_fe, source, rel, "subFrame", sub_name, sub_id),
         )
         for fe_id, sup_name, sub_name, sup_id, sub_id in mappings
     ]
 
 
-def _relation_fe(source, relation, side, fe_name):
+def _relation_fe(source, relation, side, fe_name, fe_id):
     frame = relation[side]
-    try:
-        return frame["FE"][fe_name]
-    except KeyError:
-        raise IntegrityError(
-            f"{source}: relation {relation['ID']} names unknown FE "
-            f"{fe_name!r} in frame {frame['name']!r}"
-        ) from None
+    fe = frame["FE"].get(fe_name)
+    if fe is not None and fe["ID"] == fe_id:
+        return fe
+    what = f"FE {fe_name!r} in frame {frame['name']!r}"
+    problem = f"unknown {what}" if fe is None else f"{what} by another ID ({fe_id})"
+    raise IntegrityError(f"{source}: relation {relation['ID']} names {problem}")
 
 
 # ---------------------------------------------------------------- semtypes
@@ -958,8 +946,7 @@ def parse_semtypes_file(data, source="semTypes.xml"):
     for _, attrs, definition, leaves, _ in root[4]:
         st = Record()
         st["abbrev"] = attrs.get("abbrev", "")
-        st["name"] = _req_attr("semType", attrs, "name", source)
-        st["ID"] = _int("semType", attrs, "ID", source)
+        st["name"], st["ID"] = _fields("semType", attrs, source, "name", "ID")
         st["_type"] = "semtype"
         st["definition"] = strip_markup("".join(definition or ()))
         st["superType"] = None
@@ -969,7 +956,7 @@ def parse_semtypes_file(data, source="semTypes.xml"):
         by_id[st["ID"]] = st
         types.append(st)
         if leaves["superType"]:
-            parent_of[st["ID"]] = _int("superType", leaves["superType"][0], "supID", source)
+            parent_of[st["ID"]] = _attr("superType", leaves["superType"][0], "supID", source)
 
     for st_id, sup_id in parent_of.items():
         if sup_id not in by_id:

@@ -263,6 +263,14 @@ def test_commands_needing_an_argument_say_so():
         "usage: frame <name-or-id>\n", "usage: lu <name-or-id>\n", "usage: semtype <key>\n",
         "usage: doc <id>\n",
     ]
+    # So does a line with more words than its command takes, keeping the context.
+    got = replies("lu 6067", "exemplar 0 1", "lus ^re 347", "frame Revenge extra words",
+                  "lus --frame 347", "up x", "help x", "exemplar 0")
+    assert got[1:7] == [
+        "usage: exemplar <k>\n", "usage: lus [pattern]\n", "usage: frame <name-or-id>\n",
+        "usage: lus [pattern]\n", "usage: up\n", "usage: help\n",
+    ]
+    assert got[7].startswith("exemplar sentence (929501):")
 
 
 @pytest.mark.parametrize("command", LISTINGS)

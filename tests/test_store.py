@@ -345,6 +345,13 @@ _TOUCH = {
         ("start", "lu/lu6067.xml"),
         ("feID", "lu/lu6067.xml"),
         ("luID", "fulltext/Tiger_Of_San_Pedro.xml"),
+        ("ID", "luIndex.xml"),
+        ("frameID", "luIndex.xml"),
+        ("end", "lu/lu6067.xml"),
+        ("supID", "frRelation.xml"),
+        ("subID", "frRelation.xml"),
+        ("corpID", "fulltext/Tiger_Of_San_Pedro.xml"),
+        ("docID", "fulltext/Tiger_Of_San_Pedro.xml"),
     ],
 )
 def test_malformed_integer_is_a_parse_error(data_dir, tmp_path, attr, relpath):
@@ -621,6 +628,12 @@ def test_fulltext_set_naming_unknown_frame_is_an_integrity_error(data_dir, tmp_p
         ("fulltext/Tiger_Of_San_Pedro.xml", 'docID="23802" sentNo="1"',
          "fulltext_sentence 4148526 of document 23802 names another document",
          lambda lex: lex.doc(23802), ["doc", "23802"]),
+        ("frRelation.xml", 'supID="2501" subID',
+         "relation 810 names FE 'Agent' in frame 'Rewards_and_punishments' by another ID",
+         lambda lex: [mapping.superFE for mapping in lex.fe_relations()], ["propagate-semtypes"]),
+        ("frRelation.xml", 'subID="3009" />',
+         "relation 810 names FE 'Avenger' in frame 'Revenge' by another ID",
+         lambda lex: [mapping.subFE for mapping in lex.fe_relations()], ["propagate-semtypes"]),
     ],
 )
 def test_semtype_naming_unknown_type_is_an_integrity_error(
