@@ -145,8 +145,6 @@ def _stats(lexicon):
     ]
 
 
-_RELATION = ("<{type.superFrameName}={superFrameName} -- "
-             "{type.name} -> {type.subFrameName}={subFrameName}>")
 _FE_MAPPING = ("{frameRelation.superFrameName}.{superFEName} -> "
                "{frameRelation.subFrameName}.{subFEName}")
 _SENTS = _listing("({ID}) {text}", "{text}")
@@ -164,7 +162,7 @@ COMMANDS = {
             _listing("({ID}) {name} [{coreType}] in {frame.name}"), "[pattern]"),
     "relations": (lambda lex, a: lex.frame_relations(
                       frame=a.frame, frame2=a.frame2, type=a.type),
-                  _listing(_RELATION, _RELATION), ""),
+                  _listing(render.relation_line, render.relation_line), ""),
     "relation-types": (lambda lex, a: lex.frame_relation_types(),
                        _listing("({ID}) {name}: {superFrameName} -> {subFrameName}"), ""),
     "fe-relations": (lambda lex, a: lex.fe_relations(),

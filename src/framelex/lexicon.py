@@ -5,8 +5,9 @@ units, frame elements, relations, semantic types and annotated sentences.
 Name lookups take regular expression patterns with unanchored search
 semantics (embed ``(?i)`` for case insensitivity); exact-match lookups take a
 name or numeric ID and raise LookupFailure when nothing matches.  Wherever an
-ID is accepted, a decimal string is that ID (``_decimal``).  All list results
-have fixed orders, so repeated calls are identical.
+ID is accepted, a decimal string is that ID, and an unhashable key names
+nothing (``_decimal``).  A pattern is a string or a compiled string pattern.
+All list results have fixed orders, so repeated calls are identical.
 """
 
 import re
@@ -20,6 +21,9 @@ from .xmlio import LU_FRAME_ID, LU_ID, LU_NAME
 
 def compile_pattern(pattern):
     """Compile a user-supplied lookup pattern; unanchored search semantics."""
+    source = pattern.pattern if isinstance(pattern, re.Pattern) else pattern
+    if not isinstance(source, str):
+        raise PatternError(f"bad pattern {pattern!r}: not a string")
     try:
         return re.compile(pattern)
     except re.error as exc:
@@ -56,9 +60,16 @@ def _frame_sets(sentences, search=None):
     return sorted(sets, key=lambda aset: (aset["sent"]["ID"], aset["ID"]))
 
 
-def _decimal(key):
-    """A decimal string as its int (an ID typed as text); any other key as is."""
-    return int(key) if isinstance(key, str) and key.isdecimal() else key
+def _decimal(key, kind):
+    """A decimal string as its int (an ID typed as text); any other key as is,
+    but an unhashable one, such as a list or a record, names no ``kind``."""
+    if isinstance(key, str):
+        return int(key) if key.isdecimal() else key
+    try:
+        hash(key)
+    except TypeError:
+        raise LookupFailure(f"no {kind} matching {key!r}") from None
+    return key
 
 
 class FrameLexicon:
@@ -85,7 +96,7 @@ class FrameLexicon:
         """One frame, by exact name or numeric ID."""
         if _is_record(key, "frame"):
             return key
-        return self._store.get_frame(_decimal(key))
+        return self._store.get_frame(_decimal(key, "frame"))
 
     def frame_ids_and_names(self, name_pattern=None):
         """{frame ID: frame name} for matching frames, from the index alone."""
@@ -117,7 +128,7 @@ class FrameLexicon:
         """One lexical unit, by numeric ID."""
         if _is_record(lu_id, "lu"):
             return lu_id
-        lu_id = _decimal(lu_id)
+        lu_id = _decimal(lu_id, "lexical unit")
         if not isinstance(lu_id, int):
             raise LookupFailure(f"no lexical unit with ID {lu_id!r}")
         return self._store.get_lu(lu_id)
@@ -134,7 +145,7 @@ class FrameLexicon:
         """The IDs a ``frame=`` restriction names, from the frame index alone."""
         if _is_record(frame, "frame"):
             return {frame["ID"]}
-        frame = _decimal(frame)
+        frame = _decimal(frame, "frame")
         if isinstance(frame, int):
             return {frame}
         ids = {fid for fid, _ in _scan(frame, self._store.frame_column)}
@@ -198,7 +209,7 @@ class FrameLexicon:
         """The ID of a frame record, name or ID, without loading the frame."""
         if _is_record(key, "frame"):
             return key["ID"]
-        return self._store.frame_id(_decimal(key))
+        return self._store.frame_id(_decimal(key, "frame"))
 
     def _relation_type(self, key):
         if _is_record(key, "framerelationtype"):
@@ -218,7 +229,7 @@ class FrameLexicon:
         """One semantic type, by name, abbreviation, or numeric ID."""
         if _is_record(key, "semtype"):
             return key
-        return self._store.get_semtype(_decimal(key))
+        return self._store.get_semtype(_decimal(key, "semantic type"))
 
     def semtype_inherits(self, st, ancestor):
         """Whether ``st`` is ``ancestor`` or lies below it in the hierarchy."""
@@ -289,7 +300,7 @@ class FrameLexicon:
 
     def doc(self, doc_id):
         """One full-text document, by numeric ID."""
-        return self._store.get_document(_decimal(doc_id))
+        return self._store.get_document(_decimal(doc_id, "full-text document"))
 
     def docs(self, name_pattern=None):
         """Full-text documents whose name matches, ID ascending."""

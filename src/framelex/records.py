@@ -13,9 +13,11 @@ references, an annotation set's layer and label records) are stored as
 thunk needs no closure.  The thunk is resolved on first read and the resolved
 value is written back, so repeated reads return the identical object.  A
 first resolution runs under ``LOCK``, so threads that first touch a value
-together resolve it once.  The store loads files under the same re-entrant
-lock: resolving a value may load a file and loading a file may resolve
-values, so two locks could deadlock against each other.
+together resolve it once.  ``Lazy`` is the package's one once-only
+mechanism: the store's memo keeps a ``Lazy`` per entry, so every file loads
+by resolving one.  Resolving a value may load a file and loading a file may
+resolve values, so one re-entrant lock serves both; two could deadlock
+against each other.
 
 Everything that runs under ``LOCK`` runs through ``build``, with the cyclic
 garbage collector paused.  A file's parse makes many short-lived containers;

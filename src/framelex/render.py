@@ -199,6 +199,14 @@ def _fill_block(text, width, head=INDENT):
     ).splitlines()
 
 
+def relation_line(rel):
+    """A frame relation as ``<role=frame -- type -> role=frame>``, super first."""
+    return (
+        f"<{rel.type.superFrameName}={rel.superFrameName} -- "
+        f"{rel.type.name} -> {rel.type.subFrameName}={rel.subFrameName}>"
+    )
+
+
 def render_frame(frame, options=DEFAULT_OPTIONS):
     """The frame overview display: definition, relations, LUs, FEs, core sets."""
     w = options.wrap_width
@@ -214,11 +222,7 @@ def render_frame(frame, options=DEFAULT_OPTIONS):
 
     relations = frame.frameRelations
     out.append(f"[frameRelations] {len(relations)} frame relations")
-    for rel in relations:
-        out.append(
-            f"{INDENT}<{rel.type.superFrameName}={rel.superFrameName} -- "
-            f"{rel.type.name} -> {rel.type.subFrameName}={rel.subFrameName}>"
-        )
+    out += [INDENT + relation_line(rel) for rel in relations]
     out.append("")
 
     lex_units = frame.lexUnit

@@ -10,21 +10,22 @@ record that loaded them, so the store returns their records unchanged.
 
 Every file actually opened is appended to ``fileAccessLog`` (path relative to
 the corpus root, posix separators), which makes load behavior observable and
-replayable.  Every load but one goes through one memo, ``Store._load``.  A
-cache hit takes no lock; a miss builds through ``records.build``: under
-``records.LOCK``, the package's single re-entrant lock, with the cyclic
-garbage collector paused until the build returns or raises.  The exception is
-an LU's exemplar file: ``_load_exemplars`` runs as the LU stub's
-``subCorpus`` ``Lazy``, which resolves once through the same ``build`` and
-keeps its value on the stub, not in the memo.  So concurrent first accesses
-to the same entity parse its file exactly once, repeated lookups return the
-identical cached record, and no collection runs while a file is parsed.
+replayable.  Every load resolves a ``records.Lazy``, the package's one
+once-only mechanism: the memo, ``Store._load``, keeps one ``Lazy`` per key,
+and an LU's exemplar file loads as its stub's ``subCorpus`` ``Lazy``.  So
+concurrent first accesses to the same entity parse its file exactly once,
+repeated lookups return the identical cached record, and no collection runs
+while a file is parsed.
 
-Every file is streamed by ``xmlio``, with no element tree.  LU index rows
-are plain tuples whose fields sit at the ``xmlio.LU_*`` positions; the other
-tables' rows are records.  The store keys each table's rows by ID.  The
-relation registry keeps each relation as the ``Lazy`` of its record, over a
-row of its attributes and FE mappings, and the store files those by frame.
+The parsers get the store itself and call back into it only through the five
+methods that ``xmlio``'s docstring names.
+
+Every file is streamed by ``xmlio``, with no element tree.  Frame index rows
+are ``(ID, name)`` pairs and LU index rows plain tuples whose fields sit at
+the ``xmlio.LU_*`` positions; the other tables' rows are records.  The store
+keys each table's rows by ID.  The relation registry keeps each relation as
+the ``Lazy`` of its record, over a row of its attributes and FE mappings,
+and the store files those by frame.
 So ``frame_relations_involving`` builds the records of one frame's
 relations only, and a relation type's ``frameRelations`` builds the rest
 through the same ``Lazy``s: each relation has one record, whichever path
@@ -38,7 +39,9 @@ columns that pattern scans search, one per table: the frame, LU and document
 indexes, and all FEs by (frame ID, FE ID).  A column is a pair
 ``(rows, names)`` of equal-length tuples, ID ascending, built on the first
 scan that needs it.  Nothing else is kept: a query that no workload repeats
-is answered from these tables each time.
+is answered from these tables each time.  The frame index, loaded at open,
+is also kept on the store as its two maps, so a lookup by frame name or ID
+takes no memo hit.
 
 A reference from one file into another (a relation's frames, a full-text
 annotation set's frame) resolves through ``resolve_frame_ref``: a frame the
@@ -55,7 +58,7 @@ from pathlib import Path
 
 from . import xmlio
 from .errors import CorpusError, IntegrityError, LookupFailure
-from .records import LOCK, Lazy, build
+from .records import Lazy
 
 ENV_DATA_DIR = "FRAMELEX_DATA"
 
@@ -79,19 +82,17 @@ class Store:
         self._cache = {}
         if not self.root.is_dir():
             raise CorpusError(f"not a corpus directory: {self.root}")
-        self._frame_index()
+        # {frame ID: (ID, name)} and {name: frame ID}, in index order.
+        self._frame_rows, self._frame_ids = self._load("frameIndex.xml", self._parse_frame_index)
 
     # ------------------------------------------------------------ loading
 
     def _load(self, key, fn, *args):
-        """The cache entry under ``key``, made by ``build(fn, *args)`` on first use."""
-        value = self._cache.get(key)
-        if value is None:
-            with LOCK:
-                value = self._cache.get(key)
-                if value is None:
-                    value = self._cache[key] = build(fn, *args)
-        return value
+        """The value of the memo's ``Lazy(fn, *args)`` under ``key``, made on first use."""
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = self._cache.setdefault(key, Lazy(fn, *args))
+        return entry.resolve()
 
     def _read(self, relpath):
         path = self.root / relpath
@@ -115,38 +116,28 @@ class Store:
 
     # ------------------------------------------------------------ frames
 
-    def _frame_index(self):
-        """({frame ID: name}, {name: frame ID}), in index order."""
-        return self._load("frameIndex.xml", self._parse_frame_index)
-
     def _parse_frame_index(self):
-        names = dict(xmlio.parse_frame_index(self._read("frameIndex.xml")))
-        return names, {name: fid for fid, name in names.items()}
+        rows = self._parse_rows("frameIndex.xml", xmlio.parse_frame_index, itemgetter(0))
+        return rows, {name: fid for fid, name in rows.values()}
 
     def frame_index(self):
         """All (frame ID, frame name) pairs, from the index alone."""
-        return list(self._frame_index()[0].items())
+        return list(self._frame_rows.values())
 
     def frame_column(self):
         """The (frame ID, name) pairs and their names, ID ascending."""
-        return self._load("frame column", self._frame_column)
-
-    def _frame_column(self):
-        rows = tuple(sorted(self._frame_index()[0].items()))
-        return rows, tuple(name for _, name in rows)
+        return self._load("frame column", self._index_column, self._frame_rows, itemgetter(1))
 
     def frame_defined(self, name_or_id):
-        names, ids = self._frame_index()
-        return name_or_id in (names if isinstance(name_or_id, int) else ids)
+        return name_or_id in (self._frame_rows if isinstance(name_or_id, int) else self._frame_ids)
 
     def frame_id(self, name_or_id):
         """The ID of the frame a name or ID names, from the index alone."""
-        names, ids = self._frame_index()
         if isinstance(name_or_id, int):
-            if name_or_id not in names:
+            if name_or_id not in self._frame_rows:
                 raise LookupFailure(f"no frame with ID {name_or_id}")
             return name_or_id
-        fid = ids.get(name_or_id)
+        fid = self._frame_ids.get(name_or_id)
         if fid is None:
             raise LookupFailure(f"no frame named {name_or_id!r}")
         return fid
@@ -154,17 +145,11 @@ class Store:
     def get_frame(self, name_or_id):
         """The frame record for a name or ID, loading its file on first use."""
         fid = self.frame_id(name_or_id)
-        return self._load(("frame", fid), self._parse_frame, fid, self._frame_index()[0][fid])
+        return self._load(("frame", fid), self._parse_frame, *self._frame_rows[fid])
 
     def _parse_frame(self, fid, name):
         relpath = f"frame/{name}.xml"
-        frame = xmlio.parse_frame_file(
-            self._read(relpath),
-            source=relpath,
-            relation_query=self.frame_relations_involving,
-            semtype_lookup=self._resolve_semtype_ref,
-            exemplar_loader=self._load_exemplars,
-        )
+        frame = xmlio.parse_frame_file(self._read(relpath), relpath, store=self)
         if frame["ID"] != fid or frame["name"] != name:
             raise IntegrityError(
                 f"{relpath}: header ({frame['ID']}, {frame['name']!r}) "
@@ -180,7 +165,7 @@ class Store:
         """
         if frame_ids is None:
             return self._load(
-                "FE column", lambda: self._fe_column(sorted(self._frame_index()[0]))
+                "FE column", lambda: self._fe_column(sorted(self._frame_rows))
             )
         return self._fe_column(frame_ids)
 
@@ -206,7 +191,7 @@ class Store:
             )
         return self.get_frame(key)
 
-    def _resolve_semtype_ref(self, st_id, st_name, source, referrer):
+    def resolve_semtype_ref(self, st_id, st_name, source, referrer):
         """The semantic type that record ``referrer`` of file ``source`` names;
         one the registry lacks is an IntegrityError naming both."""
         try:
@@ -251,8 +236,8 @@ class Store:
             )
         return lu
 
-    def _load_exemplars(self, lu_stub):
-        # Runs as a lazy value's thunk, so already under the lock.
+    def load_exemplars(self, lu_stub):
+        """An LU stub's subcorpora, from its exemplar file: its ``subCorpus``."""
         lu_id = lu_stub["ID"]
         relpath = f"lu/lu{lu_id}.xml"
         got_id, subcorpora = xmlio.parse_lu_file(self._read(relpath), source=relpath, lu=lu_stub)
@@ -310,12 +295,7 @@ class Store:
             f"fulltext/{row.corpusName}__{row.name}.xml",
         ]
         relpath = next((c for c in candidates if (self.root / c).is_file()), candidates[0])
-        doc = xmlio.parse_fulltext_file(
-            self._read(relpath),
-            source=relpath,
-            lu_resolver=self.resolve_annotation_lu,
-            frame_resolver=self.resolve_frame_ref,
-        )
+        doc = xmlio.parse_fulltext_file(self._read(relpath), relpath, store=self)
         if doc["ID"] != row.ID:
             raise IntegrityError(f"{relpath}: file header carries ID {doc['ID']}")
         if doc["corpusID"] != row.corpusID:
@@ -337,10 +317,7 @@ class Store:
         return self._load("frRelation.xml", self._parse_relations)
 
     def _parse_relations(self):
-        types = xmlio.parse_relations_file(
-            self._read("frRelation.xml"),
-            frame_resolver=self.resolve_frame_ref,
-        )
+        types = xmlio.parse_relations_file(self._read("frRelation.xml"), store=self)
         by_frame = {}
         for sup_id, sub_id, rel in types.relations:
             for fid in {sup_id, sub_id}:

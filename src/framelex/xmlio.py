@@ -1,14 +1,16 @@
 """Parsers for the on-disk XML corpus format.
 
 Every function here is pure over bytes: it receives file content, returns
-records, and never touches the file system.  Cross-file references (exemplar
-sentences of a lexical unit stub, the frames named by a relation or a
-full-text annotation set, semantic types named by ID) are represented as
-``Lazy(callback, *args)`` thunks over resolver callbacks that the caller
-injects; with no callback the thunk raises a clear error if it is ever forced.
-A frame resolver is called as ``frame_resolver(frame_id, frame_name, source,
-referrer)`` and a semantic type lookup as ``semtype_lookup(st_id, st_name,
-source, referrer)``, ``referrer`` being the record that holds the reference.
+records, and never touches the file system.  A parser given a ``store`` makes
+each cross-file reference a ``Lazy`` that calls, when forced, one of five of
+its methods: ``frame_relations_involving(frame_id)``, a frame's relations;
+``resolve_semtype_ref(st_id, st_name, source, referrer)``, a frame's or FE's
+semantic type; ``load_exemplars(lu)``, an LU stub's subcorpora;
+``resolve_annotation_lu(lu_id, lu_name, frame_id, frame_name, source,
+referrer)``, a full-text annotation set's LU; ``resolve_frame_ref(frame_id,
+frame_name, source, referrer)``, the frame of a relation or of a full-text
+annotation set.  ``referrer`` is the record that holds the reference.  With
+no store, each reference raises a clear error if it is ever forced.
 
 Every file is read in one expat pass, ``_read``, with no element tree and
 with namespaces dropped from tag and attribute names.  The LU and full-text
@@ -377,22 +379,12 @@ _SENTENCE = {"text": _TEXT, "annotationSet": {"layer": {"label": None}}}
 _FULLTEXT = {"header": {"corpus": {"document": None}}, "sentence": _SENTENCE}
 
 
-def parse_frame_file(
-    data,
-    source=None,
-    *,
-    relation_query=None,
-    semtype_lookup=None,
-    exemplar_loader=None,
-):
+def parse_frame_file(data, source=None, *, store=None):
     """One frame file -> a frame record, without exemplar sentences.
 
-    ``relation_query(frame_id)`` supplies the frame's relations on demand;
-    ``semtype_lookup(st_id, st_name, source, referrer)`` resolves semantic type
-    references, ``referrer`` being the frame or FE;
-    ``exemplar_loader(lu_stub)`` supplies an LU's subcorpora on demand.  Each
-    callback is optional; the matching attributes then fail if forced, except
-    that an LU with a zero sentence count resolves to empty lists eagerly.
+    The frame's relations, its and its FEs' semantic types and its LUs'
+    subcorpora load through ``store`` on first read; with no store they fail
+    if forced, except that an LU with a zero sentence count has empty lists.
     """
     _, attrs, definition, leaves, members = _read(data, source, "frame", _FRAME)
     # The frame is built once the file is read, so its errors come in the
@@ -408,19 +400,21 @@ def parse_frame_file(
     frame["_type"] = "frame"
     frame["definition"] = strip_markup(markup)
     frame["definitionMarkup"] = markup
-    frame["frameRelations"] = _ref(relation_query, f"relations of frame {name!r}", frame_id)
+    frame["frameRelations"] = _ref(
+        store, "frame_relations_involving", f"relations of frame {name!r}", frame_id
+    )
     frame["FE"] = {}
     frame["FEcoreSets"] = []
     frame["lexUnit"] = {}
     what = "semantic type references"
-    refs = _semtype_refs(leaves["semType"], source, frame, semtype_lookup, what)
+    refs = _semtype_refs(leaves["semType"], source, frame, store, what)
     frame["semTypes"] = Lazy(_resolve_all, refs) if refs else []
     frame["URL"] = frame_url(name)
 
     fe_ids = set()
     for node in members:
         if node[0] == "FE":
-            fe = _parse_fe(node, source, frame, semtype_lookup)
+            fe = _parse_fe(node, source, frame, store)
             if fe.name in frame["FE"] or fe.ID in fe_ids:
                 raise IntegrityError(
                     f"{source}: duplicate frame element {fe.name!r} ({fe.ID}) in frame {name!r}"
@@ -428,7 +422,7 @@ def parse_frame_file(
             fe_ids.add(fe.ID)
             frame["FE"][fe.name] = fe
         elif node[0] == "lexUnit":
-            lu = _parse_lu_stub(node, source, frame, exemplar_loader)
+            lu = _parse_lu_stub(node, source, frame, store)
             if lu.name in frame["lexUnit"]:
                 raise IntegrityError(
                     f"{source}: duplicate lexical unit {lu.name!r} in frame {name!r}"
@@ -450,24 +444,32 @@ def parse_frame_file(
     return frame
 
 
-def _ref(resolve, what, *args):
-    """``Lazy(resolve, *args)``, or with no ``resolve`` one that fails if forced."""
-    if resolve is None:
+def _ref(store, method, what, *args):
+    """A ``Lazy`` of ``store``'s ``method`` over ``args``, looked up when
+    forced, or with no store one that fails if forced."""
+    if store is None:
         return unbound_lazy(what)
-    return Lazy(resolve, *args)
+    return Lazy(_call, store, method, *args)
 
 
-def _semtype_refs(semtypes, source, referrer, semtype_lookup, what):
+def _call(store, method, *args):
+    return getattr(store, method)(*args)
+
+
+def _semtype_refs(semtypes, source, referrer, store, what):
     """One reference per ``<semType>``'s attributes, in file order."""
     refs = (_fields("semType", attrs, source, "ID", "name") for attrs in semtypes)
-    return [_ref(semtype_lookup, what, st_id, name, source, referrer) for st_id, name in refs]
+    return [
+        _ref(store, "resolve_semtype_ref", what, st_id, name, source, referrer)
+        for st_id, name in refs
+    ]
 
 
 def _resolve_all(refs):
     return [ref.resolve() for ref in refs]
 
 
-def _parse_fe(node, source, frame, semtype_lookup):
+def _parse_fe(node, source, frame, store):
     _, attrs, definition, leaves, _ = node
     core_type = _attr("FE", attrs, "coreType", source)
     if core_type not in CORE_TYPES:
@@ -485,13 +487,13 @@ def _parse_fe(node, source, frame, semtype_lookup):
     fe["definition"] = strip_markup(markup)
     fe["definitionMarkup"] = markup
     what = f"semantic type of FE {fe['name']!r}"
-    refs = _semtype_refs(leaves["semType"], source, fe, semtype_lookup, what)
+    refs = _semtype_refs(leaves["semType"], source, fe, store, what)
     fe["semType"] = refs[0] if refs else None
     fe["frame"] = frame
     return fe
 
 
-def _parse_lu_stub(node, source, frame, exemplar_loader):
+def _parse_lu_stub(node, source, frame, store):
     _, attrs, definition, leaves, _ = node
     markup = "".join(definition or ())
     count_attrs = next(iter(leaves["sentenceCount"]), {})
@@ -514,14 +516,14 @@ def _parse_lu_stub(node, source, frame, exemplar_loader):
     name, lu_id = _fields("lexUnit", attrs, source, "name", "ID")
     status, pos = attrs.get("status", ""), attrs.get("POS", "")
     counts = (annotated, total)
-    return lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, exemplar_loader)
+    return lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store)
 
 
-def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, exemplar_loader=None):
+def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store=None):
     """An LU record: a frame's LU stub, or a placeholder with no exemplars.
 
     ``counts`` is its (annotated, total) sentence count; with a nonzero total
-    the subcorpora load through ``exemplar_loader(lu)`` on first read.
+    the subcorpora load through ``store.load_exemplars(lu)`` on first read.
     """
     annotated, total = counts
     lu = Record()
@@ -540,7 +542,7 @@ def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, exemplar
         lu["subCorpus"] = []
         lu["exemplars"] = []
     else:
-        lu["subCorpus"] = _ref(exemplar_loader, f"exemplars of {name!r}", lu)
+        lu["subCorpus"] = _ref(store, "load_exemplars", f"exemplars of {name!r}", lu)
         lu["exemplars"] = Lazy(_exemplars_of, lu)
     return lu
 
@@ -599,11 +601,9 @@ def _parse_label(attrs, source, layer_name, text_len, sent_id, fe_ids):
         raise IntegrityError(
             f"{source}: sentence {sent_id}: label {name!r} on layer {layer_name!r} {problem}"
         )
-    name = sys.intern(name)
-    if start is not None:
-        span = (start, end, name)
-        return span if fe_id is None else (span, fe_id)
-    label = Record(name=name)
+    # A spanned label that passes these checks was read directly above, so
+    # this one has no span: a null instantiation.
+    label = Record(name=sys.intern(name))
     if itype is not None:
         label["itype"] = itype
     if fe_id is not None:
@@ -775,13 +775,12 @@ def parse_lu_file(data, source=None, *, lu=None):
     ]
 
 
-def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=None):
+def parse_fulltext_file(data, source=None, *, store=None):
     """One full-text document file -> a document record with its sentences.
 
-    An annotation set's LU resolves through ``lu_resolver(lu_id, lu_name,
-    frame_id, frame_name, source, aset)`` and its frame through
-    ``frame_resolver(frame_id, frame_name, source, aset)``; absent values are
-    None.
+    An annotation set's LU resolves through ``store.resolve_annotation_lu``
+    and its frame through ``store.resolve_frame_ref``, the set being the
+    referrer; absent IDs and names are None.
     """
     root = _read(data, source, "fullTextAnnotation", _FULLTEXT)
     header = next((node for node in root[4] if node[0] == "header"), None)
@@ -798,11 +797,14 @@ def parse_fulltext_file(data, source=None, *, lu_resolver=None, frame_resolver=N
         lu_id, lu_name = aset.get("luID"), aset.get("luName")
         frame_id, frame_name = aset.get("frameID"), aset.get("frameName")
         if lu_id is not None or lu_name is not None:
-            args = (lu_id, lu_name, frame_id, frame_name, source, aset)
-            aset["LU"] = _ref(lu_resolver, "the annotation set's lexical unit", *args)
+            aset["LU"] = _ref(
+                store, "resolve_annotation_lu", "the annotation set's lexical unit",
+                lu_id, lu_name, frame_id, frame_name, source, aset,
+            )
         if frame_id is not None or frame_name is not None:
             aset["frame"] = _ref(
-                frame_resolver, "the annotation set's frame", frame_id, frame_name, source, aset
+                store, "resolve_frame_ref", "the annotation set's frame",
+                frame_id, frame_name, source, aset,
             )
 
     doc = Record()
@@ -829,15 +831,15 @@ class RelationTypes(list):
     __slots__ = ("relations",)
 
 
-def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
+def parse_relations_file(data, source="frRelation.xml", *, store=None):
     """The relation registry -> a ``RelationTypes`` list of relation-type records.
 
     Each ``<frameRelation>`` is checked at its start tag and kept as a tuple
     of its attributes, with a list of its FE mappings' attribute tuples; a
     ``Lazy`` over those builds its record on first read.  A type's
     ``frameRelations`` is a ``Lazy`` over its relations' records.  Frames are
-    resolved lazily through ``frame_resolver(frame_id, name, source,
-    relation)``.
+    resolved lazily through ``store.resolve_frame_ref``, the relation being
+    the referrer.
     """
     types = RelationTypes()
     types.relations = []
@@ -856,7 +858,7 @@ def parse_relations_file(data, source="frRelation.xml", *, frame_resolver=None):
         nonlocal mappings
         row = _relation_row("frameRelation", attrs, source, "superFrameName", "subFrameName")
         mappings = []
-        rel = Lazy(_relation_record, source, frame_resolver, rtype, row, mappings)
+        rel = Lazy(_relation_record, source, store, rtype, row, mappings)
         relations.append(rel)
         types.relations.append((row[3], row[4], rel))
         return fe_relations
@@ -885,7 +887,7 @@ def _relation_row(tag, attrs, source, sup_name, sub_name):
         return _fields(tag, attrs, source, "ID", sup_name, sub_name, "supID", "subID")
 
 
-def _relation_record(source, frame_resolver, rtype, row, mappings):
+def _relation_record(source, store, rtype, row, mappings):
     """The record of relation ``row`` of type ``rtype``, with its FE mappings."""
     rel_id, sup_name, sub_name, sup_id, sub_id = row
     rel = Record()
@@ -896,8 +898,8 @@ def _relation_record(source, frame_resolver, rtype, row, mappings):
     rel["supID"] = sup_id
     rel["subID"] = sub_id
     rel["_type"] = "framerelation"
-    rel["superFrame"] = _ref(frame_resolver, f"frame {sup_name!r}", sup_id, sup_name, source, rel)
-    rel["subFrame"] = _ref(frame_resolver, f"frame {sub_name!r}", sub_id, sub_name, source, rel)
+    for side, fid, name in (("superFrame", sup_id, sup_name), ("subFrame", sub_id, sub_name)):
+        rel[side] = _ref(store, "resolve_frame_ref", f"frame {name!r}", fid, name, source, rel)
     rel["feRelations"] = Lazy(_fe_relation_records, source, rel, mappings)
     return rel
 

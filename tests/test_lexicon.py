@@ -7,7 +7,7 @@ import pytest
 
 from framelex import open_lexicon
 from framelex.errors import LookupFailure, PatternError
-from framelex.records import Lazy
+from framelex.records import Lazy, Record
 
 
 def index_pairs(data_dir, filename, tag):
@@ -79,7 +79,14 @@ def test_lu_unknown_id(lexicon):
 
 def test_record_and_id_arguments(lexicon):
     frame = lexicon.frame("Revenge")
+    lu = lexicon.lu(6067)
+    relations = lexicon.frame_relations(frame=347)
+    log = list(lexicon.store.fileAccessLog)
     assert lexicon.frame(frame) is frame
+    assert lexicon.lu(lu) is lu
+    by_record = lexicon.frame_relations(frame=frame)
+    assert relations and all(a is b for a, b in zip(by_record, relations, strict=True))
+    assert lexicon.store.fileAccessLog == log  # a record argument reads no file
     assert lexicon.lu("6067") is lexicon.lu(6067)
     with pytest.raises(LookupFailure):
         lexicon.lu(6067.0)
@@ -425,15 +432,20 @@ def test_fulltext_annotations_match_a_raw_xml_oracle_cold_then_warm(data_dir, tm
      "docs", "ft_sents", "annotations", "lus frame=", "fes frame="],
 )
 def test_bad_pattern_fails_before_any_file_is_read(data_dir, scan):
-    """A bad name pattern, or a bad ``frame=`` restriction pattern."""
-    lexicon = open_lexicon(data_dir)
+    """A bad name pattern, or a bad ``frame=`` restriction pattern: one that
+    does not compile, or one that is not a string.  As a restriction, 123 is
+    an ID and a record names no frame, so neither is a pattern there."""
     scan, _, restricted = scan.partition(" ")
-    with pytest.raises(PatternError):
-        if restricted:
-            getattr(lexicon, scan)("x", frame="(unclosed")
-        else:
-            getattr(lexicon, scan)("(unclosed")
-    assert lexicon.store.fileAccessLog == ["frameIndex.xml"]
+    record = Record(_type="lu", ID=6067, name="revenge.n")
+    bad = ["(unclosed", b"x"] if restricted else ["(unclosed", 123, b"x", record]
+    for pattern in bad:
+        lexicon = open_lexicon(data_dir)
+        with pytest.raises(PatternError):
+            if restricted:
+                getattr(lexicon, scan)("x", frame=pattern)
+            else:
+                getattr(lexicon, scan)(pattern)
+        assert lexicon.store.fileAccessLog == ["frameIndex.xml"], pattern
 
 
 def test_sentence_sweep_builds_no_layer_records(lexicon):

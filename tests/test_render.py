@@ -6,6 +6,8 @@ column sets per marker class with the spans stored on the record.  A
 renderer that drifts by one column anywhere cannot satisfy it.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from framelex import (
@@ -101,7 +103,8 @@ def narrow_fulltext_sentence():
         status = "Problem" if lu_name == "in.prep" else "Created"
         return Record(ID=lu_id, name=lu_name, status=status)
 
-    doc = parse_fulltext_file(xml.encode(), "narrow.xml", lu_resolver=lu_resolver)
+    store = SimpleNamespace(resolve_annotation_lu=lu_resolver)
+    doc = parse_fulltext_file(xml.encode(), "narrow.xml", store=store)
     return doc.sentences[0]
 
 

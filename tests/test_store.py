@@ -28,7 +28,7 @@ from framelex.errors import (
     LookupFailure,
     ParseError,
 )
-from framelex.records import attribute_names
+from framelex.records import Record, attribute_names
 
 
 def test_open_reads_only_the_frame_index(store):
@@ -141,6 +141,25 @@ def test_document_corpus_prefixed_fallback_path(store):
 def test_document_lookup_failure(store):
     with pytest.raises(LookupFailure):
         store.get_document(99999)
+
+
+# Records of another kind and other unhashable keys, which no table can hold.
+LU = Record(_type="lu", ID=6067, name="revenge.n")
+DOC = Record(_type="document", ID=23802, name="Tiger_Of_San_Pedro")
+KEYS_NAMING_NOTHING = [
+    "frame(LU)", "frame(DOC)", "frame([347])", "doc([23802])", "doc(DOC)",
+    "semtype([1])", "lus(frame=LU)", "fes(frame=[347])", "frame_relations(frame=LU)",
+]
+
+
+@pytest.mark.parametrize("call", KEYS_NAMING_NOTHING)
+def test_key_that_names_nothing_is_a_lookup_failure(data_dir, call):
+    """A key of no kind the call takes fails as a lookup, reading no file past
+    the frame index."""
+    lexicon = open_lexicon(data_dir)
+    with pytest.raises(LookupFailure):
+        eval("lexicon." + call, {"lexicon": lexicon, "LU": LU, "DOC": DOC})
+    assert lexicon.store.fileAccessLog == ["frameIndex.xml"]
 
 
 def test_semtypes_sorted_by_id(store):

@@ -8,6 +8,7 @@ them by construction.
 import re
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -88,7 +89,11 @@ def test_frame_file_fe_details(data_dir):
     frame = parse_frame_file(
         raw(data_dir, "frame/Revenge.xml"),
         "x",
-        semtype_lookup=lambda st_id, st_name, *_: Record(_type="semtype", ID=st_id, name=st_name),
+        store=SimpleNamespace(
+            resolve_semtype_ref=lambda st_id, st_name, *_: Record(
+                _type="semtype", ID=st_id, name=st_name
+            )
+        ),
     )
     avenger = frame.FE["Avenger"]
     assert avenger.ID == 3009
