@@ -4,9 +4,10 @@ One FrameLexicon wraps one Store and answers every query: frames, lexical
 units, frame elements, relations, semantic types and annotated sentences.
 Name lookups take regular expression patterns with unanchored search
 semantics (embed ``(?i)`` for case insensitivity); exact-match lookups take a
-name or numeric ID and raise LookupFailure when nothing matches.  Wherever an
-ID is accepted, a decimal string is that ID, and an unhashable key names
-nothing (``_decimal``).  A pattern is a string or a compiled string pattern.
+name or numeric ID and raise LookupFailure when nothing matches.  One rule,
+``_key``, reads every lookup key, and each key resolves from the frame index,
+or from the one table its lookup needs anyway, before any other file is read.
+A pattern is a string or a compiled string pattern.
 All list results have fixed orders, so repeated calls are identical.
 """
 
@@ -44,10 +45,6 @@ def _scan(pattern, column, *args):
     return list(compress(rows, map(search, names)))
 
 
-def _is_record(obj, kind):
-    return isinstance(obj, Record) and obj.get("_type") == kind
-
-
 def _frame_sets(sentences, search=None):
     """The frame annotation sets of ``sentences`` whose LU name ``search``
     finds (all if None), by (sentence ID, set ID)."""
@@ -60,15 +57,19 @@ def _frame_sets(sentences, search=None):
     return sorted(sets, key=lambda aset: (aset["sent"]["ID"], aset["ID"]))
 
 
-def _decimal(key, kind):
-    """A decimal string as its int (an ID typed as text); any other key as is,
-    but an unhashable one, such as a list or a record, names no ``kind``."""
+def _key(key, kind, what):
+    """The key ``key`` names in a lookup of a ``what``: a record of kind
+    ``kind`` (None: the lookup takes none) names its ID, a decimal string its
+    int, and any other hashable key itself.  An unhashable key, such as a list
+    or a record of another kind, names no ``what``."""
+    if kind is not None and isinstance(key, Record) and key.get("_type") == kind:
+        return key["ID"]
     if isinstance(key, str):
         return int(key) if key.isdecimal() else key
     try:
         hash(key)
     except TypeError:
-        raise LookupFailure(f"no {kind} matching {key!r}") from None
+        raise LookupFailure(f"no {what} matching {key!r}") from None
     return key
 
 
@@ -94,9 +95,7 @@ class FrameLexicon:
 
     def frame(self, key):
         """One frame, by exact name or numeric ID."""
-        if _is_record(key, "frame"):
-            return key
-        return self._store.get_frame(_decimal(key, "frame"))
+        return self._store.get_frame(_key(key, "frame", "frame"))
 
     def frame_ids_and_names(self, name_pattern=None):
         """{frame ID: frame name} for matching frames, from the index alone."""
@@ -126,9 +125,9 @@ class FrameLexicon:
 
     def lu(self, lu_id):
         """One lexical unit, by numeric ID."""
-        if _is_record(lu_id, "lu"):
-            return lu_id
-        lu_id = _decimal(lu_id, "lexical unit")
+        if isinstance(lu_id, Record) and lu_id.get("_type") == "lu":
+            return lu_id  # as is: a lookup by its ID would load the LU index
+        lu_id = _key(lu_id, None, "lexical unit")
         if not isinstance(lu_id, int):
             raise LookupFailure(f"no lexical unit with ID {lu_id!r}")
         return self._store.get_lu(lu_id)
@@ -143,12 +142,10 @@ class FrameLexicon:
 
     def _frame_restriction_ids(self, frame):
         """The IDs a ``frame=`` restriction names, from the frame index alone."""
-        if _is_record(frame, "frame"):
-            return {frame["ID"]}
-        frame = _decimal(frame, "frame")
-        if isinstance(frame, int):
-            return {frame}
-        ids = {fid for fid, _ in _scan(frame, self._store.frame_column)}
+        frame = _key(frame, "frame", "frame")
+        ids = set()
+        if not isinstance(frame, int):
+            ids = {fid for fid, _ in _scan(frame, self._store.frame_column)}
         if self._store.frame_defined(frame):
             ids.add(self._store.frame_id(frame))
         return ids
@@ -178,7 +175,7 @@ class FrameLexicon:
 
         ``frame`` keeps relations with that frame on either side; ``frame2``
         additionally requires the other side to match it (either orientation);
-        ``type`` keeps one relation type, given by name or record.
+        ``type`` keeps one relation type, given by name, ID or record.
         """
         if frame2 is not None and frame is None:
             raise UsageError("frame_relations: frame2 requires frame")
@@ -188,9 +185,9 @@ class FrameLexicon:
             ]
         else:
             fid = self._frame_id(frame)
+            fid2 = None if frame2 is None else self._frame_id(frame2)
             relations = self._store.frame_relations_involving(fid)
         if frame2 is not None:
-            fid2 = self._frame_id(frame2)
             relations = [
                 rel
                 for rel in relations
@@ -207,13 +204,10 @@ class FrameLexicon:
 
     def _frame_id(self, key):
         """The ID of a frame record, name or ID, without loading the frame."""
-        if _is_record(key, "frame"):
-            return key["ID"]
-        return self._store.frame_id(_decimal(key, "frame"))
+        return self._store.frame_id(_key(key, "frame", "frame"))
 
     def _relation_type(self, key):
-        if _is_record(key, "framerelationtype"):
-            return key
+        key = _key(key, "framerelationtype", "frame relation type")
         for rtype in self._store.relation_types():
             if rtype["name"] == key or rtype["ID"] == key:
                 return rtype
@@ -227,9 +221,7 @@ class FrameLexicon:
 
     def semtype(self, key):
         """One semantic type, by name, abbreviation, or numeric ID."""
-        if _is_record(key, "semtype"):
-            return key
-        return self._store.get_semtype(_decimal(key, "semantic type"))
+        return self._store.get_semtype(_key(key, "semtype", "semantic type"))
 
     def semtype_inherits(self, st, ancestor):
         """Whether ``st`` is ``ancestor`` or lies below it in the hierarchy."""
@@ -300,7 +292,10 @@ class FrameLexicon:
 
     def doc(self, doc_id):
         """One full-text document, by numeric ID."""
-        return self._store.get_document(_decimal(doc_id, "full-text document"))
+        doc_id = _key(doc_id, None, "full-text document")
+        if not isinstance(doc_id, int):
+            raise LookupFailure(f"no full-text document with ID {doc_id}")
+        return self._store.get_document(doc_id)
 
     def docs(self, name_pattern=None):
         """Full-text documents whose name matches, ID ascending."""

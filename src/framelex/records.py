@@ -17,7 +17,10 @@ together resolve it once.  ``Lazy`` is the package's one once-only
 mechanism: the store's memo keeps a ``Lazy`` per entry, so every file loads
 by resolving one.  Resolving a value may load a file and loading a file may
 resolve values, so one re-entrant lock serves both; two could deadlock
-against each other.
+against each other.  A build that fails with a ``ParseError`` or an
+``IntegrityError`` fails the same way on every later resolve, without
+running again: a file that does not load is read once.  Any other error,
+such as a read that failed, leaves the thunk to be tried again.
 
 Everything that runs under ``LOCK`` runs through ``build``, with the cyclic
 garbage collector paused.  A file's parse makes many short-lived containers;
@@ -31,6 +34,8 @@ when the build raises.
 
 import gc
 import threading
+
+from .errors import CorpusError, IntegrityError, ParseError
 
 LOCK = threading.RLock()
 
@@ -62,15 +67,23 @@ class Lazy:
         if not self._done:
             with LOCK:
                 if not self._done:
-                    self._value = build(self._fn, *self._args)
+                    try:
+                        self._value = build(self._fn, *self._args)
+                    except (ParseError, IntegrityError) as exc:
+                        # The type and arguments, not the error: its traceback
+                        # would hold the failed parse's frames.
+                        self._fn, self._args = _fail, (type(exc), *exc.args)
+                        raise
                     self._fn = self._args = None
                     self._done = True
         return self._value
 
 
-def _unbound(what):
-    from .errors import CorpusError
+def _fail(error, *args):
+    raise error(*args)
 
+
+def _unbound(what):
     raise CorpusError(f"no data source attached; cannot resolve {what}")
 
 

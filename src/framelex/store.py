@@ -160,8 +160,8 @@ class Store:
     def fe_column(self, frame_ids=None):
         """The FEs of the given frames (default: all, kept), by (frame ID, FE ID).
 
-        Frame IDs must be ascending; IDs the index does not know are skipped.
-        Frames load in that order, on first use.
+        Frame IDs must be ascending and known to the index; frames load in
+        that order, on first use.
         """
         if frame_ids is None:
             return self._load(
@@ -173,7 +173,6 @@ class Store:
         fes = tuple(chain.from_iterable(
             sorted(self.get_frame(fid)["FE"].values(), key=itemgetter("ID"))
             for fid in frame_ids
-            if self.frame_defined(fid)
         ))
         return fes, tuple(map(itemgetter("name"), fes))
 

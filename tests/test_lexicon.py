@@ -90,6 +90,13 @@ def test_record_and_id_arguments(lexicon):
     assert lexicon.lu("6067") is lexicon.lu(6067)
     with pytest.raises(LookupFailure):
         lexicon.lu(6067.0)
+    # A record from another lexicon names the record of ``other`` with its ID.
+    other = open_lexicon(lexicon.store.root)
+    assert other.frame(frame) is other.frame(347)
+    own = other.frame_relations(frame=347)
+    by_type = other.frame_relations(frame=347, type=relations[0].type)
+    assert by_type and all(a is b for a, b in zip(by_type, own, strict=True))
+    assert by_type[0] is not relations[0]
 
 
 def test_frame_record_restrictions(lexicon):
@@ -157,6 +164,8 @@ QUERIES = [
     ("lus(frame='^Re')", sorted(REVENGE_LUS + [6100, 6101, 6102, 6103]),
      ["luIndex.xml", REVENGE, REWARDS]),
     ("lus(frame='^Nope')", [], []),
+    ("lus(frame=99999)", [], []),
+    ("lus(frame='99999')", [], []),
     ("fes(frame='^Re')", REWARDS_FES + REVENGE_FES, [REWARDS, REVENGE]),
     ("fes(frame='347')", REVENGE_FES, [REVENGE]),
     ("frame_relations()", [810, 802, 803, 820], ["frRelation.xml"]),

@@ -50,6 +50,12 @@ def test_relations_by_frame_name_read_no_frame_file(lexicon):
     assert lexicon.store.fileAccessLog == ["frameIndex.xml", "frRelation.xml"]
 
 
+def test_unknown_frame2_fails_before_the_registry_loads(lexicon):
+    with pytest.raises(LookupFailure, match="^no frame named 'Nope'$"):
+        lexicon.frame_relations(frame=347, frame2="Nope")
+    assert lexicon.store.fileAccessLog == ["frameIndex.xml"]
+
+
 def test_relations_frame2_requires_frame(lexicon):
     with pytest.raises(ValueError):
         lexicon.frame_relations(frame2="Revenge")
@@ -68,6 +74,14 @@ def test_relation_type_given_by_record_or_name(lexicon):
     rels = lexicon.frame_relations(type=rtype)
     assert [r.ID for r in rels] == [r.ID for r in lexicon.frame_relations(type=rtype.name)]
     assert len(rels) == 3
+
+
+def test_relation_type_given_by_id_or_decimal_string(lexicon):
+    rtype = lexicon.frame_relation_types()[1]
+    want = [r.ID for r in lexicon.frame_relations(type=rtype)]
+    assert want == [820]
+    assert [r.ID for r in lexicon.frame_relations(type=rtype.ID)] == want
+    assert [r.ID for r in lexicon.frame_relations(type=str(rtype.ID))] == want
 
 
 def test_relation_record_shape(lexicon):

@@ -149,6 +149,7 @@ DOC = Record(_type="document", ID=23802, name="Tiger_Of_San_Pedro")
 KEYS_NAMING_NOTHING = [
     "frame(LU)", "frame(DOC)", "frame([347])", "doc([23802])", "doc(DOC)",
     "semtype([1])", "lus(frame=LU)", "fes(frame=[347])", "frame_relations(frame=LU)",
+    "frame_relations(frame=347, frame2=DOC)", "doc('abc')",
 ]
 
 
@@ -336,6 +337,39 @@ def test_missing_file_is_a_corpus_error(data_dir, tmp_path, damage):
     with pytest.raises(CorpusError):
         st.get_frame("Omen")
     assert _cli_code(clone, "frame", "Omen") == 3
+
+
+def _cut(body):
+    return body[:200]
+
+
+def _renumber(body):
+    return body.replace('name="Revenge" ID="347"', 'name="Revenge" ID="348"')
+
+
+@pytest.mark.parametrize(
+    "relpath, damage, touch, error, reads",
+    [
+        ("frame/Revenge.xml", _cut, lambda lex: lex.frame("Revenge"), ParseError, []),
+        ("frame/Revenge.xml", _renumber, lambda lex: lex.frame("Revenge"), IntegrityError, []),
+        ("lu/lu6067.xml", _cut, lambda lex: lex.lu(6067).exemplars, ParseError,
+         ["luIndex.xml", "frame/Revenge.xml"]),
+    ],
+    ids=["cut frame file", "renumbered frame file", "cut exemplar file"],
+)
+def test_a_file_that_fails_to_load_is_read_once(
+    data_dir, tmp_path, relpath, damage, touch, error, reads
+):
+    """Every touch after the first fails with the same error and reads nothing."""
+    body = (data_dir / relpath).read_text()
+    lex = open_lexicon(_corrupt_copy(data_dir, tmp_path, relpath, body, damage(body)))
+    failures = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            touch(lex)
+        failures.append((type(info.value), str(info.value)))
+    assert failures == failures[:1] * 3
+    assert lex.store.fileAccessLog == ["frameIndex.xml", *reads, relpath]
 
 
 # Per file: the library call and a CLI command that parse it.
