@@ -125,9 +125,9 @@ class FrameLexicon:
 
     def lu(self, lu_id):
         """One lexical unit, by numeric ID."""
-        if isinstance(lu_id, Record) and lu_id.get("_type") == "lu":
+        if isinstance(lu_id, Record) and lu_id.get("_type") == "lu" and self._store.owns_lu(lu_id):
             return lu_id  # as is: a lookup by its ID would load the LU index
-        lu_id = _key(lu_id, None, "lexical unit")
+        lu_id = _key(lu_id, "lu", "lexical unit")
         if not isinstance(lu_id, int):
             raise LookupFailure(f"no lexical unit with ID {lu_id!r}")
         return self._store.get_lu(lu_id)

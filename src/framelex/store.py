@@ -20,13 +20,13 @@ while a file is parsed.
 The parsers get the store itself and call back into it only through the five
 methods that ``xmlio``'s docstring names.
 
-Every file is streamed by ``xmlio``, with no element tree.  Frame index rows
-are ``(ID, name)`` pairs and LU index rows plain tuples whose fields sit at
-the ``xmlio.LU_*`` positions; the other tables' rows are records.  The store
-keys each table's rows by ID.  The relation registry keeps each relation as
-the ``Lazy`` of its record, over a row of its attributes and FE mappings,
-and the store files those by frame.
-So ``frame_relations_involving`` builds the records of one frame's
+Every file is streamed by ``xmlio``, whose parsers return the tables the
+store keeps: each index's and the semantic type registry's rows by ID.
+Frame index rows are ``(ID, name)`` pairs and LU index rows plain tuples
+whose fields sit at the ``xmlio.LU_*`` positions; the other tables' rows are
+records.  The relation registry keeps each relation as the ``Lazy`` of its
+record, over a row of its attributes and FE mappings, and files those by
+frame.  So ``frame_relations_involving`` builds the records of one frame's
 relations only, and a relation type's ``frameRelations`` builds the rest
 through the same ``Lazy``s: each relation has one record, whichever path
 reads it first.  A relation's FE mapping records are built on the first
@@ -58,7 +58,7 @@ from pathlib import Path
 
 from . import xmlio
 from .errors import CorpusError, IntegrityError, LookupFailure
-from .records import Lazy
+from .records import Lazy, Record
 
 ENV_DATA_DIR = "FRAMELEX_DATA"
 
@@ -83,7 +83,8 @@ class Store:
         if not self.root.is_dir():
             raise CorpusError(f"not a corpus directory: {self.root}")
         # {frame ID: (ID, name)} and {name: frame ID}, in index order.
-        self._frame_rows, self._frame_ids = self._load("frameIndex.xml", self._parse_frame_index)
+        self._frame_rows = self._table("frameIndex.xml", xmlio.parse_frame_index)
+        self._frame_ids = {name: fid for fid, name in self._frame_rows.values()}
 
     # ------------------------------------------------------------ loading
 
@@ -103,10 +104,9 @@ class Store:
         self.fileAccessLog.append(relpath)
         return data
 
-    def _parse_rows(self, relpath, parse, row_id=itemgetter("ID")):
-        """An index or registry file's rows as {ID: row}, file order."""
-        rows = parse(self._read(relpath))
-        return dict(zip(map(row_id, rows), rows))
+    def _table(self, relpath, parse, **kwargs):
+        """The memo's table of index or registry file ``relpath``, as ``parse`` returns it."""
+        return self._load(relpath, lambda: parse(self._read(relpath), **kwargs))
 
     @staticmethod
     def _index_column(rows, row_name=itemgetter("name")):
@@ -115,10 +115,6 @@ class Store:
         return rows, tuple(map(row_name, rows))
 
     # ------------------------------------------------------------ frames
-
-    def _parse_frame_index(self):
-        rows = self._parse_rows("frameIndex.xml", xmlio.parse_frame_index, itemgetter(0))
-        return rows, {name: fid for fid, name in rows.values()}
 
     def frame_index(self):
         """All (frame ID, frame name) pairs, from the index alone."""
@@ -204,8 +200,7 @@ class Store:
     # ------------------------------------------------------------ lexical units
 
     def _lu_rows(self):
-        parse, row_id = xmlio.parse_lu_index, itemgetter(xmlio.LU_ID)
-        return self._load("luIndex.xml", self._parse_rows, "luIndex.xml", parse, row_id)
+        return self._table("luIndex.xml", xmlio.parse_lu_index)
 
     def lu_index(self):
         """All LU index rows, ``xmlio.LU_FIELDS`` tuples, in file order."""
@@ -237,12 +232,23 @@ class Store:
 
     def load_exemplars(self, lu_stub):
         """An LU stub's subcorpora, from its exemplar file: its ``subCorpus``."""
-        lu_id = lu_stub["ID"]
-        relpath = f"lu/lu{lu_id}.xml"
-        got_id, subcorpora = xmlio.parse_lu_file(self._read(relpath), source=relpath, lu=lu_stub)
-        if got_id != lu_id:
-            raise IntegrityError(f"{relpath}: file header carries ID {got_id}")
-        return subcorpora
+        relpath = f"lu/lu{lu_stub['ID']}.xml"
+        return xmlio.parse_lu_file(self._read(relpath), source=relpath, lu=lu_stub)
+
+    def owns_lu(self, lu):
+        """Whether LU record ``lu`` is this store's, from the memo alone: its
+        frame is a frame loaded here, or it is a placeholder made here."""
+        frame = dict.get(lu, "frame")
+        if not isinstance(frame, Lazy):
+            return isinstance(frame, Record) and self._built(("frame", frame.get("ID"))) is frame
+        # A placeholder whose frame is unread: its name is "" where its set gave none.
+        keys = (("problem LU", lu["ID"], name) for name in (lu["name"], None))
+        return any(self._built(key) is lu for key in keys)
+
+    def _built(self, key):
+        """The memo's value under ``key`` once it is built, else None; reads nothing."""
+        entry = self._cache.get(key)
+        return entry._value if entry is not None and entry._done else None
 
     def resolve_annotation_lu(
         self, lu_id, lu_name, frame_id, frame_name, source=None, referrer=None
@@ -269,9 +275,7 @@ class Store:
     # ------------------------------------------------------------ documents
 
     def _doc_rows(self):
-        return self._load(
-            "fulltextIndex.xml", self._parse_rows, "fulltextIndex.xml", xmlio.parse_fulltext_index
-        )
+        return self._table("fulltextIndex.xml", xmlio.parse_fulltext_index)
 
     def doc_index(self):
         """All document index rows (ID, name, description, corpus)."""
@@ -313,15 +317,7 @@ class Store:
 
     def _relations(self):
         """(relation types, {frame ID: relations on either side}), registry order."""
-        return self._load("frRelation.xml", self._parse_relations)
-
-    def _parse_relations(self):
-        types = xmlio.parse_relations_file(self._read("frRelation.xml"), store=self)
-        by_frame = {}
-        for sup_id, sub_id, rel in types.relations:
-            for fid in {sup_id, sub_id}:
-                by_frame.setdefault(fid, []).append(rel)
-        return types, by_frame
+        return self._table("frRelation.xml", xmlio.parse_relations_file, store=self)
 
     def relation_types(self):
         """All frame relation types, registry file order."""
@@ -338,9 +334,7 @@ class Store:
     # ------------------------------------------------------------ semtypes
 
     def _semtypes(self):
-        return self._load(
-            "semTypes.xml", self._parse_rows, "semTypes.xml", xmlio.parse_semtypes_file
-        )
+        return self._table("semTypes.xml", xmlio.parse_semtypes_file)
 
     def semtypes(self):
         """All semantic types, ID ascending."""

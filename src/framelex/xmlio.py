@@ -42,8 +42,10 @@ aside) hold those same tuples, and an annotation set's ``layer`` is a
 ``Lazy`` over ``((rank, name, labels), ...)`` that builds the layer and label
 records on first read.
 
-Registry rows are compact too.  The frame index is ``(ID, name)`` pairs and
-the LU index plain ``LU_FIELDS`` tuples.  Each ``<frameRelation>`` and
+Each index and registry parser returns the table that the store keeps: its
+rows by ID in file order, or the relation types and each frame's relations.
+Rows are compact too: frame index rows are ``(ID, name)`` pairs and LU index
+rows plain ``LU_FIELDS`` tuples.  Each ``<frameRelation>`` and
 ``<FERelation>`` is checked at its start tag and kept as an attribute tuple.
 A relation's record is a ``Lazy`` over its tuple and those of its FE
 mappings, and its ``feRelations`` one more that builds its FE-relation
@@ -286,26 +288,26 @@ def _fields(tag, attrs, source, *names):
 
 
 def parse_frame_index(data, source="frameIndex.xml"):
-    """The frame index: a list of (frame ID, frame name) in file order."""
-    names = {}
+    """The frame index: {frame ID: (frame ID, frame name)} in file order."""
+    rows = {}
     for attrs in _read(data, source, "frameIndex", _Anywhere(frame=None))[3]["frame"]:
         # Two reads, not ``_fields``, which made this parse, paid by every open, 25 % slower.
         fid = _attr("frame", attrs, "ID", source)
         name = _attr("frame", attrs, "name", source)
-        if fid in names:
+        if fid in rows:
             raise IntegrityError(f"{source}: duplicate frame ID {fid}")
-        names[fid] = name
-    return list(names.items())
+        rows[fid] = (fid, name)
+    return rows
 
 
-# The LU index row layout: ``parse_lu_index`` returns exact tuples of these
+# The LU index row layout: ``parse_lu_index``'s rows are exact tuples of these
 # fields, in this order, and readers index them with the constants below.
 LU_FIELDS = ("ID", "name", "frameID", "frameName", "status")
 LU_ID, LU_NAME, LU_FRAME_ID, LU_FRAME_NAME, LU_STATUS = range(len(LU_FIELDS))
 
 
 def parse_lu_index(data, source="luIndex.xml"):
-    """The LU index: one ``LU_FIELDS`` tuple per lexical unit, in file order."""
+    """The LU index: {LU ID: its ``LU_FIELDS`` tuple}, in file order."""
     rows = {}
     intern = sys.intern
 
@@ -325,11 +327,11 @@ def parse_lu_index(data, source="luIndex.xml"):
         rows[lu_id] = (lu_id, name, frame_id, intern(frame_name), intern(attrs.get("status", "")))
 
     _read(data, source, "luIndex", _Anywhere(lu=lu))
-    return list(rows.values())
+    return rows
 
 
 def parse_fulltext_index(data, source="fulltextIndex.xml"):
-    """The document index: one row per full-text document, with its corpus.
+    """The document index: {document ID: its row, with its corpus}, in file order.
 
     A document counts once for each ``<corpus>`` it lies in, at any depth,
     and not at all outside one.
@@ -347,24 +349,20 @@ def parse_fulltext_index(data, source="fulltextIndex.xml"):
             docs.append(attrs)
 
     _read(data, source, "fulltextIndex", _Anywhere(corpus=partial(corpus, [])))
-    rows = []
-    seen = set()
+    rows = {}
     for attrs, docs in corpora:
         corpus_id = _attr("corpus", attrs, "ID", source, None)
         corpus_name = attrs.get("name", "")
         for doc in docs:
             doc_id = _attr("document", doc, "ID", source)
-            if doc_id in seen:
+            if doc_id in rows:
                 raise IntegrityError(f"{source}: duplicate document ID {doc_id}")
-            seen.add(doc_id)
-            rows.append(
-                Record(
-                    ID=doc_id,
-                    name=_attr("document", doc, "name", source),
-                    description=doc.get("description", ""),
-                    corpusName=corpus_name,
-                    corpusID=corpus_id,
-                )
+            rows[doc_id] = Record(
+                ID=doc_id,
+                name=_attr("document", doc, "name", source),
+                description=doc.get("description", ""),
+                corpusName=corpus_name,
+                corpusID=corpus_id,
             )
     return rows
 
@@ -737,12 +735,13 @@ def _parse_sentence(node, source, link, doc=None, fe_ids=None):
 
 
 def parse_lu_file(data, source=None, *, lu=None):
-    """One LU exemplar file -> (LU ID, list of subcorpus records).
+    """One LU exemplar file -> its list of subcorpus records.
 
     Every sentence and annotation set links to ``lu`` and its frame; with no
     ``lu`` those links fail if forced.  The root's ``frameID``, ``frame`` and
-    ``name`` must be those of ``lu``'s frame and of ``lu``, and a label's
-    ``feID`` one of its FEs', where known.
+    ``name`` must be those of ``lu``'s frame and of ``lu``, a label's ``feID``
+    one of its FEs', where known, and, once the sentences are read, the root's
+    ``ID`` that of ``lu``.
     """
     root = _read(data, source, "lexUnit", {"subCorpus": {"sentence": _SENTENCE}})
     attrs = root[1]
@@ -766,13 +765,16 @@ def parse_lu_file(data, source=None, *, lu=None):
         record["LU"] = lu_ref
         record["frame"] = frame_ref
 
-    return lu_id, [
+    subcorpora = [
         Record(
             name=attrs.get("name", ""),
             sentence=[_parse_sentence(node, source, link, None, fe_ids) for node in sentences],
         )
         for _, attrs, _, _, sentences in root[4]
     ]
+    if lu is not None and lu_id != lu["ID"]:
+        raise IntegrityError(f"{source}: file header carries ID {lu_id}")
+    return subcorpora
 
 
 def parse_fulltext_file(data, source=None, *, store=None):
@@ -821,28 +823,19 @@ def parse_fulltext_file(data, source=None, *, store=None):
 # ---------------------------------------------------------------- relations
 
 
-class RelationTypes(list):
-    """The relation-type records of a registry, in file order.
-
-    ``relations`` holds ``(supID, subID, relation)`` for every relation, in
-    file order, ``relation`` being the ``Lazy`` of its record.
-    """
-
-    __slots__ = ("relations",)
-
-
 def parse_relations_file(data, source="frRelation.xml", *, store=None):
-    """The relation registry -> a ``RelationTypes`` list of relation-type records.
+    """The relation registry -> (relation-type records, {frame ID: relations}).
 
     Each ``<frameRelation>`` is checked at its start tag and kept as a tuple
     of its attributes, with a list of its FE mappings' attribute tuples; a
     ``Lazy`` over those builds its record on first read.  A type's
-    ``frameRelations`` is a ``Lazy`` over its relations' records.  Frames are
-    resolved lazily through ``store.resolve_frame_ref``, the relation being
-    the referrer.
+    ``frameRelations`` is a ``Lazy`` over its relations' records, and each
+    frame's entry lists the ``Lazy``s of the relations with it on either side.
+    All is in file order.  Frames are resolved lazily through
+    ``store.resolve_frame_ref``, the relation being the referrer.
     """
-    types = RelationTypes()
-    types.relations = []
+    types = []
+    by_frame = {}
     mappings = []  # those of the relation last opened
 
     def relation_type(attrs):
@@ -860,7 +853,8 @@ def parse_relations_file(data, source="frRelation.xml", *, store=None):
         mappings = []
         rel = Lazy(_relation_record, source, store, rtype, row, mappings)
         relations.append(rel)
-        types.relations.append((row[3], row[4], rel))
+        for frame_id in {row[3], row[4]}:
+            by_frame.setdefault(frame_id, []).append(rel)
         return fe_relations
 
     def fe_relation(attrs):
@@ -868,7 +862,7 @@ def parse_relations_file(data, source="frRelation.xml", *, store=None):
 
     fe_relations = {"FERelation": fe_relation}
     _read(data, source, "frameRelations", {"frameRelationType": relation_type})
-    return types
+    return types, by_frame
 
 
 def _relation_row(tag, attrs, source, sup_name, sub_name):
@@ -936,13 +930,12 @@ def _relation_fe(source, relation, side, fe_name, fe_id):
 
 
 def parse_semtypes_file(data, source="semTypes.xml"):
-    """The semantic type registry -> fully linked type records.
+    """The semantic type registry -> {ID: fully linked type record}, in file order.
 
     Types form a forest over their ``superType`` links; dangling parents and
     cycles are integrity errors.
     """
     root = _read(data, source, "semTypes", {"semType": {"definition": _TEXT, "superType": None}})
-    types = []
     by_id = {}
     parent_of = {}
     for _, attrs, definition, leaves, _ in root[4]:
@@ -956,7 +949,6 @@ def parse_semtypes_file(data, source="semTypes.xml"):
         if st["ID"] in by_id:
             raise IntegrityError(f"{source}: duplicate semantic type ID {st['ID']}")
         by_id[st["ID"]] = st
-        types.append(st)
         if leaves["superType"]:
             parent_of[st["ID"]] = _attr("superType", leaves["superType"][0], "supID", source)
 
@@ -969,7 +961,7 @@ def parse_semtypes_file(data, source="semTypes.xml"):
         child["superType"] = parent
         parent["subTypes"].append(child)
 
-    for st in types:
+    for st in by_id.values():
         seen = set()
         node = st
         while node is not None:
@@ -979,4 +971,4 @@ def parse_semtypes_file(data, source="semTypes.xml"):
                 )
             seen.add(node["ID"])
             node = node["superType"]
-    return types
+    return by_id

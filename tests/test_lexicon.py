@@ -99,6 +99,31 @@ def test_record_and_id_arguments(lexicon):
     assert by_type[0] is not relations[0]
 
 
+def test_lu_record_of_another_lexicon_names_this_lexicons_lu(lexicon, data_dir):
+    lu = lexicon.lu(6067)
+    # As ``lu(6067)``: the same record, from the same reads.
+    by_id, by_record = open_lexicon(data_dir), open_lexicon(data_dir)
+    got = by_record.lu(lu)
+    assert got is not lu and got is by_record.lu(6067)
+    assert by_id.lu(6067) is not lu
+    assert by_record.store.fileAccessLog == by_id.store.fileAccessLog == [
+        "frameIndex.xml", "luIndex.xml", "frame/Revenge.xml",
+    ]
+    # A placeholder comes back as is from its own lexicon, before and after
+    # its frame is read, and reading nothing; another fails as its ID does.
+    sent = lexicon.doc(23802).sentences[2]
+    placeholder = next(a for a in sent.annotationSet[1:] if a.luName == "look.v").LU
+    assert isinstance(dict.__getitem__(placeholder, "frame"), Lazy)
+    log = list(lexicon.store.fileAccessLog)
+    assert lexicon.lu(placeholder) is placeholder
+    assert lexicon.store.fileAccessLog == log
+    assert placeholder.frame.name == "Seeking"
+    assert lexicon.lu(placeholder) is placeholder
+    with pytest.raises(LookupFailure) as info:
+        by_id.lu(placeholder)
+    assert str(info.value) == f"no lexical unit with ID {placeholder.ID}"
+
+
 def test_frame_record_restrictions(lexicon):
     frame = lexicon.frame("Revenge")
     by_record = lexicon.lus(frame=frame)

@@ -19,6 +19,7 @@ from framelex import (
     render_lexicographic_sentence,
     render_lu,
     render_semtype,
+    xmlio,
 )
 from framelex.cli import run
 from framelex.errors import (
@@ -33,6 +34,30 @@ from framelex.records import Record, attribute_names
 
 def test_open_reads_only_the_frame_index(store):
     assert store.fileAccessLog == ["frameIndex.xml"]
+
+
+def test_every_file_is_parsed_through_the_xmlio_module(data_dir, monkeypatch):
+    # The benchmark's tracer and the collector tests replace parsers on the
+    # module, so the store must look each one up there when it parses.
+    parsed = []
+    for name in [name for name in vars(xmlio) if name.startswith("parse_")]:
+
+        def wrapper(*args, _name=name, _parse=getattr(xmlio, name), **kwargs):
+            parsed.append(_name)
+            return _parse(*args, **kwargs)
+
+        monkeypatch.setattr(xmlio, name, wrapper)
+    lex = open_lexicon(data_dir)
+    lex.lu(6067).exemplars
+    lex.doc(23802)
+    lex.frame_relation_types()
+    lex.semtypes()
+    assert parsed == [
+        "parse_frame_index", "parse_lu_index", "parse_frame_file", "parse_lu_file",
+        "parse_fulltext_index", "parse_fulltext_file", "parse_relations_file",
+        "parse_semtypes_file",
+    ]
+    assert len(lex.store.fileAccessLog) == len(parsed)
 
 
 def test_open_store_without_location(monkeypatch):

@@ -45,7 +45,7 @@ def text(data_dir, relpath):
 
 def test_frame_index_count_matches_raw_text(data_dir):
     body = text(data_dir, "frameIndex.xml")
-    rows = parse_frame_index(raw(data_dir, "frameIndex.xml"))
+    rows = list(parse_frame_index(raw(data_dir, "frameIndex.xml")).values())
     assert len(rows) == body.count("<frame ")
     assert rows == sorted(rows)
     assert ("347", "Revenge") not in rows   # IDs come out as ints
@@ -54,7 +54,7 @@ def test_frame_index_count_matches_raw_text(data_dir):
 
 def test_lu_index_count_matches_raw_text(data_dir):
     body = text(data_dir, "luIndex.xml")
-    rows = parse_lu_index(raw(data_dir, "luIndex.xml"))
+    rows = list(parse_lu_index(raw(data_dir, "luIndex.xml")).values())
     assert len(rows) == body.count("<lu ")
     assert [r[LU_ID] for r in rows] == sorted(r[LU_ID] for r in rows)
     by_id = {r[LU_ID]: r for r in rows}
@@ -65,7 +65,7 @@ def test_lu_index_count_matches_raw_text(data_dir):
 
 def test_fulltext_index_counts(data_dir):
     body = text(data_dir, "fulltextIndex.xml")
-    rows = parse_fulltext_index(raw(data_dir, "fulltextIndex.xml"))
+    rows = list(parse_fulltext_index(raw(data_dir, "fulltextIndex.xml")).values())
     assert len(rows) == body.count("<document ")
     names = {r["name"] for r in rows}
     assert names == {"Tiger_Of_San_Pedro", "Wisteria_Report"}
@@ -127,8 +127,7 @@ def test_multiword_lexemes(data_dir):
 
 def test_lu_file_sentence_count(data_dir):
     body = text(data_dir, "lu/lu6067.xml")
-    lu_id, subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "lu/lu6067.xml")
-    assert lu_id == 6067
+    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "lu/lu6067.xml")
     sents = [s for sub in subcorpora for s in sub.sentence]
     assert len(sents) == body.count("<sentence ")
     assert len(subcorpora) == body.count("<subCorpus ")
@@ -136,7 +135,7 @@ def test_lu_file_sentence_count(data_dir):
 
 
 def test_lexicographic_sentence_layers(data_dir):
-    _, subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x")
+    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x")
     by_id = {s.ID: s for sub in subcorpora for s in sub.sentence}
     sent = by_id[929548]
     assert sent.text == "A short while later Joseph had his revenge on Watney 's ."
@@ -171,7 +170,7 @@ def test_fulltext_sentence_backrefs(data_dir):
 
 def test_relations_file_counts(data_dir):
     body = text(data_dir, "frRelation.xml")
-    types = parse_relations_file(raw(data_dir, "frRelation.xml"))
+    types, _ = parse_relations_file(raw(data_dir, "frRelation.xml"))
     assert len(types) == body.count("<frameRelationType ")
     rels = [r for t in types for r in t.frameRelations]
     assert len(rels) == body.count("<frameRelation ")
@@ -184,7 +183,7 @@ def test_relations_file_counts(data_dir):
 
 def test_semtypes_forward_references_link(data_dir):
     body = text(data_dir, "semTypes.xml")
-    sts = parse_semtypes_file(raw(data_dir, "semTypes.xml"))
+    sts = list(parse_semtypes_file(raw(data_dir, "semTypes.xml")).values())
     assert len(sts) == body.count("<semType ")
     by_name = {st.name: st for st in sts}
     # Sentient appears in the file before its whole ancestor chain
@@ -276,7 +275,7 @@ def test_span_past_text_end_rejected():
 
 
 def test_span_at_last_character_accepted():
-    _, subcorpora = parse_lu_file(_sentence_doc('start="7" end="10"'), "x")
+    subcorpora = parse_lu_file(_sentence_doc('start="7" end="10"'), "x")
     sent = subcorpora[0].sentence[0]
     assert sent.Target == [(7, 10)]
 
@@ -291,7 +290,7 @@ def test_namespace_prefixes_are_invisible():
         '<fn:frameIndex xmlns:fn="http://framenet.icsi.berkeley.edu">'
         '<fn:frame ID="1" name="A"/></fn:frameIndex>'
     ).encode()
-    assert parse_frame_index(data) == [(1, "A")]
+    assert parse_frame_index(data) == {1: (1, "A")}
 
 
 def test_semtype_dangling_parent_rejected():
@@ -340,7 +339,7 @@ FULLTEXT_SET_KEYS = [
 
 
 def test_record_attribute_names(data_dir):
-    _, subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x")
+    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x")
     sent = next(s for sub in subcorpora for s in sub.sentence if s.ID == 929548)
     assert attribute_names(sent) == EXEMPLAR_SENTENCE_KEYS
     assert [attribute_names(a) for a in sent.annotationSet] == EXEMPLAR_SET_KEYS
@@ -363,7 +362,7 @@ def test_record_attribute_names(data_dir):
 def test_lu_file_links_sentences_to_the_given_lu(data_dir):
     frame = Record(_type="frame", ID=347, name="Revenge")
     stub = Record(_type="lu", ID=6067, name="revenge.n", frame=frame)
-    _, subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x", lu=stub)
+    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x", lu=stub)
     sents = [s for sub in subcorpora for s in sub.sentence]
     assert sents
     for sent in sents:
@@ -376,7 +375,7 @@ def test_lu_file_links_sentences_to_the_given_lu(data_dir):
 
 
 def test_lu_file_without_lu_leaves_links_unbound(data_dir):
-    _, subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x")
+    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x")
     sent = subcorpora[0].sentence[0]
     with pytest.raises(CorpusError):
         sent.LU
@@ -387,7 +386,7 @@ def test_lu_file_without_lu_leaves_links_unbound(data_dir):
 def test_lu_file_checks_label_fe_ids_against_the_lu_frame(data_dir):
     stub = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x").lexUnit["revenge.n"]
     data = raw(data_dir, "lu/lu6067.xml")
-    assert parse_lu_file(data, "x", lu=stub)[0] == 6067
+    assert parse_lu_file(data, "x", lu=stub)
     damaged = data.replace(b'feID="3012"', b'feID="3009"').replace(b'feID="3018"', b'feID="1"')
     with pytest.raises(IntegrityError, match="label 'Injury' on layer 'FE' names unknown FE ID 1"):
         parse_lu_file(damaged, "x", lu=stub)
@@ -417,7 +416,7 @@ def _fulltext_sets(data_dir):
 
 
 def _relations(data_dir):
-    types = parse_relations_file(raw(data_dir, "frRelation.xml"))
+    types, _ = parse_relations_file(raw(data_dir, "frRelation.xml"))
     return [rel for rtype in types for rel in rtype.frameRelations]
 
 
@@ -588,7 +587,7 @@ def test_layer_views_match_raw_xml(data_dir):
         root = ElementTree.fromstring(data)
         sent_elts = [elt for elt in root.iter() if _local(elt.tag) == "sentence"]
         if _local(root.tag) == "lexUnit":
-            _, subcorpora = parse_lu_file(data, source)
+            subcorpora = parse_lu_file(data, source)
             sents = [s for sub in subcorpora for s in sub.sentence]
         else:
             sents = parse_fulltext_file(data, source).sentences
@@ -644,7 +643,7 @@ def test_lazy_layers_match_raw_xml(data_dir):
         root = ElementTree.fromstring(data)
         set_elts = [elt for elt in root.iter() if _local(elt.tag) == "annotationSet"]
         if _local(root.tag) == "lexUnit":
-            _, subcorpora = parse_lu_file(data, source)
+            subcorpora = parse_lu_file(data, source)
             sents = [s for sub in subcorpora for s in sub.sentence]
         else:
             sents = parse_fulltext_file(data, source).sentences
@@ -675,7 +674,7 @@ def test_concurrent_first_reads_of_a_layer_build_one_list(data_dir):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            _, subcorpora = parse_lu_file(data, "x")
+            subcorpora = parse_lu_file(data, "x")
             aset = subcorpora[0].sentence[0].annotationSet[1]
             barrier = threading.Barrier(4)
             seen = []
@@ -714,15 +713,66 @@ def test_lu_index_rows_match_raw_xml(data_dir):
              elt.get("frameName"), elt.get("status", ""))
             for elt in _raw_elements(data, "lu")
         ]
-        rows = parse_lu_index(data)
+        rows = list(parse_lu_index(data).values())
         assert rows == expected
         assert all(type(row) is tuple and len(row) == len(LU_FIELDS) for row in rows)
     assert len(parse_lu_index(raw(data_dir, "luIndex.xml"))) > 20
 
 
+# Each table parser: its file, its record tag, and the root of its parity body.
+TABLES = [
+    (parse_frame_index, "frameIndex.xml", "frame", "frameIndex"),
+    (parse_lu_index, "luIndex.xml", "lu", "luIndex"),
+    (parse_fulltext_index, "fulltextIndex.xml", "document", "fulltextIndex"),
+    (parse_semtypes_file, "semTypes.xml", "semType", "semTypes"),
+]
+
+
+@pytest.mark.parametrize("parse, relpath, tag, root", TABLES, ids=[t[1] for t in TABLES])
+def test_table_keys_are_the_raw_ids_in_file_order(data_dir, parse, relpath, tag, root):
+    for data in raw(data_dir, relpath), _streamed_input(root, "plain"):
+        elts = _raw_elements(data, tag)
+        if root == "fulltextIndex":  # a document counts once per corpus it lies in
+            corpora = _raw_elements(data, "corpus")
+            elts = [elt for corpus in corpora for elt in corpus.iter() if _local(elt.tag) == tag]
+        ids = [int(elt.get("ID")) for elt in elts]
+        table = parse(data)
+        assert type(table) is dict and list(table) == ids and len(ids) > 1
+        for key, row in table.items():
+            assert (row[0] if type(row) is tuple else row["ID"]) == key
+
+
+def test_relations_by_frame_match_raw_ids(data_dir):
+    data = raw(data_dir, "frRelation.xml")
+    types, by_frame = parse_relations_file(data)
+    expected = {}
+    for elt in _raw_elements(data, "frameRelation"):
+        for frame_id in {int(elt.get("supID")), int(elt.get("subID"))}:
+            expected.setdefault(frame_id, []).append(int(elt.get("ID")))
+    assert {fid: [rel.resolve().ID for rel in rels] for fid, rels in by_frame.items()} == expected
+    # Each entry's ``Lazy`` builds the one record that its type lists too.
+    records = [rel for rtype in types for rel in rtype.frameRelations]
+    listed = {id(rel.resolve()) for rels in by_frame.values() for rel in rels}
+    assert listed == {id(rel) for rel in records} and len(records) > 1
+
+
+def test_lu_file_checks_its_root_id_against_the_lu_after_its_sentences(data_dir):
+    frame = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x")
+    other = Record(_type="lu", ID=6068, name="revenge.n", frame=frame)
+    data = raw(data_dir, "lu/lu6067.xml")
+    with pytest.raises(IntegrityError) as info:
+        parse_lu_file(data, "x", lu=other)
+    assert str(info.value) == "x: file header carries ID 6067"
+    # A label error in the same file comes first, and with no LU there is no check.
+    damaged = data.replace(b'feID="3012"', b'feID="1"', 1)
+    with pytest.raises(IntegrityError, match="label 'Offender' on layer 'FE' names unknown FE ID 1"):
+        parse_lu_file(damaged, "x", lu=other)
+    assert parse_lu_file(data, "x")
+
+
 def test_fe_relations_match_raw_xml(data_dir):
     data = raw(data_dir, "frRelation.xml")
-    rels = [rel for rtype in parse_relations_file(data) for rel in rtype.frameRelations]
+    rels = [rel for rtype in parse_relations_file(data)[0] for rel in rtype.frameRelations]
     rel_elts = _raw_elements(data, "frameRelation")
     assert [int(elt.get("ID")) for elt in rel_elts] == [rel.ID for rel in rels]
     checked = 0
@@ -811,7 +861,7 @@ def test_concurrent_first_reads_of_fe_relations_build_one_list(data_dir):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            rels = [rel for rtype in parse_relations_file(data) for rel in rtype.frameRelations]
+            rels = [rel for rtype in parse_relations_file(data)[0] for rel in rtype.frameRelations]
             barrier = threading.Barrier(4)
             seen = []
 
@@ -990,17 +1040,18 @@ def _record_ids(rows):
     (ID, text) for the sentences of an LU or full-text file, and (ID,
     definition) for a frame's FEs and for semantic types."""
     if isinstance(rows, tuple):
-        return [(sent.ID, sent.text) for sub in rows[1] for sent in sub.sentence]
+        return [rel.ID for rtype in rows[0] for rel in rtype.frameRelations]
     if isinstance(rows, Record):
         if "sentences" in rows:
             return [(sent.ID, sent.text) for sent in rows.sentences]
         return [(fe.ID, fe.definition) for fe in rows.FE.values()]
+    if isinstance(rows, list):
+        return [(sent.ID, sent.text) for sub in rows for sent in sub.sentence]
+    rows = list(rows.values())
     if rows and "definition" in rows[0]:
         return [(st.ID, st.definition) for st in rows]
     if rows and isinstance(rows[0], tuple):
         return [row[0] for row in rows]
-    if rows and "frameRelations" in rows[0]:
-        return [rel.ID for rtype in rows for rel in rtype.frameRelations]
     return [row.ID for row in rows]
 
 
@@ -1025,6 +1076,8 @@ def _plain(value):
         return [_plain(item) for item in value]
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, Lazy):  # a relation in the registry's lists by frame
+        return _plain(value.resolve())
     return value
 
 
