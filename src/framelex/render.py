@@ -5,18 +5,20 @@ annotation set) are laid out by one writer, ``_marked_text``, over items
 ``(spans, char, label, tag)``.  It paints ``char`` under every span: ``-``
 under frame element spans, ``*`` under targets, ``^`` under support and
 copula spans.  ``label`` (an FE, support or frame name, or None for an
-unlabelled target) sits under the first span, truncated to its width; every
-truncation is recorded and expanded in a trailing ``(short=Full, ...)``
-footer, with numeric suffixes disambiguating collisions.  ``tag`` is a
-full-text set's ``[k] ?!`` number and flags, on a third row and cut where
-the row's next item starts; other items have None.  Null instantiations,
-which have no span to mark, become ``[FE:itype]`` footer lines.
+unlabelled target) sits under the first span, whole if it fits there.  A
+label that does not fit some span is cut once per display, to the narrowest
+such span, and every cell too narrow for it shows that one short form; each
+is expanded in a trailing ``(short=Full, ...)`` footer, with numeric
+suffixes telling apart labels that cut alike.  ``tag`` is a full-text set's
+``[k] ?!`` number and flags, on a third row, whole; other items have None.
+Null instantiations, which have no span to mark, become ``[FE:itype]``
+footer lines.
 
 Long sentences wrap at a fixed width.  The text row picks the break
 positions and every marker, label and tag row is sliced at the same
 positions, so a marker column always sits under the text column it
-annotates, including spans that straddle a break.  Items that would overlap
-on one row are packed onto additional rows, first fit.
+annotates, including spans that straddle a break.  Items whose spans or
+tags would overlap on one row are packed onto additional rows, first fit.
 
 All lines are right-stripped; every renderer returns a string ending in a
 single newline and is deterministic for a given entity and options.
@@ -84,11 +86,16 @@ def wrap_segments(text, width):
 
 
 def _pack_rows(items):
-    """First-fit packing: each item lands on the first row it fits whole."""
+    """First-fit packing: each item lands on the first row where neither its
+    spans nor the columns of its tag, which starts at its first span, meet
+    another item's."""
     rows = []
     occupied = []
     for item in items:
-        spans = item[0]
+        spans, _, _, tag = item
+        if tag is not None:
+            start = spans[0][0]
+            spans = [*spans, (start, start + len(tag) - 1)]
         for row, taken in zip(rows, occupied):
             if not any(not (e < s2 or s > e2) for s, e in spans for s2, e2 in taken):
                 row.append(item)
@@ -101,15 +108,16 @@ def _pack_rows(items):
 
 
 def _abbreviate(label, width, abbrevs):
-    """Truncate a label to ``width``, recording the abbreviation used."""
-    if len(label) <= width:
-        return label
-    short = label[:width]
-    suffix = 2
-    while short in abbrevs and abbrevs[short] != label:
-        short = label[: max(width - len(str(suffix)), 1)] + str(suffix)
-        suffix += 1
-    abbrevs[short] = label
+    """``label``'s one short form: cut to ``width`` on first use and kept in
+    ``abbrevs``, {label: short form}, with a numeric suffix when another
+    label's short form is the same."""
+    short = abbrevs.get(label)
+    if short is None:
+        short, suffix, taken = label[:width], 2, set(abbrevs.values())
+        while short in taken:
+            short = label[: max(width - len(str(suffix)), 1)] + str(suffix)
+            suffix += 1
+        abbrevs[label] = short
     return short
 
 
@@ -125,25 +133,32 @@ def _marked_text(text, items, footer, options):
     Items are ``(spans, char, label, tag)``; see the module docstring.
     """
     length = len(text)
+    # A label cut under any span is cut once, to the narrowest span it does not fit.
+    narrowest = {}
+    for spans, _, label, _ in items:
+        width = spans[0][1] - spans[0][0] + 1
+        if label is not None and len(label) > width:
+            narrowest[label] = min(width, narrowest.get(label, width))
     abbrevs = {}
     rows = []
     for row in _pack_rows(items):
         row.sort(key=lambda item: item[0][0][0])
         marker = [" "] * length
         label_line = [" "] * length
-        has_tags = any(item[3] is not None for item in row)
-        tag_line = [" "] * length if has_tags else None
+        tag_widths = [len(item[3]) for item in row if item[3] is not None]
+        # A tag may run past the end of the text.
+        tag_line = [" "] * (length + max(tag_widths)) if tag_widths else None
         for spans, char, _, _ in row:
             for start, end in spans:
                 _paint(marker, start, char * (end - start + 1))
-        for i, (spans, _, label, tag) in enumerate(row):
+        for spans, _, label, tag in row:
             start, end = spans[0]
             if label is not None:
-                _paint(label_line, start, _abbreviate(label, end - start + 1, abbrevs))
+                if len(label) > end - start + 1:
+                    label = _abbreviate(label, narrowest[label], abbrevs)
+                _paint(label_line, start, label)
             if tag is not None:
-                # The tag may run past a narrow span while the row stays free.
-                limit = row[i + 1][0][0][0] if i + 1 < len(row) else length
-                _paint(tag_line, start, tag[: max(limit - start, 1)])
+                _paint(tag_line, start, tag)
         aux = [label_line] if tag_line is None else [label_line, tag_line]
         rows.append(("".join(marker), ["".join(line) for line in aux]))
 
@@ -153,6 +168,8 @@ def _marked_text(text, items, footer, options):
             out.append("")
         out.append(chunk.rstrip())
         stop = offset + len(chunk)
+        if stop == length:
+            stop = None  # the last segment's rows run on, for a tag past the text's end
         for marker, aux in rows:
             m = marker[offset:stop].rstrip()
             if not m:
@@ -163,7 +180,7 @@ def _marked_text(text, items, footer, options):
                 if sliced:
                     out.append(sliced)
     out += footer
-    expansions = [f"{k}={v}" for k, v in abbrevs.items() if k != v]
+    expansions = [f"{short}={label}" for label, short in abbrevs.items()]
     if expansions:
         out.append("(" + ", ".join(expansions) + ")")
     return out

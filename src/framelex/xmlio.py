@@ -33,14 +33,22 @@ checked as they are read, in one walk over each annotation set's layers.
 Span convention: label offsets are 0-based with inclusive ends, exactly as
 stored in the files.  No adjustment happens at parse time.
 
-Labels are compact until read.  A spanned label is parsed into one
-``(start, end, name)`` tuple, ``((start, end, name), feID)`` when it names an
-FE; a label without a span (a null instantiation) is a ``Record`` at once.
-Label and layer names are interned, as they repeat across the corpus, and so
-are the LU index's frame names and statuses.  The span views (``Target``
-aside) hold those same tuples, and an annotation set's ``layer`` is a
-``Lazy`` over ``((rank, name, labels), ...)`` that builds the layer and label
-records on first read.
+Labels and LU stubs are compact until read.  A spanned label is parsed into
+one ``(start, end, name)`` tuple, ``((start, end, name), feID)`` when it names
+an FE; a label without a span (a null instantiation) is a ``Record`` at once.
+The span views (``Target`` aside) hold those same tuples, and an annotation
+set's ``layer`` is a ``Lazy`` over ``((rank, name, labels), ...)`` that builds
+the layer and label records on first read.  An LU stub's ``lexemes`` is a
+``Lazy`` over its lexemes' checked ``(name, POS, headword, breakBefore,
+order)`` tuples, and its ``sentenceCount`` one over its checked counts; each
+builds its records on first read, and every check runs when the frame loads.
+
+Strings from a small vocabulary are interned, as they repeat across the
+corpus: label and layer names, the LU index's frame names and statuses, a
+frame's and an FE's ``cBy`` and ``cDate``, an FE's ``name``, ``abbrev`` and
+``coreType``, an LU stub's ``status`` and ``POS``, a lexeme's ``name`` and
+``POS``, and an annotation set's ``status``.  A ``definition`` that stripping
+leaves unchanged is its ``definitionMarkup`` itself.
 
 Each index and registry parser returns the table that the store keeps: its
 rows by ID in file order, or the relation types and each frame's relations.
@@ -90,14 +98,15 @@ def strip_markup(markup):
 
     All tags are removed generically; embedded example sentences survive as
     quoted text; entities are decoded; whitespace runs collapse to single
-    spaces.
+    spaces.  Markup that stripping leaves unchanged is returned itself.
     """
     if not markup:
         return ""
     text = _EX_TAG.sub("'", markup)
     text = _ANY_TAG.sub("", text)
     text = html.unescape(text)
-    return _WS_RUN.sub(" ", text).strip()
+    text = _WS_RUN.sub(" ", text).strip()
+    return markup if text == markup else text
 
 
 def frame_url(name):
@@ -391,8 +400,8 @@ def parse_frame_file(data, source=None, *, store=None):
     markup = "".join(definition or ())
 
     frame = Record()
-    frame["cBy"] = attrs.get("cBy", "")
-    frame["cDate"] = attrs.get("cDate", "")
+    frame["cBy"] = sys.intern(attrs.get("cBy", ""))
+    frame["cDate"] = sys.intern(attrs.get("cDate", ""))
     frame["name"] = name
     frame["ID"] = frame_id
     frame["_type"] = "frame"
@@ -401,9 +410,10 @@ def parse_frame_file(data, source=None, *, store=None):
     frame["frameRelations"] = _ref(
         store, "frame_relations_involving", f"relations of frame {name!r}", frame_id
     )
-    frame["FE"] = {}
-    frame["FEcoreSets"] = []
-    frame["lexUnit"] = {}
+    # Plain locals for the frame's own tables, not a Record read per use.
+    frame["FE"] = fes = {}
+    frame["FEcoreSets"] = core_sets = []
+    frame["lexUnit"] = lexical_units = {}
     what = "semantic type references"
     refs = _semtype_refs(leaves["semType"], source, frame, store, what)
     frame["semTypes"] = Lazy(_resolve_all, refs) if refs else []
@@ -413,31 +423,33 @@ def parse_frame_file(data, source=None, *, store=None):
     for node in members:
         if node[0] == "FE":
             fe = _parse_fe(node, source, frame, store)
-            if fe.name in frame["FE"] or fe.ID in fe_ids:
+            fe_name, fe_id = fe["name"], fe["ID"]
+            if fe_name in fes or fe_id in fe_ids:
                 raise IntegrityError(
-                    f"{source}: duplicate frame element {fe.name!r} ({fe.ID}) in frame {name!r}"
+                    f"{source}: duplicate frame element {fe_name!r} ({fe_id}) in frame {name!r}"
                 )
-            fe_ids.add(fe.ID)
-            frame["FE"][fe.name] = fe
+            fe_ids.add(fe_id)
+            fes[fe_name] = fe
         elif node[0] == "lexUnit":
             lu = _parse_lu_stub(node, source, frame, store)
-            if lu.name in frame["lexUnit"]:
+            lu_name = lu["name"]
+            if lu_name in lexical_units:
                 raise IntegrityError(
-                    f"{source}: duplicate lexical unit {lu.name!r} in frame {name!r}"
+                    f"{source}: duplicate lexical unit {lu_name!r} in frame {name!r}"
                 )
-            frame["lexUnit"][lu.name] = lu
+            lexical_units[lu_name] = lu
 
     # Core set membership refers to FEs by name, so resolve after the FE pass.
     for core_set in (node[3]["memberFE"] for node in members if node[0] == "FEcoreSet"):
         core = []
         for member in core_set:
             member_name = _attr("memberFE", member, "name", source)
-            if member_name not in frame["FE"]:
+            if member_name not in fes:
                 raise IntegrityError(
                     f"{source}: core set of frame {name!r} names unknown FE {member_name!r}"
                 )
-            core.append(frame["FE"][member_name])
-        frame["FEcoreSets"].append(core)
+            core.append(fes[member_name])
+        core_sets.append(core)
 
     return frame
 
@@ -475,16 +487,18 @@ def _parse_fe(node, source, frame, store):
             f"{source}: frame element {attrs.get('name')!r} has unknown coreType {core_type!r}"
         )
     markup = "".join(definition or ())
+    name, fe_id = _fields("FE", attrs, source, "name", "ID")
     fe = Record()
-    fe["cBy"] = attrs.get("cBy", "")
-    fe["cDate"] = attrs.get("cDate", "")
-    fe["abbrev"] = attrs.get("abbrev", "")
-    fe["name"], fe["ID"] = _fields("FE", attrs, source, "name", "ID")
+    fe["cBy"] = sys.intern(attrs.get("cBy", ""))
+    fe["cDate"] = sys.intern(attrs.get("cDate", ""))
+    fe["abbrev"] = sys.intern(attrs.get("abbrev", ""))
+    fe["name"] = sys.intern(name)
+    fe["ID"] = fe_id
     fe["_type"] = "fe"
-    fe["coreType"] = core_type
+    fe["coreType"] = sys.intern(core_type)
     fe["definition"] = strip_markup(markup)
     fe["definitionMarkup"] = markup
-    what = f"semantic type of FE {fe['name']!r}"
+    what = f"semantic type of FE {name!r}"
     refs = _semtype_refs(leaves["semType"], source, fe, store, what)
     fe["semType"] = refs[0] if refs else None
     fe["frame"] = frame
@@ -502,17 +516,17 @@ def _parse_lu_stub(node, source, frame, store):
             f"{source}: lexical unit {attrs.get('name')!r} has annotated > total sentence count"
         )
     lexemes = [
-        Record(
-            name=_attr("lexeme", lex, "name", source),
-            POS=lex.get("POS", ""),
-            headword=lex.get("headword", "false") == "true",
-            breakBefore=lex.get("breakBefore", "false") == "true",
-            order=_attr("lexeme", lex, "order", source, 1),
+        (
+            sys.intern(_attr("lexeme", lex, "name", source)),
+            sys.intern(lex.get("POS", "")),
+            lex.get("headword", "false") == "true",
+            lex.get("breakBefore", "false") == "true",
+            _attr("lexeme", lex, "order", source, 1),
         )
         for lex in leaves["lexeme"]
     ]
     name, lu_id = _fields("lexUnit", attrs, source, "name", "ID")
-    status, pos = attrs.get("status", ""), attrs.get("POS", "")
+    status, pos = sys.intern(attrs.get("status", "")), sys.intern(attrs.get("POS", ""))
     counts = (annotated, total)
     return lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store)
 
@@ -520,10 +534,12 @@ def _parse_lu_stub(node, source, frame, store):
 def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store=None):
     """An LU record: a frame's LU stub, or a placeholder with no exemplars.
 
-    ``counts`` is its (annotated, total) sentence count; with a nonzero total
-    the subcorpora load through ``store.load_exemplars(lu)`` on first read.
+    ``lexemes`` are its ``(name, POS, headword, breakBefore, order)`` tuples
+    and ``counts`` its (annotated, total) sentence count, each built into
+    records on first read; with a nonzero total the subcorpora load through
+    ``store.load_exemplars(lu)`` on first read.
     """
-    annotated, total = counts
+    total = counts[1]
     lu = Record()
     lu["status"] = status
     lu["POS"] = pos
@@ -532,8 +548,8 @@ def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store=No
     lu["_type"] = "lu"
     lu["definition"] = strip_markup(markup)
     lu["definitionMarkup"] = markup
-    lu["lexemes"] = lexemes
-    lu["sentenceCount"] = Record(annotated=annotated, total=total)
+    lu["lexemes"] = Lazy(_lexeme_records, *lexemes) if lexemes else []
+    lu["sentenceCount"] = Lazy(_sentence_count, *counts)
     lu["frame"] = frame
     lu["URL"] = lu_url(lu_id)
     if total == 0:
@@ -543,6 +559,17 @@ def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store=No
         lu["subCorpus"] = _ref(store, "load_exemplars", f"exemplars of {name!r}", lu)
         lu["exemplars"] = Lazy(_exemplars_of, lu)
     return lu
+
+
+_LEXEME_FIELDS = ("name", "POS", "headword", "breakBefore", "order")
+
+
+def _lexeme_records(*lexemes):
+    return [Record(zip(_LEXEME_FIELDS, lexeme)) for lexeme in lexemes]
+
+
+def _sentence_count(annotated, total):
+    return Record(annotated=annotated, total=total)
 
 
 def _exemplars_of(lu):
@@ -689,7 +716,7 @@ def _parse_annotation_set(node, source, sent, link, fe_ids):
     _, attrs, _, _, layer_nodes = node
     aset = Record()
     aset["ID"] = _attr("annotationSet", attrs, "ID", source)
-    aset["status"] = attrs.get("status", "")
+    aset["status"] = sys.intern(attrs.get("status", ""))
     aset["_type"] = "annotationset"
     link(attrs, aset)
     aset["sent"] = sent

@@ -21,6 +21,7 @@ from framelex import (
     render_lu,
     render_semtype,
 )
+from conftest import wrap_oracle
 from framelex.records import Record
 from framelex.render import wrap_segments
 from framelex.xmlio import parse_fulltext_file
@@ -71,7 +72,7 @@ def test_annotation_set_goldens(lexicon, golden):
 
 # (luName, frameName, status, Target spans).  "in.prep" is a Problem LU.  At
 # width 24, "paid them" straddles the first break, "pay off" packs onto a
-# second row, and the tag of "in" is cut where "full" starts.
+# second row, and "full" packs onto a second row past the tag of "in".
 NARROW_TEXT = "She came back and paid them off in full , at last ."
 NARROW_SETS = [
     ("come back.v", "Arriving", "MANUAL", [(4, 7), (9, 12)]),
@@ -135,6 +136,93 @@ def test_colliding_abbreviations_stay_distinct():
     assert shorts[0] != shorts[1]
     footer = dict(item.split("=") for item in lines[-1].strip("()").split(", "))
     assert [footer[short] for short in shorts] == [frame_name for frame_name, _, _ in sets]
+
+
+DISPLAY_WIDTHS = (20, 37, 70, 120)
+
+
+def _sentence_displays(lexicon):
+    """Every exemplar, full-text sentence and annotation set display of the
+    fixture, and the narrow sentence's, at each of ``DISPLAY_WIDTHS``."""
+    narrow = narrow_fulltext_sentence()
+    for width in DISPLAY_WIDTHS:
+        opts = DisplayOptions(wrap_width=width)
+        for sent in lexicon.exemplars():
+            yield render_lexicographic_sentence(sent, opts)
+        for sent in [*lexicon.ft_sents(), narrow]:
+            yield render_fulltext_sentence(sent, opts)
+        for sent in [*lexicon.exemplars(), *lexicon.ft_sents()]:
+            yield from (render_annotation_set(aset, opts) for aset in sent.annotationSet)
+
+
+def test_a_label_has_one_short_form_per_display(lexicon):
+    footers = 0
+    for out in _sentence_displays(lexicon):
+        last = out.splitlines()[-1]
+        if last.startswith("(") and last.endswith(")") and "=" in last:
+            labels = [item.split("=", 1)[1] for item in last[1:-1].split(", ")]
+            assert len(labels) == len(set(labels)), out
+            footers += 1
+    assert footers > 0
+
+
+def _expected_tags(sent):
+    """(first target column, ``[k]`` and flags) of each frame set with a target."""
+    for k, aset in enumerate(sent.annotationSet[1:], start=1):
+        targets = aset.get("Target") or []
+        if targets:
+            lu = aset.get("LU")
+            problem = " ?" if lu is not None and lu.status == "Problem" else ""
+            unannotated = " !" if aset.status == "UNANN" else ""
+            yield targets[0][0], f"[{k}]{problem}{unannotated}"
+
+
+def _blocks(out):
+    """The lines of each wrap segment of a sentence display, text line first."""
+    lines = out.splitlines()
+    body = lines[lines.index("[text] + [annotationSet]") + 2 :]
+    blocks = [[]]
+    for line in body:
+        if line:
+            blocks[-1].append(line)
+        else:
+            blocks.append([])
+    return blocks
+
+
+def _tag_end_sentence():
+    """A sentence whose last target starts two columns before its end."""
+    xml = (
+        '<fullTextAnnotation><header><corpus name="C" ID="1"><document ID="1" name="D"/>'
+        '</corpus></header><sentence ID="8"><text>She paid up</text>'
+        '<annotationSet ID="0" status="UNANN"/><annotationSet ID="1" status="UNANN" '
+        'frameName="Commerce_pay"><layer name="Target"><label name="Target" start="9" end="10"/>'
+        "</layer></annotationSet></sentence></fullTextAnnotation>"
+    )
+    return parse_fulltext_file(xml.encode(), "tag_end.xml").sentences[0]
+
+
+def test_every_tag_shows_whole_with_its_flags(lexicon):
+    """A tag that lies inside one wrap segment, or starts in the last one,
+    shows whole at its target's first column, with nothing run into it."""
+    sents = [*lexicon.ft_sents(), narrow_fulltext_sentence(), _tag_end_sentence()]
+    checked = 0
+    for width in (*DISPLAY_WIDTHS, 24):
+        for sent in sents:
+            out = render_fulltext_sentence(sent, DisplayOptions(wrap_width=width))
+            segments = wrap_oracle(sent.text, width)
+            blocks = _blocks(out)
+            assert len(blocks) == len(segments)
+            for column, tag in _expected_tags(sent):
+                k = max(i for i, (offset, _) in enumerate(segments) if offset <= column)
+                offset, chunk = segments[k]
+                if column + len(tag) > offset + len(chunk) and k < len(segments) - 1:
+                    continue  # the tag straddles a wrap break
+                at = column - offset
+                shown = [line[at : at + len(tag) + 1] for line in blocks[k][1:]]
+                assert tag in shown or tag + " " in shown, (width, tag, out)
+                checked += 1
+    assert checked > 50
 
 
 def test_wrap_splits_a_word_longer_than_the_width():

@@ -441,6 +441,34 @@ def test_malformed_integer_is_a_parse_error(data_dir, tmp_path, attr, relpath):
     assert _cli_code(clone, *command) == 3
 
 
+@pytest.mark.parametrize(
+    "old, new, error, message",
+    [
+        (' name="avenge" />', " />", ParseError, "<lexeme> is missing required attribute 'name'"),
+        (
+            '<lexeme order="1"', '<lexeme order="x"',
+            ParseError, "<lexeme> attribute 'order' is not an integer: 'x'",
+        ),
+        (
+            'annotated="21" total="21"', 'annotated="22" total="21"',
+            IntegrityError, "lexical unit 'revenge.n' has annotated > total sentence count",
+        ),
+    ],
+    ids=["lexeme without name", "lexeme order not an integer", "annotated above total"],
+)
+def test_lu_stub_faults_fail_the_frame_load(data_dir, tmp_path, old, new, error, message):
+    """Lexemes and sentence counts become records on first read, but are
+    checked when their frame loads, in the library and in the CLI."""
+    clone = _corrupt_copy(data_dir, tmp_path, "frame/Revenge.xml", old, new)
+    with pytest.raises(error) as info:
+        open_lexicon(clone).frame("Revenge")
+    assert str(info.value) == f"frame/Revenge.xml: {message}"
+    err = io.StringIO()
+    argv = ["--data", str(clone), "frame", "Revenge"]
+    assert run(argv, stdin=io.StringIO(), stdout=io.StringIO(), stderr=err) == 3
+    assert err.getvalue() == f"framelex: data: frame/Revenge.xml: {message}\n"
+
+
 @pytest.mark.parametrize("encoding", ["foo", "shift_jis"])
 def test_unusable_encoding_declaration_is_a_parse_error(data_dir, tmp_path, encoding):
     clone = _corrupt_copy(

@@ -404,6 +404,94 @@ def test_lu_stub_with_more_annotated_than_total_sentences_is_rejected(data_dir):
         parse_frame_file(damaged, "x")
 
 
+def _raw_lexeme(attrs):
+    """A lexeme record's fields from raw ``<lexeme>`` attributes, with the
+    format's defaults."""
+    return {
+        "name": attrs["name"],
+        "POS": attrs.get("POS", ""),
+        "headword": attrs.get("headword") == "true",
+        "breakBefore": attrs.get("breakBefore") == "true",
+        "order": int(attrs.get("order", "1")),
+    }
+
+
+def test_lu_stub_lexemes_and_sentence_counts_match_raw_xml(data_dir):
+    """Each stub keeps its lexemes and sentence count unbuilt until first
+    read, then returns records equal to an ElementTree re-parse, the
+    identical ones on every later read."""
+    from xml.etree import ElementTree
+
+    lexemes = counted = 0
+    for path in sorted((data_dir / "frame").glob("*.xml")):
+        frame = parse_frame_file(path.read_bytes(), path.name)
+        for elt in _children(ElementTree.fromstring(path.read_bytes()), "lexUnit"):
+            lu = frame.lexUnit[elt.get("name")]
+            expected = [_raw_lexeme(lex.attrib) for lex in _children(elt, "lexeme")]
+            count = (_children(elt, "sentenceCount") or [ElementTree.Element("none")])[0]
+            total = {key: int(count.get(key, "0")) for key in ("annotated", "total")}
+            assert isinstance(dict.__getitem__(lu, "lexemes"), Lazy) == bool(expected)
+            assert isinstance(dict.__getitem__(lu, "sentenceCount"), Lazy)
+            assert lu.lexemes == expected
+            assert [list(lex) for lex in lu.lexemes] == [list(lex) for lex in expected]
+            assert all(type(lex) is Record for lex in lu.lexemes)
+            assert lu.sentenceCount == total and list(lu.sentenceCount) == list(total)
+            assert type(lu.sentenceCount) is Record
+            assert lu.lexemes is lu.lexemes and lu.sentenceCount is lu.sentenceCount
+            assert dict.__getitem__(lu, "lexemes") is lu.lexemes
+            lexemes += len(expected)
+            counted += count.tag != "none"
+    assert lexemes > 0 and counted > 0
+
+
+def test_repeated_small_vocabulary_strings_are_one_object(data_dir):
+    """Equal values of the interned fields, read from different files, are
+    one object."""
+    frames = _frames(data_dir)
+    fes = [fe for frame in frames for fe in frame.FE.values()]
+    lus = [lu for frame in frames for lu in frame.lexUnit.values()]
+    paths = sorted((data_dir / "lu").glob("*.xml"))
+    exemplar_sets = [
+        aset
+        for path in paths
+        for sub in parse_lu_file(path.read_bytes(), path.name)
+        for sent in sub.sentence
+        for aset in sent.annotationSet
+    ]
+    fields = {
+        "frame cBy": [frame.cBy for frame in frames],
+        "frame cDate": [frame.cDate for frame in frames],
+        "FE cBy": [fe.cBy for fe in fes],
+        "FE cDate": [fe.cDate for fe in fes],
+        "FE name": [fe.name for fe in fes],
+        "FE abbrev": [fe.abbrev for fe in fes],
+        "FE coreType": [fe.coreType for fe in fes],
+        "LU status": [lu.status for lu in lus],
+        "LU POS": [lu.POS for lu in lus],
+        "lexeme name": [lex.name for lu in lus for lex in lu.lexemes],
+        "lexeme POS": [lex.POS for lu in lus for lex in lu.lexemes],
+        "annotation set status": [aset.status for aset in exemplar_sets + _fulltext_sets(data_dir)],
+    }
+    for field, values in fields.items():
+        first = {}
+        for value in values:
+            assert first.setdefault(value, value) is value, (field, value)
+    repeated = {field for field, values in fields.items() if len(set(values)) < len(values)}
+    assert {"FE coreType", "FE cBy", "FE name", "LU status", "LU POS"} <= repeated
+
+
+def test_definition_is_its_markup_where_stripping_changes_nothing(data_dir):
+    frames = _frames(data_dir)
+    records = [
+        record
+        for frame in frames
+        for record in [frame, *frame.FE.values(), *frame.lexUnit.values()]
+    ]
+    same = [record.definition == record.definitionMarkup for record in records]
+    assert [record.definition is record.definitionMarkup for record in records] == same
+    assert any(same) and not all(same)
+
+
 def _frames(data_dir):
     paths = sorted((data_dir / "frame").glob("*.xml"))
     return [parse_frame_file(path.read_bytes(), path.name) for path in paths]

@@ -9,14 +9,16 @@ prints:
   sweep, counted through ``gc.callbacks`` (framelex pauses the collector
   while it loads a file, so these run between loads);
 - held MB: memory still allocated since the lexicon was opened (tracemalloc);
+- held MB with every frame loaded: the same, on a second fresh lexicon after
+  ``fes()``, which loads every frame file, as a browsing session comes to hold;
 - GC-tracked objects: ``len(gc.get_objects())`` once a full collection no
   longer lowers it, and the collections that took.  One collection is not
   enough: CPython untracks a tuple only once its items are untracked, so
   nested tuples leave the count over several passes, in an order set by
   earlier collections;
-- ``Record``s by kind tag, kindless ones (lexemes, sentence counts,
-  subcorpora, labels, layers, document index rows) as "-".  LU index rows
-  are plain tuples, so they are not counted here.
+- ``Record``s by kind tag, kindless ones (subcorpora, document index rows,
+  and lexemes, sentence counts, labels and layers once read) as "-".  LU
+  index rows are plain tuples, so they are not counted here.
 
 Usage (from the root of a checkout; stdlib only, no install needed):
 
@@ -69,6 +71,17 @@ def census(data_dir):
     return held, sentences, seconds, collections, tracked, passes, kinds
 
 
+def frames_held(data_dir):
+    """Bytes still allocated by a fresh lexicon once ``fes()`` has run."""
+    tracemalloc.start()
+    lexicon = FrameLexicon.open(data_dir)
+    lexicon.fes()
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return held
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--data", required=True, help="corpus directory")
@@ -79,6 +92,7 @@ def main(argv=None):
     counts = " ".join(f"gen{gen} {collections[gen]}" for gen in range(3))
     print(f"collections        {counts} (during the sweep)")
     print(f"held MB            {held / 1e6:.1f}")
+    print(f"held MB with every frame loaded {frames_held(args.data) / 1e6:.1f}")
     print(f"GC-tracked objects {tracked} (after {passes} full collections)")
     print(f"Records            {sum(kinds.values())}")
     for kind, count in sorted(kinds.items(), key=lambda item: (-item[1], item[0])):
