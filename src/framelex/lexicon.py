@@ -59,9 +59,10 @@ def _frame_sets(sentences, search=None):
 
 def _key(key, kind, what):
     """The key ``key`` names in a lookup of a ``what``: a record of kind
-    ``kind`` (None: the lookup takes none) names its ID, a decimal string its
-    int, and any other hashable key itself.  An unhashable key, such as a list
-    or a record of another kind, names no ``what``."""
+    ``kind`` (None: the lookup takes none) names its ID, a string of decimal
+    digits (those that ``int()`` reads) its int, and any other hashable key
+    itself.  An unhashable key, such as a list or a record of another kind,
+    names no ``what``."""
     if kind is not None and isinstance(key, Record) and key.get("_type") == kind:
         return key["ID"]
     if isinstance(key, str):

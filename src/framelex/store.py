@@ -21,16 +21,12 @@ The parsers get the store itself and call back into it only through the five
 methods that ``xmlio``'s docstring names.
 
 Every file is streamed by ``xmlio``, whose parsers return the tables the
-store keeps: each index's and the semantic type registry's rows by ID.
-Frame index rows are ``(ID, name)`` pairs and LU index rows plain tuples
-whose fields sit at the ``xmlio.LU_*`` positions; the other tables' rows are
-records.  The relation registry keeps each relation as the ``Lazy`` of its
-record, over a row of its attributes and FE mappings, and files those by
-frame.  So ``frame_relations_involving`` builds the records of one frame's
-relations only, and a relation type's ``frameRelations`` builds the rest
-through the same ``Lazy``s: each relation has one record, whichever path
-reads it first.  A relation's FE mapping records are built on the first
-read of its ``feRelations``.
+store keeps, in the compact rows that its docstring describes: each index's
+and the semantic type registry's rows by ID, and the relation registry's
+relation ``Lazy``s filed by frame.  So ``frame_relations_involving`` builds
+the records of one frame's relations only, and a relation type's
+``frameRelations`` builds the rest through the same ``Lazy``s: each relation
+has one record, whichever path reads it first.
 
 The memo holds the parsed files: the frame, LU and document indexes, each
 frame and document loaded, the relation and semantic type registries, and a

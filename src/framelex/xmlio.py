@@ -12,8 +12,10 @@ frame_name, source, referrer)``, the frame of a relation or of a full-text
 annotation set.  ``referrer`` is the record that holds the reference.  With
 no store, each reference raises a clear error if it is ever forced.
 
-Every file is read in one expat pass, ``_read``, with no element tree and
-with namespaces dropped from tag and attribute names.  The LU and full-text
+Every file is read in one expat pass, ``_read``, with no element tree.
+Element names lose their namespace, so ``<x:frame>`` is a ``<frame>``, but
+attributes are read by the names they are written with: a qualified one
+(``o:ID``) is never one of the format's attributes.  The LU and full-text
 indexes and the relation registry build each record at its start tag.  The
 other files keep what a schema of their elements names, as a small tree of
 nodes, and build the records once the file is read.  Either way errors come
@@ -53,7 +55,8 @@ leaves unchanged is its ``definitionMarkup`` itself.
 Each index and registry parser returns the table that the store keeps: its
 rows by ID in file order, or the relation types and each frame's relations.
 Rows are compact too: frame index rows are ``(ID, name)`` pairs and LU index
-rows plain ``LU_FIELDS`` tuples.  Each ``<frameRelation>`` and
+rows plain ``LU_FIELDS`` tuples, read at the ``LU_*`` positions; document
+and semantic type rows are records.  Each ``<frameRelation>`` and
 ``<FERelation>`` is checked at its start tag and kept as an attribute tuple.
 A relation's record is a ``Lazy`` over its tuple and those of its FE
 mappings, and its ``feRelations`` one more that builds its FE-relation
@@ -109,28 +112,7 @@ def strip_markup(markup):
     return markup if text == markup else text
 
 
-def frame_url(name):
-    return f"{_REPORT_BASE}/frame/{name}.xml"
-
-
-def lu_url(lu_id):
-    return f"{_REPORT_BASE}/lu/lu{lu_id}.xml"
-
-
 # ---------------------------------------------------------------- plumbing
-
-
-def _strip_attrs(attrs, plain_names):
-    """Drop the namespace from ``attrs``' names, in place.
-
-    Names that have none go into ``plain_names``, so a caller can skip the
-    elements whose names are all in it.
-    """
-    for key in list(attrs):
-        if "}" in key:
-            attrs[key.split("}", 1)[1]] = attrs.pop(key)
-        else:
-            plain_names.add(key)
 
 
 class _Anywhere(dict):
@@ -147,21 +129,21 @@ _TEXT = "#text"
 def _read(data, source, root_tag, schema):
     """One expat pass over a ``<root_tag>`` document, with no element tree.
 
-    Returns the root as a node ``[tag, attrs, text, leaves, nodes]``, names
-    stripped of namespaces.  ``schema`` maps the name of each child that a
-    node keeps to what it keeps: None lists the child's attributes in
-    ``leaves[name]``; a schema adds the child to ``nodes`` as a node of that
-    schema; ``_TEXT`` keeps the first such child's text, as ``Element.text``
-    holds it, as a list of parts (``text`` is None without one); a function
-    gets the child's attributes and may return the schema for its content.
-    Other content goes unread, unless the schema is an ``_Anywhere`` one.
-    Errors come in a fixed order: XML that is not well-formed, then a wrong
-    root, then the first ``CorpusError`` a function raised; none runs after.
+    Returns the root as a node ``[tag, attrs, text, leaves, nodes]``.  Element
+    names are stripped of their namespace; attribute names are as written, a
+    qualified one keeping its namespace (``uri}ID``).  ``schema`` maps the
+    name of each child that a node keeps to what it keeps: None lists the
+    child's attributes in ``leaves[name]``; a schema adds the child to
+    ``nodes`` as a node of that schema; ``_TEXT`` keeps the first such child's
+    text, as ``Element.text`` holds it, as a list of parts (``text`` is None
+    without one); a function gets the child's attributes and may return the
+    schema for its content.  Other content goes unread, unless the schema is
+    an ``_Anywhere`` one.  Errors come in a fixed order: XML that is not
+    well-formed, then a wrong root, then the first ``CorpusError`` a function
+    raised; none runs after.
     """
-    where = source or "<data>"
     parser = expat.ParserCreate(namespace_separator="}")
     local_names = {}
-    plain_names = set()
     found = [root_tag, None, None, defaultdict(list), []]
     skipped = ({}, None)  # for content that nothing reads, and as "not in the schema"
     # (schema, node) for each open element's content.  Until some content gets
@@ -174,10 +156,9 @@ def _read(data, source, root_tag, schema):
         nonlocal failure, tracking
         local = tag.split("}", 1)[-1]
         if local != root_tag:
-            failure = ParseError(f"{where}: expected a <{root_tag}> document, got <{local}>")
+            failure = ParseError(f"{source}: expected a <{root_tag}> document, got <{local}>")
             parser.StartElementHandler = None
             return
-        _strip_attrs(attrs, plain_names)
         found[1] = attrs
         parser.StartElementHandler = start
         if type(schema) is not _Anywhere:
@@ -191,8 +172,6 @@ def _read(data, source, root_tag, schema):
             local = local_names[tag] = tag.split("}", 1)[-1]
         schema, node = stack[-1]
         kept = schema.get(local, skipped)
-        if not plain_names.issuperset(attrs):
-            _strip_attrs(attrs, plain_names)
         content = None
         if kept is None:
             node[3][local].append(attrs)
@@ -252,10 +231,10 @@ def _read(data, source, root_tag, schema):
     try:
         parser.Parse(data, True)
     except expat.ExpatError as exc:
-        raise ParseError(f"{where}: line {exc.lineno}: not well-formed XML ({exc})") from None
+        raise ParseError(f"{source}: line {exc.lineno}: not well-formed XML ({exc})") from None
     except (LookupError, ValueError) as exc:
         # An unknown or unsupported encoding declaration.
-        raise ParseError(f"{where}: cannot decode XML ({exc})") from None
+        raise ParseError(f"{source}: cannot decode XML ({exc})") from None
     finally:
         # The handlers refer to the parser and to each other: break those
         # cycles, so that the nodes are freed now, not by the garbage collector.
@@ -386,7 +365,7 @@ _SENTENCE = {"text": _TEXT, "annotationSet": {"layer": {"label": None}}}
 _FULLTEXT = {"header": {"corpus": {"document": None}}, "sentence": _SENTENCE}
 
 
-def parse_frame_file(data, source=None, *, store=None):
+def parse_frame_file(data, source="<data>", *, store=None):
     """One frame file -> a frame record, without exemplar sentences.
 
     The frame's relations, its and its FEs' semantic types and its LUs'
@@ -417,7 +396,7 @@ def parse_frame_file(data, source=None, *, store=None):
     what = "semantic type references"
     refs = _semtype_refs(leaves["semType"], source, frame, store, what)
     frame["semTypes"] = Lazy(_resolve_all, refs) if refs else []
-    frame["URL"] = frame_url(name)
+    frame["URL"] = f"{_REPORT_BASE}/frame/{name}.xml"
 
     fe_ids = set()
     for node in members:
@@ -551,7 +530,7 @@ def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store=No
     lu["lexemes"] = Lazy(_lexeme_records, *lexemes) if lexemes else []
     lu["sentenceCount"] = Lazy(_sentence_count, *counts)
     lu["frame"] = frame
-    lu["URL"] = lu_url(lu_id)
+    lu["URL"] = f"{_REPORT_BASE}/lu/lu{lu_id}.xml"
     if total == 0:
         lu["subCorpus"] = []
         lu["exemplars"] = []
@@ -761,7 +740,7 @@ def _parse_sentence(node, source, link, doc=None, fe_ids=None):
     return sent
 
 
-def parse_lu_file(data, source=None, *, lu=None):
+def parse_lu_file(data, source="<data>", *, lu=None):
     """One LU exemplar file -> its list of subcorpus records.
 
     Every sentence and annotation set links to ``lu`` and its frame; with no
@@ -804,7 +783,7 @@ def parse_lu_file(data, source=None, *, lu=None):
     return subcorpora
 
 
-def parse_fulltext_file(data, source=None, *, store=None):
+def parse_fulltext_file(data, source="<data>", *, store=None):
     """One full-text document file -> a document record with its sentences.
 
     An annotation set's LU resolves through ``store.resolve_annotation_lu``
@@ -853,12 +832,9 @@ def parse_fulltext_file(data, source=None, *, store=None):
 def parse_relations_file(data, source="frRelation.xml", *, store=None):
     """The relation registry -> (relation-type records, {frame ID: relations}).
 
-    Each ``<frameRelation>`` is checked at its start tag and kept as a tuple
-    of its attributes, with a list of its FE mappings' attribute tuples; a
-    ``Lazy`` over those builds its record on first read.  A type's
-    ``frameRelations`` is a ``Lazy`` over its relations' records, and each
-    frame's entry lists the ``Lazy``s of the relations with it on either side.
-    All is in file order.  Frames are resolved lazily through
+    A type's ``frameRelations`` is a ``Lazy`` over its relations' records,
+    and each frame's entry lists the ``Lazy``s of the relations with it on
+    either side.  All is in file order.  Frames are resolved lazily through
     ``store.resolve_frame_ref``, the relation being the referrer.
     """
     types = []

@@ -10,7 +10,7 @@ import pytest
 from framelex import cli as cli_module
 from framelex.cli import _split_line, build_parser, run
 from framelex.lexicon import open_lexicon
-from framelex.errors import UsageError
+from framelex.errors import LookupFailure, UsageError
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "fixture17"
 
@@ -391,3 +391,27 @@ def test_usage_errors_exit_2_and_are_value_errors():
     # "²" is a digit that int() rejects, so it is a name, not an ID.
     assert cli("frame", "²")[0] == 1
     assert cli("semtype", "²")[0] == 1
+
+
+def test_a_decimal_key_is_made_of_the_digits_int_reads():
+    """Full-width digits name an ID, as ``int()`` reads them, in the library,
+    the CLI and the REPL alike; a superscript digit is no decimal digit."""
+    lex = open_lexicon(DATA_DIR)
+    assert lex.frame("３４７") is lex.frame(347)
+    assert lex.doc("２３８０２") is lex.doc(23802)
+    assert lex.lus(frame="３４７") == lex.lus(frame=347) != []
+    assert cli("lu", "６０６７") == cli("lu", "6067")
+    script = "lu {}\nexemplar {}\nquit\n"
+    wide = cli("browse", stdin=script.format("６０６７", "２０"))
+    assert wide == cli("browse", stdin=script.format("6067", "20"))
+    assert "/929548> " in wide[1]
+
+    with pytest.raises(ValueError):
+        int("³")
+    for lookup in (lex.frame, lex.doc, lex.lu):
+        with pytest.raises(LookupFailure):
+            lookup("³")
+    assert lex.lus(frame="³") == []
+    assert cli("lu", "³")[0] == 2
+    code, out, _ = cli("browse", stdin=script.format("6067", "³"))
+    assert code == 0 and "usage: exemplar <k>" in out

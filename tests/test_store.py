@@ -1,9 +1,12 @@
 import io
+import os
 import random
 import re
 import shutil
 import sys
 import threading
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,8 @@ from framelex.errors import (
     ParseError,
 )
 from framelex.records import Record, attribute_names
+
+from test_fixture import _tool
 
 
 def test_open_reads_only_the_frame_index(store):
@@ -285,6 +290,147 @@ def test_concurrent_first_scans_build_one_column(data_dir):
                 assert all(a is b for a, b in zip(fes, results[0][2], strict=True))
             log = lex.store.fileAccessLog
             assert len(set(log)) == len(log)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _record_digest(corpus):
+    return _tool("record_digest").digest(corpus)
+
+
+# Entities that a touch resolves but does not walk, unless it starts at them.
+_OTHER_ENTITIES = frozenset(("frame", "fe", "lu", "semtype", "document", "framerelationtype"))
+
+
+def _touch(roots):
+    """Force every lazy value of ``roots`` and of the records they hold; an
+    entity they refer to is resolved, not walked."""
+    rooted = {id(root) for root in roots}
+    stack, seen = list(roots), set()
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, dict) and id(value) not in seen:
+            if dict.get(value, "_type") in _OTHER_ENTITIES and id(value) not in rooted:
+                continue
+            seen.add(id(value))
+            stack.extend(map(value.__getitem__, value))
+
+
+def _index_ids(root, relpath, tag):
+    """The IDs of the ``<tag>`` elements of an index file, by ElementTree."""
+    elements = ET.parse(root / relpath).iter()
+    return [int(e.get("ID")) for e in elements if e.tag.rsplit("}", 1)[-1] == tag]
+
+
+def _entities(root):
+    """(kind, key) of every frame, LU and document, the relation types and the
+    semantic types of the corpus at ``root``."""
+    entities = [("frame", key) for key in _index_ids(root, "frameIndex.xml", "frame")]
+    entities += [("lu", key) for key in _index_ids(root, "luIndex.xml", "lu")]
+    entities += [("document", key) for key in _index_ids(root, "fulltextIndex.xml", "document")]
+    return entities + [("relation types", None), ("semantic types", None)]
+
+
+def _entity_roots(store, kind, key):
+    """The records that a touch of an entity walks: a frame with its FEs and
+    LUs, so its relations' FE mappings; an LU, so its exemplars with their
+    layers; a document, so each set's LU, frame and layers."""
+    if kind == "frame":
+        frame = store.get_frame(key)
+        return [frame, *frame.FE.values(), *frame.lexUnit.values()]
+    if kind == "lu":
+        return [store.get_lu(key)]
+    if kind == "document":
+        return [store.get_document(key)]
+    return store.relation_types() if kind == "relation types" else store.semtypes()
+
+
+def _touch_in_threads(root, seed, count):
+    """A store on ``root`` after ``count`` threads each touched every entity,
+    in an order of their own, and each thread's {entity: (error type, message)}."""
+    store = Store(root)
+    entities = _entities(Path(root))
+    barrier = threading.Barrier(count)
+    failures = [None] * count
+
+    def work(k):
+        order = list(entities)
+        random.Random(seed * count + k).shuffle(order)
+        failed = failures[k] = {}
+        barrier.wait()
+        for entity in order:
+            try:
+                _touch(_entity_roots(store, *entity))
+            except Exception as exc:  # any error, to compare across threads
+                failed[entity] = (type(exc), str(exc))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=600)
+    assert not any(thread.is_alive() for thread in threads)
+    return store, failures
+
+
+def _corpus_files(root):
+    return sorted(path.relative_to(root).as_posix() for path in root.rglob("*.xml"))
+
+
+def _assert_threads_build_the_sequential_records(root, seeds, count):
+    sequential = _record_digest(root)
+    for seed in seeds:
+        store, failures = _touch_in_threads(root, seed, count)
+        assert failures == [{}] * count
+        log = list(store.fileAccessLog)
+        assert sorted(log) == _corpus_files(root)
+        assert _record_digest(store) == sequential
+        assert store.fileAccessLog == log
+
+
+def test_any_touch_order_under_threads_builds_the_sequential_records(data_dir):
+    """Eight threads touch every entity, each in its own order: the records
+    are those of one sequential walk, and every file is read once."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _assert_threads_build_the_sequential_records(data_dir, range(3), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _record_digest(data_dir)[1] == 210
+    assert len(_corpus_files(data_dir)) == 20
+
+
+@pytest.mark.skipif(
+    not os.environ.get("FRAMELEX_DATA"),
+    reason="needs a full-size corpus in FRAMELEX_DATA",
+)
+def test_full_corpus_under_threads_builds_the_sequential_records():
+    _assert_threads_build_the_sequential_records(Path(os.environ["FRAMELEX_DATA"]), [1], 8)
+
+
+def test_files_that_fail_to_load_fail_alike_in_every_thread(data_dir, tmp_path):
+    """With a corrupt frame, LU and document file, every thread gets the same
+    error from each entity, and each corrupt file is read once."""
+    clone = tmp_path / "corpus"
+    shutil.copytree(data_dir, clone)
+    corrupt = ["frame/Omen.xml", "lu/lu5331.xml", "fulltext/Sherlock__Wisteria_Report.xml"]
+    for relpath in corrupt:
+        (clone / relpath).write_bytes((clone / relpath).read_bytes()[:200])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed in range(3):
+            store, failures = _touch_in_threads(clone, seed, 8)
+            assert failures == failures[:1] * 8
+            assert {type_ for type_, _ in failures[0].values()} == {ParseError}
+            messages = {message.split(":")[0] for _, message in failures[0].values()}
+            assert messages == set(corrupt)
+            log = store.fileAccessLog
+            assert len(set(log)) == len(log)
+            assert set(corrupt) <= set(log)
     finally:
         sys.setswitchinterval(interval)
 

@@ -1073,9 +1073,7 @@ def _streamed_input(root, case):
         return doc(body, head=f"<?xml version='1.0' encoding='{case}'?>")
     if case == "prefixed namespace":
         prefixed = re.sub(r"<(/?)(\w+)", r"<\1x:\2", body)
-        prefixed = re.sub(r' (\w+)="', r' x:\1="', prefixed)
-        attrs = re.sub(r' (\w+)="', r' x:\1="', root_attrs)
-        return f'<x:{root} xmlns:x="{FN}"{attrs}>{prefixed}</x:{root}>'.encode()
+        return f'<x:{root} xmlns:x="{FN}"{root_attrs}>{prefixed}</x:{root}>'.encode()
     if case == "nested with xml:lang":
         inner = re.sub(rf"<{tag} ", f'<{tag} xml:lang="en" ', body[first.start() : first_end])
         return doc(body[: first.start()] + f'<w xml:lang="en">{inner}</w>' + body[first_end:])
@@ -1394,3 +1392,59 @@ def test_streamed_parsers_match_the_tree_parsers(root, case):
             parse(data, source)
         assert type(info.value) is expected[0]
         assert str(info.value) == expected[1]
+
+
+def _with_foreign_attributes(markup):
+    """``markup`` with a foreign ``o:name`` after each attribute ``name``,
+    holding another value."""
+    return re.sub(r' (\w+)="([^"]*)"', r' \1="\2" o:\1="9\2"', markup)
+
+
+@pytest.mark.parametrize("root", sorted(STREAMED))
+def test_namespace_qualified_attributes_are_not_the_formats(root):
+    parse, source, tag = STREAMED[root][:3]
+    body, root_attrs = STREAMED[root][4], _ROOT_ATTRS.get(root, "")
+    plain = _plain(parse(_streamed_input(root, "plain"), source))
+
+    def doc(inner, attrs=root_attrs, prefix=""):
+        head = f'{prefix}{root} xmlns="{FN}" xmlns:x="{FN}" xmlns:o="urn:other"{attrs}'
+        return f"<{head}>{inner}</{prefix}{root}>".encode()
+
+    # A foreign attribute beside each real one is ignored, with element names
+    # plain or prefixed.
+    foreign, foreign_attrs = _with_foreign_attributes(body), _with_foreign_attributes(root_attrs)
+    assert _plain(parse(doc(foreign, foreign_attrs), source)) == plain
+    prefixed = re.sub(r"<(/?)(\w+)", r"<\1x:\2", foreign)
+    assert _plain(parse(doc(prefixed, foreign_attrs, "x:"), source)) == plain
+    # An ID written only as a foreign one is missing.
+    first = re.search(rf"<{tag} [^>]*>", body)
+    qualified = first.group(0).replace(' ID="', ' o:ID="')
+    damaged = body[: first.start()] + qualified + body[first.end() :]
+    with pytest.raises(ParseError) as info:
+        parse(doc(damaged), source)
+    assert type(info.value) is ParseError
+    assert str(info.value) == f"{source}: <{tag}> is missing required attribute 'ID'"
+
+
+_FULLTEXT_WITHOUT_ID = (
+    b'<fullTextAnnotation><header><corpus name="C"><document name="D"/></corpus></header>'
+    b"</fullTextAnnotation>"
+)
+
+
+@pytest.mark.parametrize(
+    "parse, data, tag",
+    [
+        (parse_frame_file, b'<frame name="X"/>', "frame"),
+        (parse_lu_file, b'<lexUnit name="x.v"/>', "lexUnit"),
+        (parse_fulltext_file, _FULLTEXT_WITHOUT_ID, "document"),
+    ],
+    ids=["frame", "lu", "fulltext"],
+)
+def test_a_parse_without_a_source_names_its_data(parse, data, tag):
+    with pytest.raises(ParseError) as info:
+        parse(data)
+    assert str(info.value) == f"<data>: <{tag}> is missing required attribute 'ID'"
+    with pytest.raises(ParseError) as info:
+        parse(data[:-2])
+    assert str(info.value).startswith("<data>: line 1: not well-formed XML (")

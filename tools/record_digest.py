@@ -44,9 +44,10 @@ def _text(value, found):
     return repr(value)
 
 
-def digest(data_dir):
-    """(hex digest, records dumped) for the corpus at ``data_dir``."""
-    store = Store(data_dir)
+def digest(corpus):
+    """(hex digest, records dumped) for ``corpus``: a corpus directory, or a
+    ``Store`` already opened on one, whose loaded records the walk reuses."""
+    store = corpus if isinstance(corpus, Store) else Store(corpus)
     roots = [store.get_frame(frame_id) for frame_id, _ in store.frame_index()]
     roots += [store.get_lu(row[LU_ID]) for row in store.lu_index()]
     roots += [store.get_document(row["ID"]) for row in store.doc_index()]
