@@ -17,7 +17,7 @@ from itertools import compress
 from .errors import LookupFailure, PatternError, UsageError
 from .records import Record, build
 from .store import open_store
-from .xmlio import LU_FRAME_ID, LU_ID, LU_NAME
+from .xmlio import LU_FRAME_ID, LU_ID
 
 
 def compile_pattern(pattern):
@@ -74,6 +74,15 @@ def _key(key, kind, what):
     return key
 
 
+def _id(key, kind, what):
+    """The ID that ``key`` names, by ``_key``, in a lookup of a ``what`` by
+    numeric ID alone: a key that names no int names no ``what``."""
+    key = _key(key, kind, what)
+    if not isinstance(key, int):
+        raise LookupFailure(f"no {what} with ID {key!r}")
+    return key
+
+
 class FrameLexicon:
     def __init__(self, store):
         self._store = store
@@ -114,42 +123,33 @@ class FrameLexicon:
 
         ``frame`` confines the result to one or more frames: a numeric or
         decimal-string ID, a frame record, an exact frame name, or a name
-        pattern.  The restriction resolves before the LU index loads; one
-        that matches no frame yields an empty list, not an error, and loads
-        nothing.  Otherwise the LU column is filtered by frame in one pass.
+        pattern.  The restriction resolves after the name pattern compiles
+        and before the LU index loads; one that matches no frame yields an
+        empty list, not an error, and loads nothing.  Otherwise the LU
+        column is filtered by frame in one pass.
         """
-        if frame is None:
-            rows = _scan(name_pattern, self._store.lu_column)
-        else:
-            rows = _scan(name_pattern, self._frame_lu_column, frame)
+        rows = _scan(name_pattern, self._confined, self._store.lu_column, frame)
         return [self._store.get_lu(row[LU_ID]) for row in rows]
 
     def lu(self, lu_id):
         """One lexical unit, by numeric ID."""
         if isinstance(lu_id, Record) and lu_id.get("_type") == "lu" and self._store.owns_lu(lu_id):
             return lu_id  # as is: a lookup by its ID would load the LU index
-        lu_id = _key(lu_id, "lu", "lexical unit")
-        if not isinstance(lu_id, int):
-            raise LookupFailure(f"no lexical unit with ID {lu_id!r}")
-        return self._store.get_lu(lu_id)
+        return self._store.get_lu(_id(lu_id, "lu", "lexical unit"))
 
-    def _frame_lu_column(self, frame):
-        """The (rows, names) column of the restricted frames' LUs, ID ascending."""
-        allowed = self._frame_restriction_ids(frame)
-        if not allowed:
-            return [], []
-        rows = [row for row in self._store.lu_column()[0] if row[LU_FRAME_ID] in allowed]
-        return rows, [row[LU_NAME] for row in rows]
-
-    def _frame_restriction_ids(self, frame):
-        """The IDs a ``frame=`` restriction names, from the frame index alone."""
+    def _confined(self, column, frame):
+        """The store column ``column``, confined to the frames that a
+        ``frame=`` restriction names (None: all), which resolve from the
+        frame index alone; one that names no frame reads nothing."""
+        if frame is None:
+            return column()
         frame = _key(frame, "frame", "frame")
         ids = set()
         if not isinstance(frame, int):
             ids = {fid for fid, _ in _scan(frame, self._store.frame_column)}
         if self._store.frame_defined(frame):
             ids.add(self._store.frame_id(frame))
-        return ids
+        return column(sorted(ids)) if ids else ((), ())
 
     # ------------------------------------------------------------ frame elements
 
@@ -160,10 +160,7 @@ class FrameLexicon:
         loading the scanned frames, ID ascending, as a side effect.  Only the
         column of all frames' FEs is kept; a confined search sorts anew.
         """
-        if frame is None:
-            return _scan(name_pattern, self._store.fe_column)
-        frame_ids = sorted(self._frame_restriction_ids(frame))
-        return _scan(name_pattern, self._store.fe_column, frame_ids)
+        return _scan(name_pattern, self._confined, self._store.fe_column, frame)
 
     # ------------------------------------------------------------ relations
 
@@ -293,10 +290,7 @@ class FrameLexicon:
 
     def doc(self, doc_id):
         """One full-text document, by numeric ID."""
-        doc_id = _key(doc_id, None, "full-text document")
-        if not isinstance(doc_id, int):
-            raise LookupFailure(f"no full-text document with ID {doc_id}")
-        return self._store.get_document(doc_id)
+        return self._store.get_document(_id(doc_id, None, "full-text document"))
 
     def docs(self, name_pattern=None):
         """Full-text documents whose name matches, ID ascending."""

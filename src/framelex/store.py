@@ -202,11 +202,17 @@ class Store:
         """All LU index rows, ``xmlio.LU_FIELDS`` tuples, in file order."""
         return list(self._lu_rows().values())
 
-    def lu_column(self):
-        """The LU index rows and their names, ID ascending."""
-        return self._load(
+    def lu_column(self, frame_ids=None):
+        """The LU index rows of the given frames (default: all, kept) and
+        their names, ID ascending."""
+        column = self._load(
             "LU column", self._index_column, self._lu_rows(), itemgetter(xmlio.LU_NAME)
         )
+        if frame_ids is None:
+            return column
+        frame_ids = set(frame_ids)
+        rows = [row for row in column[0] if row[xmlio.LU_FRAME_ID] in frame_ids]
+        return rows, [row[xmlio.LU_NAME] for row in rows]
 
     def get_lu(self, lu_id):
         """The LU record for an ID: the owning frame's stub, index-routed."""

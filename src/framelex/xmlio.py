@@ -321,22 +321,18 @@ def parse_lu_index(data, source="luIndex.xml"):
 def parse_fulltext_index(data, source="fulltextIndex.xml"):
     """The document index: {document ID: its row, with its corpus}, in file order.
 
-    A document counts once for each ``<corpus>`` it lies in, at any depth,
-    and not at all outside one.
+    A document belongs to the innermost ``<corpus>`` it lies in, at any
+    depth, and counts not at all outside one; the documents of a corpus
+    follow those of the corpus around it.
     """
     corpora = []  # (corpus attributes, its documents' attributes), start tag order
 
-    def corpus(open_corpora, attrs):
+    def corpus(attrs):
         docs = []
         corpora.append((attrs, docs))
-        inside = open_corpora + [docs]
-        return _Anywhere(corpus=partial(corpus, inside), document=partial(document, inside))
+        return _Anywhere(corpus=corpus, document=docs.append)
 
-    def document(open_corpora, attrs):
-        for docs in open_corpora:
-            docs.append(attrs)
-
-    _read(data, source, "fulltextIndex", _Anywhere(corpus=partial(corpus, [])))
+    _read(data, source, "fulltextIndex", _Anywhere(corpus=corpus))
     rows = {}
     for attrs, docs in corpora:
         corpus_id = _attr("corpus", attrs, "ID", source, None)

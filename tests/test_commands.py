@@ -228,8 +228,8 @@ def test_repl_index_arguments():
 
 def test_repl_keys_are_names_or_decimal_ids():
     got = replies("doc abc", "doc 23802x", "doc 23802", "semtype 4", "semtype Animate_being")
-    assert got[:2] == ["not found: no full-text document with ID abc\n",
-                       "not found: no full-text document with ID 23802x\n"]
+    assert got[:2] == ["not found: no full-text document with ID 'abc'\n",
+                       "not found: no full-text document with ID '23802x'\n"]
     assert got[2].startswith("full-text document (23802)")
     assert got[3] == got[4] and got[3].startswith("semantic type (4): Animate_being\n")
 

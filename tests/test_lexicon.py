@@ -77,6 +77,15 @@ def test_lu_unknown_id(lexicon):
         lexicon.lu(1)
 
 
+def test_lu_and_doc_name_a_key_that_is_no_id_by_its_repr(lexicon):
+    for lookup, what in (lexicon.lu, "lexical unit"), (lexicon.doc, "full-text document"):
+        for key in "", "x y", "abc", 1.5:
+            with pytest.raises(LookupFailure) as info:
+                lookup(key)
+            assert str(info.value) == f"no {what} with ID {key!r}"
+    assert lexicon.store.fileAccessLog == ["frameIndex.xml"]
+
+
 def test_record_and_id_arguments(lexicon):
     frame = lexicon.frame("Revenge")
     lu = lexicon.lu(6067)
@@ -463,22 +472,29 @@ def test_fulltext_annotations_match_a_raw_xml_oracle_cold_then_warm(data_dir, tm
 @pytest.mark.parametrize(
     "scan",
     ["frames", "frame_ids_and_names", "frames_by_lemma", "lus", "fes", "exemplars",
-     "docs", "ft_sents", "annotations", "lus frame=", "fes frame="],
+     "docs", "ft_sents", "annotations", "lus frame=", "fes frame=", "lus both", "fes both"],
 )
 def test_bad_pattern_fails_before_any_file_is_read(data_dir, scan):
     """A bad name pattern, or a bad ``frame=`` restriction pattern: one that
     does not compile, or one that is not a string.  As a restriction, 123 is
-    an ID and a record names no frame, so neither is a pattern there."""
+    an ID and a record names no frame, so neither is a pattern there.  A bad
+    name pattern fails before a bad restriction, a pattern or a key that
+    names no frame ([347]), in ``lus`` and ``fes`` alike."""
     scan, _, restricted = scan.partition(" ")
     record = Record(_type="lu", ID=6067, name="revenge.n")
-    bad = ["(unclosed", b"x"] if restricted else ["(unclosed", 123, b"x", record]
+    bad = {"": ["(unclosed", 123, b"x", record], "frame=": ["(unclosed", b"x"],
+           "both": ["(unclosed", [347]]}[restricted]
     for pattern in bad:
         lexicon = open_lexicon(data_dir)
-        with pytest.raises(PatternError):
-            if restricted:
+        with pytest.raises(PatternError) as info:
+            if restricted == "both":
+                getattr(lexicon, scan)("(", frame=pattern)
+            elif restricted:
                 getattr(lexicon, scan)("x", frame=pattern)
             else:
                 getattr(lexicon, scan)(pattern)
+        if restricted == "both":
+            assert str(info.value).startswith("bad pattern '(': "), pattern
         assert lexicon.store.fileAccessLog == ["frameIndex.xml"], pattern
 
 

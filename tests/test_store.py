@@ -14,14 +14,7 @@ from framelex import (
     Store,
     open_lexicon,
     open_store,
-    render_annotation_set,
-    render_document,
     render_frame,
-    render_frame_element,
-    render_fulltext_sentence,
-    render_lexicographic_sentence,
-    render_lu,
-    render_semtype,
     xmlio,
 )
 from framelex.cli import run
@@ -636,7 +629,9 @@ def test_lu_index_row_naming_unknown_frame(data_dir, tmp_path):
     assert _cli_code(clone, "lu", "6067") == 3
 
 
-_ATTRIBUTE = re.compile(r'\s([\w:]+)="[^"]*"')
+# The attribute spots, element spans and record walk of ``tools/edit_sweep.py``.
+_SWEEP = _tool("edit_sweep")
+_ATTRIBUTE, _elements, _walk_file = _SWEEP.ATTRIBUTE, _SWEEP.elements, _SWEEP.walk_file
 
 
 def test_seeded_attribute_mutations_keep_the_error_contract(data_dir, tmp_path):
@@ -666,84 +661,6 @@ def test_seeded_attribute_mutations_keep_the_error_contract(data_dir, tmp_path):
             runs += 1
         path.write_text(body)
     assert runs == 120
-
-
-_RENDER = {
-    "frame": render_frame,
-    "fe": render_frame_element,
-    "lu": render_lu,
-    "sentence": render_lexicographic_sentence,
-    "fulltext_sentence": render_fulltext_sentence,
-    "annotationset": render_annotation_set,
-    "document": render_document,
-    "semtype": render_semtype,
-}
-_NESTED = (dict, list, tuple)
-_FILE_ROOTS = {
-    "frameIndex.xml": lambda lex: lex.frames(),
-    "luIndex.xml": lambda lex: lex.lus(),
-    "fulltextIndex.xml": lambda lex: lex.docs(),
-    "frRelation.xml": lambda lex: lex.frame_relation_types(),
-    "semTypes.xml": lambda lex: lex.semtypes(),
-}
-
-
-def _walk_file(lex, relpath):
-    """Force every lazy value of the records read from ``relpath`` and of the
-    records they hold, and render each.  A frame, FE, LU stub or semantic
-    type from another file is resolved but not walked, which keeps the walk
-    to this file."""
-    if relpath.startswith("frame/"):
-        frame = lex.frame(relpath[len("frame/") : -len(".xml")])
-        roots = [frame, *frame.FE.values(), *frame.lexUnit.values()]
-    elif relpath.startswith("lu/"):
-        roots = [lex.lu(int(relpath[len("lu/lu") : -len(".xml")]))]
-    elif relpath.startswith("fulltext/"):
-        rows = lex.store.doc_index()
-        names = {row.ID: (f"{row.name}.xml", f"{row.corpusName}__{row.name}.xml") for row in rows}
-        name = relpath[len("fulltext/") :]
-        roots = [lex.doc(doc_id) for doc_id, names in names.items() if name in names]
-    else:
-        roots = _FILE_ROOTS[relpath](lex)
-    rooted = {id(root) for root in roots}
-    index = relpath.endswith("Index.xml")  # an index's records are the roots alone
-    stack, seen = list(roots), set()
-    while stack:
-        value = stack.pop()
-        if isinstance(value, (list, tuple)):
-            stack.extend(item for item in value if isinstance(item, _NESTED))
-        elif isinstance(value, dict) and id(value) not in seen:
-            kind = dict.get(value, "_type")
-            other_file = kind is not None and (
-                index
-                or kind in ("frame", "fe", "semtype")
-                or kind == "lu" and dict.get(value, "status") != "Problem"
-            )
-            if other_file and id(value) not in rooted:
-                continue
-            seen.add(id(value))
-            values = map(value.__getitem__, value)
-            stack.extend(item for item in values if isinstance(item, _NESTED))
-            if kind in _RENDER:
-                _RENDER[kind](value)
-    if relpath in ("frRelation.xml", "semTypes.xml"):
-        lex.propagate_semtypes()
-
-
-_TAG = re.compile(r"<(/?)([\w:]+)[^>]*?(/?)>")
-
-
-def _elements(body):
-    """[start, end, parent] of each element below the root, from its tags."""
-    spans, open_elements = [], []
-    for tag in _TAG.finditer(body):
-        if tag.group(1):
-            spans[open_elements.pop()][1] = tag.end()
-            continue
-        spans.append([tag.start(), tag.end(), open_elements[-1] if open_elements else None])
-        if not tag.group(3):
-            open_elements.append(len(spans) - 1)
-    return spans[1:]
 
 
 def _mutation(body, rng):

@@ -74,6 +74,17 @@ def test_fulltext_index_counts(data_dir):
         assert row["corpusID"] == 195
 
 
+def test_a_document_belongs_to_its_innermost_corpus():
+    data = (
+        b'<fulltextIndex><corpus ID="1" name="Outer"><document ID="10" name="a"/>'
+        b'<w><corpus ID="2" name="Inner"><document ID="20" name="b"/></corpus></w>'
+        b'<document ID="11" name="c"/></corpus><document ID="30" name="d"/></fulltextIndex>'
+    )
+    rows = parse_fulltext_index(data)
+    assert [(row.ID, row.corpusID, row.corpusName) for row in rows.values()] == [
+        (10, 1, "Outer"), (11, 1, "Outer"), (20, 2, "Inner")]
+
+
 def test_frame_file_fe_and_lu_counts(data_dir):
     body = text(data_dir, "frame/Revenge.xml")
     frame = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "frame/Revenge.xml")
@@ -820,7 +831,7 @@ TABLES = [
 def test_table_keys_are_the_raw_ids_in_file_order(data_dir, parse, relpath, tag, root):
     for data in raw(data_dir, relpath), _streamed_input(root, "plain"):
         elts = _raw_elements(data, tag)
-        if root == "fulltextIndex":  # a document counts once per corpus it lies in
+        if root == "fulltextIndex":  # only a document in a corpus counts; none nests here
             corpora = _raw_elements(data, "corpus")
             elts = [elt for corpus in corpora for elt in corpus.iter() if _local(elt.tag) == tag]
         ids = [int(elt.get("ID")) for elt in elts]
@@ -1234,9 +1245,9 @@ STREAMED_PARITY = {
     ("fulltextIndex", "shift_jis"): (ParseError, _SJIS.format("fulltextIndex.xml")),
     ("fulltextIndex", "prefixed namespace"): [1, 2],
     ("fulltextIndex", "nested with xml:lang"): [1, 2],
-    # Each document counts once for each corpus it lies in.
-    ("fulltextIndex", "corpus inside a corpus"): (
-        IntegrityError, "fulltextIndex.xml: duplicate document ID 1"),
+    # Each document belongs to the innermost corpus it lies in: 3 to the
+    # outer one, whose documents come first.
+    ("fulltextIndex", "corpus inside a corpus"): [3, 1, 2],
     ("fulltextIndex", "records in a wrapper, then again"): (
         IntegrityError, "fulltextIndex.xml: duplicate document ID 1"),
     ("fulltextIndex", "undefined entity under an external DTD"): (
