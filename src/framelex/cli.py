@@ -274,8 +274,6 @@ def _context(stack, kinds, hint=None):
 
 
 def _nth(items, arg, command):
-    if arg is None or not arg.isdecimal():
-        raise _Reply(f"usage: {command} <k>")
     if int(arg) >= len(items):
         raise LookupFailure(f"no {command} {arg} among {len(items)} (0-based)")
     return items[int(arg)]
@@ -289,8 +287,9 @@ _REPL_TAKES = {"fe": "<name>", "exemplar": "<k>", "sent": "<k>", "annoset": "<k>
 def _repl_command(lexicon, options, stack, command, args, out):
     query, output, takes = COMMANDS.get(command, (None, None, None))
     usage = _REPL_TAKES.get(command, takes)
-    # More words than the command takes, or a shared command's argument missing.
-    if usage is not None and (len(args) > bool(usage) or takes and takes[0] == "<" and not args):
+    # More words than the command takes, a required argument missing or an index not decimal.
+    if usage is not None and (len(args) > bool(usage) or usage.startswith("<") and not args
+                              or usage == "<k>" and not args[0].isdecimal()):
         raise _Reply(f"usage: {command} {usage}".rstrip())
     arg = args[0] if args else None
     if command == "lu":
@@ -319,8 +318,6 @@ def _repl_command(lexicon, options, stack, command, args, out):
         stack.pop()
     elif command == "fe":
         frame = _context(stack, ("frame",), "no frame context; run 'frame <name>' first")
-        if arg is None:
-            raise _Reply("usage: fe <name>")
         if arg not in frame.FE:
             raise LookupFailure(f"no FE named {arg!r} in frame {frame.name!r}")
         out.write(render.render_frame_element(frame.FE[arg], options))

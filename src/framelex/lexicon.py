@@ -182,8 +182,8 @@ class FrameLexicon:
                 rel for rtype in self._store.relation_types() for rel in rtype["frameRelations"]
             ]
         else:
-            fid = self._frame_id(frame)
-            fid2 = None if frame2 is None else self._frame_id(frame2)
+            fid = self._store.frame_id(_key(frame, "frame", "frame"))
+            fid2 = None if frame2 is None else self._store.frame_id(_key(frame2, "frame", "frame"))
             relations = self._store.frame_relations_involving(fid)
         if frame2 is not None:
             relations = [
@@ -199,10 +199,6 @@ class FrameLexicon:
     def fe_relations(self):
         """Every FE-to-FE mapping across all frame relations, registry order."""
         return [fe for rel in self.frame_relations() for fe in rel["feRelations"]]
-
-    def _frame_id(self, key):
-        """The ID of a frame record, name or ID, without loading the frame."""
-        return self._store.frame_id(_key(key, "frame", "frame"))
 
     def _relation_type(self, key):
         key = _key(key, "framerelationtype", "frame relation type")
@@ -273,10 +269,7 @@ class FrameLexicon:
 
     def ft_sents(self, name_pattern=None):
         """Full-text sentences of matching documents, in document order."""
-        sentences = []
-        for row in _scan(name_pattern, self._store.doc_column):
-            sentences.extend(self._store.get_document(row["ID"])["sentences"])
-        return sentences
+        return [sent for doc in self.docs(name_pattern) for sent in doc["sentences"]]
 
     def sents(self):
         """Every annotated sentence, exemplars first, lazily.

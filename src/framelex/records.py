@@ -128,9 +128,6 @@ class Record(dict):
                 bits.append(f"{key}={value}")
         return " ".join(bits) + ">"
 
-    # dict defines no __str__ of its own, so align it with repr.
-    __str__ = __repr__
-
 
 def attribute_names(entity):
     """The entity's attribute names, in its stable enumeration order."""

@@ -168,15 +168,14 @@ class Store:
         ))
         return fes, tuple(map(itemgetter("name"), fes))
 
-    def resolve_frame_ref(self, frame_id, frame_name, source=None, referrer=None):
+    def resolve_frame_ref(self, frame_id, frame_name, source, referrer):
         """The frame a reference names, by ID, or by name when the ID is None.
 
         ``referrer`` is the record of file ``source`` that holds the
-        reference; a frame the index lacks is then an IntegrityError naming
-        both.  Without a referrer it is a failed lookup.
+        reference; a frame the index lacks is an IntegrityError naming both.
         """
         key = frame_name if frame_id is None else frame_id
-        if referrer is not None and not self.frame_defined(key):
+        if not self.frame_defined(key):
             raise IntegrityError(
                 f"{source}: {referrer['_type']} {referrer['ID']} names unknown frame {key!r}"
             )
@@ -252,9 +251,7 @@ class Store:
         entry = self._cache.get(key)
         return entry._value if entry is not None and entry._done else None
 
-    def resolve_annotation_lu(
-        self, lu_id, lu_name, frame_id, frame_name, source=None, referrer=None
-    ):
+    def resolve_annotation_lu(self, lu_id, lu_name, frame_id, frame_name, source, referrer):
         """The LU behind a full-text annotation set.
 
         An ID the index does not know yields a cached placeholder record with

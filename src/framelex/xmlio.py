@@ -15,12 +15,14 @@ no store, each reference raises a clear error if it is ever forced.
 Every file is read in one expat pass, ``_read``, with no element tree.
 Element names lose their namespace, so ``<x:frame>`` is a ``<frame>``, but
 attributes are read by the names they are written with: a qualified one
-(``o:ID``) is never one of the format's attributes.  The LU and full-text
-indexes and the relation registry build each record at its start tag.  The
-other files keep what a schema of their elements names, as a small tree of
-nodes, and build the records once the file is read.  Either way errors come
-in the same words and order: XML that is not well-formed first, then a wrong
-root element, then the first record that breaks a rule.
+(``o:ID``) is never one of the format's attributes.  The LU index and the
+relation registry build each record at its start tag.  The full-text index
+keeps each corpus's document attributes at their start tags and builds its
+rows once the file is read.  The other files keep what a schema of their
+elements names, as a small tree of nodes, and build the records once the
+file is read.  Either way errors come in the same words and order: XML that
+is not well-formed first, then a wrong root element, then the first record
+that breaks a rule.
 
 The parsers read a fixed subset of elements and attributes.  Anything else in
 a file (editorial attributes, embedded relation references inside frame files,

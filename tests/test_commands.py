@@ -263,6 +263,11 @@ def test_commands_needing_an_argument_say_so():
         "usage: frame <name-or-id>\n", "usage: lu <name-or-id>\n", "usage: semtype <key>\n",
         "usage: doc <id>\n",
     ]
+    # The words are checked before the context: with none, each says its usage.
+    assert replies("fe", "exemplar", "sent", "annoset", "exemplar x", "sent 1.5") == [
+        "usage: fe <name>\n", "usage: exemplar <k>\n", "usage: sent <k>\n",
+        "usage: annoset <k>\n", "usage: exemplar <k>\n", "usage: sent <k>\n",
+    ]
     # So does a line with more words than its command takes, keeping the context.
     got = replies("lu 6067", "exemplar 0 1", "lus ^re 347", "frame Revenge extra words",
                   "lus --frame 347", "up x", "help x", "exemplar 0")

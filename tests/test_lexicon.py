@@ -188,6 +188,7 @@ REVENGE_LUS = [6056, 6057, 6058, *range(6065, 6077), 10003, 10124, 10676]
 REVENGE_FES = [(347, fe_id) for fe_id in [*range(3009, 3019), 3020, 3021, 3022, 12060]]
 REWARDS_FES = [(344, fe_id) for fe_id in range(2501, 2509)]
 REVENGE, REWARDS = "frame/Revenge.xml", "frame/Rewards_and_punishments.xml"
+TIGER, TIGER_SENTS = "fulltext/Tiger_Of_San_Pedro.xml", [4148526, 4148527, 4148528]
 
 
 QUERIES = [
@@ -203,11 +204,15 @@ QUERIES = [
     ("fes(frame='^Re')", REWARDS_FES + REVENGE_FES, [REWARDS, REVENGE]),
     ("fes(frame='347')", REVENGE_FES, [REVENGE]),
     ("frame_relations()", [810, 802, 803, 820], ["frRelation.xml"]),
+    ("frame_relations(frame=347, frame2='Rewards_and_punishments')", [810], ["frRelation.xml"]),
     ("fe_relations()", [*range(9001, 9009), *range(9101, 9105), 9201], ["frRelation.xml"]),
     ("propagate_semtypes()", 4, ["frRelation.xml", REWARDS, "semTypes.xml", REVENGE,
                                  "frame/Event.xml", "frame/Becoming_aware.xml"]),
     ("doc('23802')", 23802, ["fulltextIndex.xml", "fulltext/Tiger_Of_San_Pedro.xml"]),
     ("semtype('4')", 4, ["semTypes.xml"]),
+    ("ft_sents('^T')", TIGER_SENTS, ["fulltextIndex.xml", TIGER]),
+    ("ft_sents()", TIGER_SENTS, ["fulltextIndex.xml", TIGER,
+                                 "fulltext/Sherlock__Wisteria_Report.xml"]),
 ]
 
 

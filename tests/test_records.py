@@ -31,7 +31,7 @@ def test_setattr_writes_through_to_mapping():
 
 def test_repr_shows_id_and_name():
     r = Record(_type="frame", ID=347, name="Revenge")
-    assert repr(r) == "<frame ID=347 name=Revenge>"
+    assert repr(r) == str(r) == f"{r}" == "<frame ID=347 name=Revenge>"
 
 
 def test_repr_without_id():

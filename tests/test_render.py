@@ -225,6 +225,25 @@ def test_every_tag_shows_whole_with_its_flags(lexicon):
     assert checked > 50
 
 
+def test_a_fulltext_set_without_a_target_marks_nothing():
+    """Set 1 has only an empty FE layer, set 2 a target: only set 2 is tagged."""
+    xml = (
+        '<fullTextAnnotation><header><corpus name="C" ID="1"><document ID="1" name="D"/>'
+        '</corpus></header><sentence ID="8"><text>She paid up</text>'
+        '<annotationSet ID="0" status="UNANN"/><annotationSet ID="1" status="MANUAL" '
+        'frameName="Paying"><layer name="FE"/></annotationSet><annotationSet ID="2" '
+        'status="MANUAL" frameName="Commerce_pay"><layer name="Target">'
+        '<label name="Target" start="4" end="7"/></layer></annotationSet></sentence>'
+        "</fullTextAnnotation>"
+    )
+    sent = parse_fulltext_file(xml.encode(), "no_target.xml").sentences[0]
+    [[text, *rows]] = _blocks(render_fulltext_sentence(sent))
+    assert text == "She paid up"
+    assert rows[0] == " " * 4 + "*" * (7 - 4 + 1)  # the target's columns, 4 to 7
+    assert " " * 4 + "[2]" in rows
+    assert not any("[1]" in row for row in rows)
+
+
 def test_wrap_splits_a_word_longer_than_the_width():
     text = "a " + "x" * 45 + " b"
     segments = wrap_segments(text, 20)

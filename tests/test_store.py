@@ -132,18 +132,22 @@ def test_zero_count_lu_needs_no_file(store):
     assert store.fileAccessLog == before
 
 
+# The file and annotation set that name LU 18997, which the index lacks.
+SEEKING_SET = ("fulltext/Tiger_Of_San_Pedro.xml", Record(_type="annotationset", ID=41485284))
+
+
 def test_problem_lu_stub(store):
-    stub = store.resolve_annotation_lu(18997, "look.v", 2001, "Seeking")
+    stub = store.resolve_annotation_lu(18997, "look.v", 2001, "Seeking", *SEEKING_SET)
     assert stub.status == "Problem"
     assert stub.name == "look.v"
     assert stub.POS == "V"
-    assert store.resolve_annotation_lu(18997, "look.v", 2001, "Seeking") is stub
+    assert store.resolve_annotation_lu(18997, "look.v", 2001, "Seeking", *SEEKING_SET) is stub
     assert stub.frame.name == "Seeking"
 
 
 def test_problem_lu_lists_the_attributes_of_a_frame_lu(store):
     stub = store.get_frame("Revenge").lexUnit["revenge.n"]
-    problem = store.resolve_annotation_lu(18997, "look.v", 2001, "Seeking")
+    problem = store.resolve_annotation_lu(18997, "look.v", 2001, "Seeking", *SEEKING_SET)
     assert problem.status == "Problem"
     assert attribute_names(problem) == attribute_names(stub)
 

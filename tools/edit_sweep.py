@@ -11,11 +11,15 @@ The edits, each made alone, at every spot it applies to:
 Each edited file is served from memory, with the other files as they are,
 by a ``Store`` whose ``_read`` logs each file as ``Store._read`` does.
 Every record read from the edited file is then walked and rendered
-(``walk_file``).  Only a ``FramelexError`` may escape.
+(``walk_file``).  Only a ``FramelexError`` may escape, and a run that
+ends without one must have read the edited file: ``walk_file`` finds a
+full-text file's document by its own copy of the store's file naming rule,
+so a run that never read its file checked nothing.
 
 Prints the number of runs for each edit kind.  Exits 1 if any other
-exception escaped, naming the file and the edit of each.  On the test
-fixture that is 30,216 runs, about 3 minutes on one Xeon core.
+exception escaped (``ESCAPED``) or a run never read its file (``UNREAD``),
+naming the file and the edit of each.  On the test fixture that is 30,216
+runs, about 3 minutes on one Xeon core.
 
 Usage (from the root of a checkout; stdlib only, no install needed):
 
@@ -160,27 +164,33 @@ class MemoryStore(Store):
 
 def sweep(root):
     """Run every edit of every XML file under ``root``; the number of runs
-    whose exception was not a ``FramelexError``."""
+    whose exception was not a ``FramelexError``, or that ended without one
+    and without reading the edited file."""
     root = Path(root)
     paths = sorted(root.rglob("*.xml"))
     files = {path.relative_to(root).as_posix(): path.read_bytes() for path in paths}
-    runs, escaped, started = Counter(), 0, time.perf_counter()
+    runs, escaped, unread, started = Counter(), 0, 0, time.perf_counter()
     for relpath, data in files.items():
         for kind, where, edited in _edits(data.decode("utf-8")):
             edited_files = {**files, relpath: edited.encode()}
             try:  # opening the store reads the frame index, which may be the edited file
-                walk_file(FrameLexicon(MemoryStore(root, edited_files)), relpath)
+                store = MemoryStore(root, edited_files)
+                walk_file(FrameLexicon(store), relpath)
             except FramelexError:
                 pass
             except Exception as exc:
                 escaped += 1
                 print(f"ESCAPED {relpath}, {kind}, {where}: {type(exc).__name__}: {exc}")
+            else:
+                if relpath not in store.fileAccessLog:
+                    unread += 1
+                    print(f"UNREAD {relpath}, {kind}, {where}")
             runs[kind] += 1
     for kind, count in runs.items():
         print(f"{kind}: {count} runs")
     print(f"{sum(runs.values())} runs over {len(files)} files in "
-          f"{time.perf_counter() - started:.0f} s; {escaped} escaped")
-    return escaped
+          f"{time.perf_counter() - started:.0f} s; {escaped} escaped, {unread} unread")
+    return escaped + unread
 
 
 def main(argv=None):
