@@ -172,13 +172,15 @@ class Store:
         """The frame a reference names, by ID, or by name when the ID is None.
 
         ``referrer`` is the record of file ``source`` that holds the
-        reference; a frame the index lacks is an IntegrityError naming both.
+        reference.  A frame the index lacks, or a name beside the ID that is
+        not the index's name for it, is an IntegrityError naming both.
         """
         key = frame_name if frame_id is None else frame_id
+        what = f"{source}: {referrer['_type']} {referrer['ID']} names"
         if not self.frame_defined(key):
-            raise IntegrityError(
-                f"{source}: {referrer['_type']} {referrer['ID']} names unknown frame {key!r}"
-            )
+            raise IntegrityError(f"{what} unknown frame {key!r}")
+        if frame_id is not None and frame_name not in (None, self._frame_rows[frame_id][1]):
+            raise IntegrityError(f"{what} frame {frame_name!r} by another ID ({frame_id})")
         return self.get_frame(key)
 
     def resolve_semtype_ref(self, st_id, st_name, source, referrer):

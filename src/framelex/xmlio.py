@@ -37,15 +37,20 @@ checked as they are read, in one walk over each annotation set's layers.
 Span convention: label offsets are 0-based with inclusive ends, exactly as
 stored in the files.  No adjustment happens at parse time.
 
-Labels and LU stubs are compact until read.  A spanned label is parsed into
-one ``(start, end, name)`` tuple, ``((start, end, name), feID)`` when it names
-an FE; a label without a span (a null instantiation) is a ``Record`` at once.
-The span views (``Target`` aside) hold those same tuples, and an annotation
-set's ``layer`` is a ``Lazy`` over ``((rank, name, labels), ...)`` that builds
-the layer and label records on first read.  An LU stub's ``lexemes`` is a
-``Lazy`` over its lexemes' checked ``(name, POS, headword, breakBefore,
-order)`` tuples, and its ``sentenceCount`` one over its checked counts; each
-builds its records on first read, and every check runs when the frame loads.
+Annotation sets and LU stubs are compact until read.  A set keeps its layers
+as one flat tuple: ``rank, name, n`` for each layer, then four slots for each
+of its ``n`` labels, ``start, end, name, feID``.  A label without a span (a
+null instantiation) is a ``Record`` at once, in slots ``None, None, record,
+None``.  One helper, ``_view``, computes each span view from the tuple:
+``Target`` and ``FE`` when the set is parsed, as a sweep reads them; ``GF``,
+``PT``, ``POS`` and the POS-specific views as ``Lazy``s, on first read.  A
+lexicographic sentence holds its frame set's ``Lazy``s themselves, so both
+read one list.  The set's ``layer`` is a ``Lazy`` over the same tuple that
+builds the layer and label records on first read.  An LU stub's ``lexemes``
+is a ``Lazy`` over its lexemes' checked ``(name, POS, headword,
+breakBefore, order)`` tuples, and its ``sentenceCount`` one over its checked
+counts; each builds its records on first read, and every check runs when
+the frame loads.
 
 Strings from a small vocabulary are interned, as they repeat across the
 corpus: label and layer names, the LU index's frame names and statuses, a
@@ -565,15 +570,17 @@ _STRICT_SPAN_LAYERS = frozenset(_MIRRORED_VIEWS + POS_TAGSET_LAYERS)
 _START_END = itemgetter(0, 1)
 
 
-def _parse_label(attrs, source, layer_name, text_len, sent_id, fe_ids):
+def _parse_label(attrs, source, layer_name, text_len, sent_id, fe_ids, slots):
+    """Check one label and append its four slots to ``slots``: ``start, end,
+    name, feID``, or ``None, None, record, None`` for a label with no span."""
     try:  # Most labels: a span inside the text, naming a known FE if any.
-        span = (int(attrs["start"]), int(attrs["end"]), sys.intern(attrs["name"]))
-        fe_id = attrs.get("feID")
-        if 0 <= span[0] <= span[1] < text_len and "itype" not in attrs:
-            if fe_id is None:
-                return span
-            if fe_ids is None or int(fe_id) in fe_ids:
-                return span, int(fe_id)
+        start, end, fe_id = int(attrs["start"]), int(attrs["end"]), attrs.get("feID")
+        if 0 <= start <= end < text_len and "itype" not in attrs:
+            if fe_id is not None:
+                fe_id = int(fe_id)
+            if fe_id is None or fe_ids is None or fe_id in fe_ids:
+                slots += (start, end, sys.intern(attrs["name"]), fe_id)
+                return
     except (KeyError, ValueError):
         pass  # Read again below, field by field, to name the fault.
     tag = "label"
@@ -610,83 +617,82 @@ def _parse_label(attrs, source, layer_name, text_len, sent_id, fe_ids):
         label["itype"] = itype
     if fe_id is not None:
         label["feID"] = fe_id
-    return label
+    slots += (None, None, label, None)
 
 
 def _parse_layers(layer_nodes, source, text_len, sent_id, fe_ids):
-    """A set's layer atoms, ``((rank, name, labels), ...)`` with ``labels`` as
-    ``_parse_label`` returns them, and its labels grouped by layer name:
-    ``groups[name]`` lists one ``(rank, spans, unspanned labels)`` per layer of
-    that name, ``spans`` being its ``(start, end, label name)`` tuples.
-    Everything is in file order.
+    """A set's layers as one flat tuple, in file order: ``rank, name, n`` for
+    each layer, then ``_parse_label``'s four slots for each of its ``n``
+    labels.  Also the set of its layer names.
     """
-    layers = []
-    groups = {}
+    flat, names = [], set()
     for _, layer_attrs, _, leaves, _ in layer_nodes:
-        layer_name = sys.intern(_attr("layer", layer_attrs, "name", source))
-        labels, spans, unspanned = [], [], []
-        for attrs in leaves["label"]:
-            label = _parse_label(attrs, source, layer_name, text_len, sent_id, fe_ids)
-            labels.append(label)
-            if isinstance(label, Record):
-                unspanned.append(label)
-            else:
-                spans.append(label if len(label) == 3 else label[0])
-        rank = _attr("layer", layer_attrs, "rank", source, 1)
-        layers.append((rank, layer_name, tuple(labels)))
-        groups.setdefault(layer_name, []).append((rank, spans, unspanned))
-    return tuple(layers), groups
+        name = sys.intern(_attr("layer", layer_attrs, "name", source))
+        labels = leaves["label"]
+        head = len(flat)
+        flat += (None, name, len(labels))
+        for attrs in labels:
+            _parse_label(attrs, source, name, text_len, sent_id, fe_ids, flat)
+        flat[head] = _attr("layer", layer_attrs, "rank", source, 1)
+        names.add(name)
+    return tuple(flat), names
 
 
-def _layer_records(layers):
-    """The layer records of ``_parse_layers``'s atoms, labels as records."""
+def _layers(flat, name=None):
+    """The layers of a flat layer tuple, or those named ``name``, in file
+    order: ``(rank, name, the slots of its labels)`` each."""
+    i, size = 0, len(flat)
+    while i < size:
+        stop = i + 3 + 4 * flat[i + 2]
+        if name is None or flat[i + 1] == name:
+            yield flat[i], flat[i + 1], flat[i + 3 : stop]
+        i = stop
+
+
+def _layer_records(flat):
+    """The layer records of a flat layer tuple, labels as records."""
     return [
-        Record(rank=rank, name=name, label=[_label_record(label) for label in labels])
-        for rank, name, labels in layers
+        Record(rank=rank, name=name, label=[
+            _label_record(*slots[k : k + 4]) for k in range(0, len(slots), 4)
+        ])
+        for rank, name, slots in _layers(flat)
     ]
 
 
-def _label_record(label):
-    if isinstance(label, Record):
-        return label
-    span, fe_id = (label, None) if len(label) == 3 else label
-    start, end, name = span
+def _label_record(start, end, name, fe_id):
+    if start is None:
+        return name  # a label with no span, a record already
     record = Record(start=start, end=end, name=name)
     if fe_id is not None:
         record["feID"] = fe_id
     return record
 
 
-def _add_views(aset, groups):
-    """Attach convenience views of the known layers to an annotation set."""
-
-    def spans(name):
-        merged = [span for _, layer_spans, _ in groups[name] for span in layer_spans]
-        return sorted(merged, key=_START_END)
-
-    if "Target" in groups:
-        aset["Target"] = [(start, end) for start, end, _ in spans("Target")]
-    if "FE" in groups:
-        # Ranks merge in rank order: overt spans, then {name: itype}, {name: label}.
-        overt, ni, ni_detail = [], {}, {}
-        for _, layer_spans, unspanned in sorted(groups["FE"], key=itemgetter(0)):
-            overt.extend(sorted(layer_spans, key=_START_END))
-            for label in unspanned:
+def _view(flat, name):
+    """View ``name`` of a flat layer tuple: the ``(start, end, label name)``
+    spans on the layers of that name, sorted by start and end.  ``Target``
+    keeps start and end.  ``FE`` sorts each layer's spans alone, in rank
+    order, and adds the labels with no span: ``(spans, {name: itype},
+    {name: label})``.
+    """
+    layers = [(rank, slots) for rank, _, slots in _layers(flat, name)]
+    if name != "FE":
+        spans = sorted([span for _, slots in layers for span in _spans(slots)], key=_START_END)
+        return [(start, end) for start, end, _ in spans] if name == "Target" else spans
+    overt, ni, ni_detail = [], {}, {}
+    for _, slots in sorted(layers, key=itemgetter(0)):
+        overt += sorted(_spans(slots), key=_START_END)
+        for start, label in zip(slots[::4], slots[2::4]):
+            if start is None:
                 ni.setdefault(label["name"], label["itype"])
                 ni_detail.setdefault(label["name"], label)
-        aset["FE"] = (overt, ni, ni_detail)
-    for known in ("GF", "PT"):
-        if known in groups:
-            aset[known] = spans(known)
-    tagset = next((name for name in POS_TAGSET_LAYERS if name in groups), None)
-    if tagset is not None:
-        aset["POS"] = spans(tagset)
-        aset["POS_tagset"] = tagset
-    for pos_layer in POS_SPECIFIC_LAYERS:
-        if pos_layer in groups:
-            pos_spans = spans(pos_layer)
-            if pos_spans:
-                aset[pos_layer] = pos_spans
+    return overt, ni, ni_detail
+
+
+def _spans(slots):
+    """The ``(start, end, name)`` of a layer's labels with a span, in file order."""
+    starts = range(0, len(slots), 4)
+    return [(slots[k], slots[k + 1], slots[k + 2]) for k in starts if slots[k] is not None]
 
 
 def _parse_annotation_set(node, source, sent, link, fe_ids):
@@ -697,9 +703,22 @@ def _parse_annotation_set(node, source, sent, link, fe_ids):
     aset["_type"] = "annotationset"
     link(attrs, aset)
     aset["sent"] = sent
-    layers, groups = _parse_layers(layer_nodes, source, len(sent["text"]), sent["ID"], fe_ids)
-    aset["layer"] = Lazy(_layer_records, layers)
-    _add_views(aset, groups)
+    flat, names = _parse_layers(layer_nodes, source, len(sent["text"]), sent["ID"], fe_ids)
+    aset["layer"] = Lazy(_layer_records, flat)
+    # Target and FE at once, as a sweep reads them; the other views on first read.
+    for view in ("Target", "FE"):
+        if view in names:
+            aset[view] = _view(flat, view)
+    for view in ("GF", "PT"):
+        if view in names:
+            aset[view] = Lazy(_view, flat, view)
+    tagset = next((name for name in POS_TAGSET_LAYERS if name in names), None)
+    if tagset is not None:
+        aset["POS"] = Lazy(_view, flat, tagset)
+        aset["POS_tagset"] = tagset
+    for view in POS_SPECIFIC_LAYERS:
+        if view in names and any(_spans(slots) for _, _, slots in _layers(flat, view)):
+            aset[view] = Lazy(_view, flat, view)
     return aset
 
 
@@ -726,15 +745,18 @@ def _parse_sentence(node, source, link, doc=None, fe_ids=None):
     asets = [_parse_annotation_set(set_node, source, sent, link, fe_ids) for set_node in set_nodes]
     sent["annotationSet"] = asets
     first_set = asets[0] if asets else {}
-    sent["POS"] = first_set.get("POS", [])
+    sent["POS"] = dict.get(first_set, "POS", [])
     sent["POS_tagset"] = first_set.get("POS_tagset", "")
     if fulltext:
         sent["doc"] = doc
     else:
-        # The frame annotation set's views are mirrored onto the sentence.
+        # The frame annotation set's views are mirrored onto the sentence, a
+        # lazy one as its ``Lazy``, so that both read the one list it builds.
         frame_set = asets[1] if len(asets) > 1 else {}
         sent.update({"Target": [], "FE": ([], {}, {}), "GF": [], "PT": []})
-        sent.update((key, frame_set[key]) for key in _MIRRORED_VIEWS if key in frame_set)
+        sent.update(
+            (key, dict.__getitem__(frame_set, key)) for key in _MIRRORED_VIEWS if key in frame_set
+        )
     return sent
 
 

@@ -505,10 +505,17 @@ def test_bad_pattern_fails_before_any_file_is_read(data_dir, scan):
 
 def test_sentence_sweep_builds_no_layer_records(lexicon):
     sets = spans = 0
+    lazy = {}  # (sentence kind, key): sets holding that key as a raw Lazy
     for sent in lexicon.sents():
         for aset in sent.annotationSet:
-            # Reading the span views must not build the layer records.
+            # Reading Target and FE must build neither the layer records nor
+            # the other views.
             spans += len(aset.get("Target", [])) + len(aset.get("FE", ([],))[0])
-            assert isinstance(dict.__getitem__(aset, "layer"), Lazy), aset.ID
+            for key in ("layer", "GF", "PT", "POS"):
+                if key in aset:
+                    assert isinstance(dict.__getitem__(aset, key), Lazy), (aset.ID, key)
+                    lazy[sent._type, key] = lazy.get((sent._type, key), 0) + 1
             sets += 1
     assert sets > 50 and spans > 50
+    assert all(lazy.get((kind, key)) for kind in ("sentence", "fulltext_sentence")
+               for key in ("layer", "GF", "PT", "POS"))

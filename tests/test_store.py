@@ -782,6 +782,43 @@ def test_fulltext_set_naming_unknown_frame_is_an_integrity_error(data_dir, tmp_p
         lex.frame(99999)
 
 
+def _relation_810(lex):
+    return next(rel for rel in lex.frame_relations() if rel.ID == 810)
+
+
+def _set_41485272(lex):
+    sets = (aset for sent in lex.doc(23802).sentences for aset in sent.annotationSet)
+    return next(aset for aset in sets if aset.ID == 41485272)
+
+
+@pytest.mark.parametrize(
+    "relpath, old, new, message, touch",
+    [
+        ("frRelation.xml", 'superFrameName="Rewards_and_punishments"', 'superFrameName="Revenge"',
+         "framerelation 810 names frame 'Revenge' by another ID (344)",
+         lambda lex: _relation_810(lex).superFrame),
+        ("frRelation.xml", 'subFrameName="Revenge" supID="344"', 'subFrameName="Nope" supID="344"',
+         "framerelation 810 names frame 'Nope' by another ID (347)",
+         lambda lex: _relation_810(lex).subFrame),
+        ("fulltext/Tiger_Of_San_Pedro.xml",
+         'frameName="Process_start" status="MANUAL" ID="41485272"',
+         'frameName="Seeking" status="MANUAL" ID="41485272"',
+         "annotationset 41485272 names frame 'Seeking' by another ID (2002)",
+         lambda lex: _set_41485272(lex).frame),
+    ],
+)
+def test_frame_name_beside_another_frame_id_is_an_integrity_error(
+    data_dir, tmp_path, relpath, old, new, message, touch
+):
+    clone = _corrupt_copy(data_dir, tmp_path, relpath, old, new)
+    lex = open_lexicon(clone)
+    for _ in range(2):
+        with pytest.raises(IntegrityError) as info:
+            touch(lex)
+        assert str(info.value) == f"{relpath}: {message}"
+    assert lex.store.fileAccessLog.count(relpath) == 1
+
+
 @pytest.mark.parametrize(
     "relpath, old, referrer, read, argv",
     [

@@ -5,13 +5,17 @@ so a parser that silently drops or duplicates elements cannot agree with
 them by construction.
 """
 
+import os
 import re
 import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
+from xml.etree import ElementTree
 
 import pytest
 
+from framelex import open_lexicon
 from framelex.errors import CorpusError, IntegrityError, ParseError
 from framelex.records import Lazy, Record, attribute_names
 from framelex.xmlio import (
@@ -765,6 +769,59 @@ def test_lazy_layers_match_raw_xml(data_dir):
                     assert any(label is other for other in fe_labels), (source, aset.ID)
             checked += 1
     assert checked > 50
+
+
+def _assert_corpus_sets_match_raw_xml(root):
+    """Every annotation set that a lexicon on corpus ``root`` builds, exemplar
+    and full-text, has the views and the layer records of an ElementTree
+    re-parse of its file, and a sentence's views are its sets' own lists."""
+    lex = open_lexicon(root)
+    checked = {"lexUnit": 0, "fullTextAnnotation": 0}
+    for path in sorted((root / "lu").glob("*.xml")) + sorted((root / "fulltext").glob("*.xml")):
+        xml_root = ElementTree.parse(path).getroot()
+        kind = _local(xml_root.tag)
+        if kind == "lexUnit":
+            sents = lex.lu(int(xml_root.get("ID"))).exemplars
+        else:
+            doc_elt = next(elt for elt in xml_root.iter() if _local(elt.tag) == "document")
+            sents = lex.doc(int(doc_elt.get("ID"))).sentences
+        sent_elts = [elt for elt in xml_root.iter() if _local(elt.tag) == "sentence"]
+        assert [int(elt.get("ID")) for elt in sent_elts] == [sent.ID for sent in sents], path
+        for sent_elt, sent in zip(sent_elts, sents):
+            asets = sent.annotationSet
+            # The sentence's views first: its sets must then return the same lists.
+            mirrored = [("POS", 0)]
+            if kind == "lexUnit":
+                mirrored += [(key, 1) for key in ("Target", "FE", "GF", "PT") + SUPPORT_LAYERS]
+            for key, k in mirrored:
+                if k < len(asets) and key in asets[k]:
+                    assert sent[key] is asets[k][key], (path, sent.ID, key)
+            set_elts = _children(sent_elt, "annotationSet")
+            assert [int(elt.get("ID")) for elt in set_elts] == [aset.ID for aset in asets]
+            for set_elt, aset in zip(set_elts, asets):
+                where = (path, aset.ID)
+                assert _parsed_views(aset) == _oracle_views(set_elt), where
+                got = [
+                    (layer.rank, layer.name, [list(label.items()) for label in layer.label])
+                    for layer in aset.layer
+                ]
+                assert got == _oracle_layers(set_elt), where
+                checked[kind] += 1
+    return checked
+
+
+def test_fixture_sets_match_raw_xml_through_the_lexicon(data_dir):
+    checked = _assert_corpus_sets_match_raw_xml(data_dir)
+    assert checked == {"lexUnit": 46, "fullTextAnnotation": 9}
+
+
+@pytest.mark.skipif(
+    not os.environ.get("FRAMELEX_DATA"),
+    reason="needs a full-size corpus in FRAMELEX_DATA",
+)
+def test_full_corpus_sets_match_raw_xml_through_the_lexicon():
+    checked = _assert_corpus_sets_match_raw_xml(Path(os.environ["FRAMELEX_DATA"]))
+    assert checked["lexUnit"] > 1000 and checked["fullTextAnnotation"] > 1000
 
 
 def test_concurrent_first_reads_of_a_layer_build_one_list(data_dir):

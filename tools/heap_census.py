@@ -9,6 +9,8 @@ prints:
   sweep, counted through ``gc.callbacks`` (framelex pauses the collector
   while it loads a file, so these run between loads);
 - held MB: memory still allocated since the lexicon was opened (tracemalloc);
+- the five source lines that allocated the most of that memory, each with
+  its MB and its count of blocks still held;
 - held MB with every frame loaded: the same, on a second fresh lexicon after
   ``fes()``, which loads every frame file, as a browsing session comes to hold;
 - GC-tracked objects: ``len(gc.get_objects())`` once a full collection no
@@ -34,14 +36,16 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from framelex import FrameLexicon, Record  # noqa: E402
 
 
 def census(data_dir):
     """(held bytes, sentences, sweep seconds, collections by generation,
-    tracked objects, settling collections, Records by kind)."""
+    tracked objects, settling collections, Records by kind, the five
+    largest allocation sites of the held bytes)."""
     collections = Counter()
 
     def count(phase, info):
@@ -65,10 +69,11 @@ def census(data_dir):
         if tracked >= previous:
             break
     held = tracemalloc.get_traced_memory()[0]
+    sites = tracemalloc.take_snapshot().statistics("lineno")[:5]
     tracemalloc.stop()
     objects = gc.get_objects()
     kinds = Counter(dict.get(obj, "_type", "-") for obj in objects if isinstance(obj, Record))
-    return held, sentences, seconds, collections, tracked, passes, kinds
+    return held, sentences, seconds, collections, tracked, passes, kinds, sites
 
 
 def frames_held(data_dir):
@@ -86,12 +91,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--data", required=True, help="corpus directory")
     args = parser.parse_args(argv)
-    held, sentences, seconds, collections, tracked, passes, kinds = census(args.data)
+    held, sentences, seconds, collections, tracked, passes, kinds, sites = census(args.data)
     print(f"sentences          {sentences}")
     print(f"sweep s            {seconds:.2f} (under tracemalloc)")
     counts = " ".join(f"gen{gen} {collections[gen]}" for gen in range(3))
     print(f"collections        {counts} (during the sweep)")
-    print(f"held MB            {held / 1e6:.1f}")
+    print(f"held MB            {held / 1e6:.1f}, largest sites:")
+    for site in sites:
+        frame = site.traceback[0]
+        where = Path(frame.filename).resolve()
+        where = where.relative_to(ROOT) if where.is_relative_to(ROOT) else where
+        print(f"  {where}:{frame.lineno:<6} {site.size / 1e6:6.2f} MB {site.count:>9} blocks")
     print(f"held MB with every frame loaded {frames_held(args.data) / 1e6:.1f}")
     print(f"GC-tracked objects {tracked} (after {passes} full collections)")
     print(f"Records            {sum(kinds.values())}")
