@@ -7,20 +7,29 @@ insertion order and the constructors in the rest of the package always insert
 in a fixed canonical order, so the attribute listing of a given entity kind is
 stable across calls and processes.
 
-Values that are expensive to obtain (exemplar sentences, cross-file
-references, an annotation set's layer and label records) are stored as
-``Lazy`` thunks.  ``Lazy(fn, *args)`` holds a callable and its arguments, so a
-thunk needs no closure.  The thunk is resolved on first read and the resolved
-value is written back, so repeated reads return the identical object.  A
-first resolution runs under ``LOCK``, so threads that first touch a value
-together resolve it once.  ``Lazy`` is the package's one once-only
-mechanism: the store's memo keeps a ``Lazy`` per entry, so every file loads
-by resolving one.  Resolving a value may load a file and loading a file may
-resolve values, so one re-entrant lock serves both; two could deadlock
-against each other.  A build that fails with a ``ParseError`` or an
-``IntegrityError`` fails the same way on every later resolve, without
-running again: a file that does not load is read once.  Any other error,
-such as a read that failed, leaves the thunk to be tried again.
+A value built on first read is a ``Derived``.  ``Record`` calls its
+``derive(record, key)`` under ``LOCK`` and writes back what it returns, so
+repeated reads return the identical object, and threads that first touch a
+value together build it once.  A read of any other value pays one
+``isinstance`` check.  There are two kinds:
+
+- ``Lazy(fn, *args)`` holds a callable and its arguments, so a thunk needs no
+  closure.  It is the package's one mechanism for a value that reads a file
+  or can fail: exemplar sentences, cross-file references, and the store's
+  memo, which keeps a ``Lazy`` per entry, so every file loads by resolving
+  one.  A build that fails with a ``ParseError`` or an ``IntegrityError``
+  fails the same way on every later resolve, without running again: a file
+  that does not load is read once.  Any other error, such as a read that
+  failed, leaves the thunk to be tried again.
+- Every other ``Derived`` is built from data its record already holds, and
+  costs no object of its own: the value is that data, as an annotation set's
+  flat layer tuple, which sits in its ``layer`` and view slots, or an LU
+  stub's lexeme and sentence count tuples; or one singleton shared by every
+  record, as the report ``URL`` and a sentence's views that mirror its
+  annotation sets'.
+
+Resolving a value may load a file and loading a file may resolve values, so
+one re-entrant lock serves both; two could deadlock against each other.
 
 Everything that runs under ``LOCK`` runs through ``build``, with the cyclic
 garbage collector paused.  A file's parse makes many short-lived containers;
@@ -52,7 +61,14 @@ def build(fn, *args):
                 gc.enable()
 
 
-class Lazy:
+class Derived:
+    """A value that its record builds on first read: ``derive(record, key)``,
+    which subclasses define."""
+
+    __slots__ = ()
+
+
+class Lazy(Derived):
     """A deferred value: ``fn(*args)``, evaluated at most once."""
 
     __slots__ = ("_fn", "_args", "_value", "_done")
@@ -78,6 +94,9 @@ class Lazy:
                     self._done = True
         return self._value
 
+    def derive(self, record, key):
+        return self.resolve()
+
 
 def _fail(error, *args):
     raise error(*args)
@@ -93,12 +112,18 @@ def unbound_lazy(what):
 
 
 class Record(dict):
-    """Dict with attribute access, a kind tag, and transparent lazy values."""
+    """Dict with attribute access, a kind tag, and transparent lazy and derived values."""
 
     def __getitem__(self, key):
         value = dict.__getitem__(self, key)
-        if isinstance(value, Lazy):
-            value = value.resolve()
+        if isinstance(value, Derived):
+            value = build(self._derive, key)
+        return value
+
+    def _derive(self, key):
+        value = dict.__getitem__(self, key)
+        if isinstance(value, Derived):  # not yet built by another thread
+            value = value.derive(self, key)
             dict.__setitem__(self, key, value)
         return value
 

@@ -11,11 +11,16 @@ record that loaded them, so the store returns their records unchanged.
 Every file actually opened is appended to ``fileAccessLog`` (path relative to
 the corpus root, posix separators), which makes load behavior observable and
 replayable.  Every load resolves a ``records.Lazy``, the package's one
-once-only mechanism: the memo, ``Store._load``, keeps one ``Lazy`` per key,
-and an LU's exemplar file loads as its stub's ``subCorpus`` ``Lazy``.  So
-concurrent first accesses to the same entity parse its file exactly once,
-repeated lookups return the identical cached record, and no collection runs
-while a file is parsed.
+once-only mechanism for a value that reads a file or can fail: the memo,
+``Store._load``, keeps one ``Lazy`` per key, and an LU's exemplar file loads
+as its stub's ``subCorpus`` ``Lazy``.  So concurrent first accesses to the
+same entity parse its file exactly once, repeated lookups return the
+identical cached record, and no collection runs while a file is parsed.  A
+``Lazy`` is one kind of ``records.Derived``.  Every other kind loads no
+file: it is built from what its record holds (an annotation set's layer
+tuple in its ``layer`` and views, an LU stub's ``lexemes`` and
+``sentenceCount``, a frame's or LU's ``URL``, a sentence's mirrored views),
+under the same lock.
 
 The parsers get the store itself and call back into it only through the five
 methods that ``xmlio``'s docstring names.

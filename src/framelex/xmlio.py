@@ -43,14 +43,18 @@ of its ``n`` labels, ``start, end, name, feID``.  A label without a span (a
 null instantiation) is a ``Record`` at once, in slots ``None, None, record,
 None``.  One helper, ``_view``, computes each span view from the tuple:
 ``Target`` and ``FE`` when the set is parsed, as a sweep reads them; ``GF``,
-``PT``, ``POS`` and the POS-specific views as ``Lazy``s, on first read.  A
-lexicographic sentence holds its frame set's ``Lazy``s themselves, so both
-read one list.  The set's ``layer`` is a ``Lazy`` over the same tuple that
-builds the layer and label records on first read.  An LU stub's ``lexemes``
-is a ``Lazy`` over its lexemes' checked ``(name, POS, headword,
-breakBefore, order)`` tuples, and its ``sentenceCount`` one over its checked
-counts; each builds its records on first read, and every check runs when
-the frame loads.
+``PT``, ``POS`` and the POS-specific views on first read.  Until then those
+slots, and the set's ``layer``, which builds the layer and label records,
+hold the tuple itself, a ``_Packed``: a ``records.Derived`` value that
+builds what its slot's key names, so a set costs no object per slot.  An LU
+stub's ``lexemes`` is a ``_Packed`` of its lexemes' checked ``(name, POS,
+headword, breakBefore, order)`` tuples, and its ``sentenceCount`` one of its
+checked counts; each builds its records on first read, and every check runs
+when the frame loads.  One ``Derived`` singleton, ``_SHARED``, sits in every
+frame's and LU's ``URL``, which it builds from the name or ID, and in a
+sentence's ``POS`` and a lexicographic sentence's other unbuilt views, which
+it reads from the set, so that both hold one list.  ``Lazy`` is kept for
+references to other files and for what can fail.
 
 Strings from a small vocabulary are interned, as they repeat across the
 corpus: label and layer names, the LU index's frame names and statuses, a
@@ -86,7 +90,7 @@ from operator import itemgetter
 from xml.parsers import expat
 
 from .errors import CorpusError, IntegrityError, ParseError
-from .records import Lazy, Record, unbound_lazy
+from .records import Derived, Lazy, Record, unbound_lazy
 
 CORE_TYPES = ("Core", "Core-Unexpressed", "Peripheral", "Extra-Thematic")
 
@@ -399,7 +403,7 @@ def parse_frame_file(data, source="<data>", *, store=None):
     what = "semantic type references"
     refs = _semtype_refs(leaves["semType"], source, frame, store, what)
     frame["semTypes"] = Lazy(_resolve_all, refs) if refs else []
-    frame["URL"] = f"{_REPORT_BASE}/frame/{name}.xml"
+    frame["URL"] = _SHARED
 
     fe_ids = set()
     for node in members:
@@ -530,10 +534,10 @@ def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store=No
     lu["_type"] = "lu"
     lu["definition"] = strip_markup(markup)
     lu["definitionMarkup"] = markup
-    lu["lexemes"] = Lazy(_lexeme_records, *lexemes) if lexemes else []
-    lu["sentenceCount"] = Lazy(_sentence_count, *counts)
+    lu["lexemes"] = _Packed(lexemes) if lexemes else []
+    lu["sentenceCount"] = _Packed(counts)
     lu["frame"] = frame
-    lu["URL"] = f"{_REPORT_BASE}/lu/lu{lu_id}.xml"
+    lu["URL"] = _SHARED
     if total == 0:
         lu["subCorpus"] = []
         lu["exemplars"] = []
@@ -546,12 +550,37 @@ def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store=No
 _LEXEME_FIELDS = ("name", "POS", "headword", "breakBefore", "order")
 
 
-def _lexeme_records(*lexemes):
-    return [Record(zip(_LEXEME_FIELDS, lexeme)) for lexeme in lexemes]
+class _Packed(tuple, Derived):
+    """Checked data that its record builds into records on first read: an LU
+    stub's lexeme tuples or its (annotated, total) sentence count, or an
+    annotation set's flat layer tuple, which sits in its ``layer`` and in
+    each of its views but ``Target`` and ``FE``."""
+
+    __slots__ = ()
+
+    def derive(self, record, key):
+        if key == "lexemes":
+            return [Record(zip(_LEXEME_FIELDS, lexeme)) for lexeme in self]
+        if key == "sentenceCount":
+            return Record(annotated=self[0], total=self[1])
+        if key == "layer":
+            return _layer_records(self)
+        return _view(self, record["POS_tagset"] if key == "POS" else key)
 
 
-def _sentence_count(annotated, total):
-    return Record(annotated=annotated, total=total)
+class _Shared(Derived):
+    """The one value in every frame's and LU's ``URL``, built from its name or
+    ID, and in a sentence's unbuilt views, which read its annotation set's
+    own: set 0's ``POS``, and the frame set's (set 1's) others."""
+
+    def derive(self, record, key):
+        if key != "URL":
+            return record["annotationSet"][0 if key == "POS" else 1][key]
+        path = f"frame/{record['name']}" if record["_type"] == "frame" else f"lu/lu{record['ID']}"
+        return f"{_REPORT_BASE}/{path}.xml"
+
+
+_SHARED = _Shared()
 
 
 def _exemplars_of(lu):
@@ -621,9 +650,9 @@ def _parse_label(attrs, source, layer_name, text_len, sent_id, fe_ids, slots):
 
 
 def _parse_layers(layer_nodes, source, text_len, sent_id, fe_ids):
-    """A set's layers as one flat tuple, in file order: ``rank, name, n`` for
-    each layer, then ``_parse_label``'s four slots for each of its ``n``
-    labels.  Also the set of its layer names.
+    """A set's layers as one flat ``_Packed`` tuple, in file order: ``rank,
+    name, n`` for each layer, then ``_parse_label``'s four slots for each of
+    its ``n`` labels.  Also the set of its layer names.
     """
     flat, names = [], set()
     for _, layer_attrs, _, leaves, _ in layer_nodes:
@@ -635,7 +664,7 @@ def _parse_layers(layer_nodes, source, text_len, sent_id, fe_ids):
             _parse_label(attrs, source, name, text_len, sent_id, fe_ids, flat)
         flat[head] = _attr("layer", layer_attrs, "rank", source, 1)
         names.add(name)
-    return tuple(flat), names
+    return _Packed(flat), names
 
 
 def _layers(flat, name=None):
@@ -704,21 +733,21 @@ def _parse_annotation_set(node, source, sent, link, fe_ids):
     link(attrs, aset)
     aset["sent"] = sent
     flat, names = _parse_layers(layer_nodes, source, len(sent["text"]), sent["ID"], fe_ids)
-    aset["layer"] = Lazy(_layer_records, flat)
+    aset["layer"] = flat
     # Target and FE at once, as a sweep reads them; the other views on first read.
     for view in ("Target", "FE"):
         if view in names:
             aset[view] = _view(flat, view)
     for view in ("GF", "PT"):
         if view in names:
-            aset[view] = Lazy(_view, flat, view)
+            aset[view] = flat
     tagset = next((name for name in POS_TAGSET_LAYERS if name in names), None)
     if tagset is not None:
-        aset["POS"] = Lazy(_view, flat, tagset)
+        aset["POS"] = flat
         aset["POS_tagset"] = tagset
     for view in POS_SPECIFIC_LAYERS:
         if view in names and any(_spans(slots) for _, _, slots in _layers(flat, view)):
-            aset[view] = Lazy(_view, flat, view)
+            aset[view] = flat
     return aset
 
 
@@ -745,18 +774,20 @@ def _parse_sentence(node, source, link, doc=None, fe_ids=None):
     asets = [_parse_annotation_set(set_node, source, sent, link, fe_ids) for set_node in set_nodes]
     sent["annotationSet"] = asets
     first_set = asets[0] if asets else {}
-    sent["POS"] = dict.get(first_set, "POS", [])
+    sent["POS"] = _SHARED if "POS" in first_set else []
     sent["POS_tagset"] = first_set.get("POS_tagset", "")
     if fulltext:
         sent["doc"] = doc
-    else:
-        # The frame annotation set's views are mirrored onto the sentence, a
-        # lazy one as its ``Lazy``, so that both read the one list it builds.
-        frame_set = asets[1] if len(asets) > 1 else {}
-        sent.update({"Target": [], "FE": ([], {}, {}), "GF": [], "PT": []})
-        sent.update(
-            (key, dict.__getitem__(frame_set, key)) for key in _MIRRORED_VIEWS if key in frame_set
-        )
+        return sent
+    # The frame annotation set's views are mirrored onto the sentence, an
+    # unbuilt one as ``_SHARED``, so that both read the one list it builds.
+    frame_set = asets[1] if len(asets) > 1 else {}
+    for key in _MIRRORED_VIEWS:
+        if key in frame_set:
+            value = dict.__getitem__(frame_set, key)
+            sent[key] = _SHARED if isinstance(value, Derived) else value
+        elif key not in POS_SPECIFIC_LAYERS:  # an empty one, as every sentence has
+            sent[key] = ([], {}, {}) if key == "FE" else []
     return sent
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from framelex import open_lexicon
 from framelex.errors import LookupFailure, PatternError
-from framelex.records import Lazy, Record
+from framelex.records import Derived, Lazy, Record
 
 
 def index_pairs(data_dir, filename, tag):
@@ -505,7 +505,7 @@ def test_bad_pattern_fails_before_any_file_is_read(data_dir, scan):
 
 def test_sentence_sweep_builds_no_layer_records(lexicon):
     sets = spans = 0
-    lazy = {}  # (sentence kind, key): sets holding that key as a raw Lazy
+    lazy = {}  # (sentence kind, key): sets holding that key unbuilt, as a raw Derived
     for sent in lexicon.sents():
         for aset in sent.annotationSet:
             # Reading Target and FE must build neither the layer records nor
@@ -513,7 +513,7 @@ def test_sentence_sweep_builds_no_layer_records(lexicon):
             spans += len(aset.get("Target", [])) + len(aset.get("FE", ([],))[0])
             for key in ("layer", "GF", "PT", "POS"):
                 if key in aset:
-                    assert isinstance(dict.__getitem__(aset, key), Lazy), (aset.ID, key)
+                    assert isinstance(dict.__getitem__(aset, key), Derived), (aset.ID, key)
                     lazy[sent._type, key] = lazy.get((sent._type, key), 0) + 1
             sets += 1
     assert sets > 50 and spans > 50

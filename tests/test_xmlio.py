@@ -6,6 +6,7 @@ them by construction.
 """
 
 import os
+import random
 import re
 import sys
 import threading
@@ -17,7 +18,7 @@ import pytest
 
 from framelex import open_lexicon
 from framelex.errors import CorpusError, IntegrityError, ParseError
-from framelex.records import Lazy, Record, attribute_names
+from framelex.records import Derived, Lazy, Record, attribute_names
 from framelex.xmlio import (
     LU_FIELDS,
     LU_FRAME_NAME,
@@ -445,8 +446,8 @@ def test_lu_stub_lexemes_and_sentence_counts_match_raw_xml(data_dir):
             expected = [_raw_lexeme(lex.attrib) for lex in _children(elt, "lexeme")]
             count = (_children(elt, "sentenceCount") or [ElementTree.Element("none")])[0]
             total = {key: int(count.get(key, "0")) for key in ("annotated", "total")}
-            assert isinstance(dict.__getitem__(lu, "lexemes"), Lazy) == bool(expected)
-            assert isinstance(dict.__getitem__(lu, "sentenceCount"), Lazy)
+            assert isinstance(dict.__getitem__(lu, "lexemes"), Derived) == bool(expected)
+            assert isinstance(dict.__getitem__(lu, "sentenceCount"), Derived)
             assert lu.lexemes == expected
             assert [list(lex) for lex in lu.lexemes] == [list(lex) for lex in expected]
             assert all(type(lex) is Record for lex in lu.lexemes)
@@ -753,7 +754,7 @@ def test_lazy_layers_match_raw_xml(data_dir):
         asets = [aset for sent in sents for aset in sent.annotationSet]
         assert [int(elt.get("ID")) for elt in set_elts] == [aset.ID for aset in asets]
         for set_elt, aset in zip(set_elts, asets):
-            assert isinstance(dict.__getitem__(aset, "layer"), Lazy)
+            assert isinstance(dict.__getitem__(aset, "layer"), Derived)
             layers = aset.layer
             assert aset.layer is layers
             assert isinstance(layers, list)
@@ -850,6 +851,99 @@ def test_concurrent_first_reads_of_a_layer_build_one_list(data_dir):
             assert aset.layer is seen[0]
     finally:
         sys.setswitchinterval(interval)
+
+
+
+_REPORTS = "https://framenet2.icsi.berkeley.edu/fnReports/data"
+
+
+def _derived_slots(data_dir):
+    """Freshly parsed fixture records, as units of two lists of ``(record,
+    key)`` slots that a first read builds: per sentence its mirrored views,
+    then its sets' ``layer`` and views; per frame nothing, then its ``URL``;
+    per LU stub nothing, then its ``URL``, ``sentenceCount`` and ``lexemes``.
+    Also the URLs that the frame files' ``name`` and ``ID`` give."""
+    units, urls = [], []
+    for path in sorted((data_dir / "frame").glob("*.xml")):
+        elt = ElementTree.fromstring(path.read_bytes())
+        frame = parse_frame_file(path.read_bytes(), path.name)
+        units.append(([], [(frame, "URL")]))
+        urls.append(f"{_REPORTS}/frame/{elt.get('name')}.xml")
+        for lu_elt in _children(elt, "lexUnit"):
+            lu = frame.lexUnit[lu_elt.get("name")]
+            keys = ["URL", "sentenceCount"] + ["lexemes"] * bool(_children(lu_elt, "lexeme"))
+            units.append(([], [(lu, key) for key in keys]))
+            urls.append(f"{_REPORTS}/lu/lu{lu_elt.get('ID')}.xml")
+    for source, data in _oracle_inputs(data_dir):
+        if b"<lexUnit" in data[:300]:
+            sents = [sent for sub in parse_lu_file(data, source) for sent in sub.sentence]
+        else:
+            sents = parse_fulltext_file(data, source).sentences
+        keys = ("layer", "GF", "PT", "POS") + SUPPORT_LAYERS
+        for sent in sents:
+            asets = sent.annotationSet
+            # Set 0's POS, and a lexicographic sentence's frame set's views.
+            mirrored = [("POS", asets[:1])]
+            if sent._type == "sentence":
+                mirrored += [(key, asets[1:2]) for key in ("GF", "PT") + SUPPORT_LAYERS]
+            units.append((
+                [(sent, key) for key, aset in mirrored if aset and key in aset[0]],
+                [(aset, key) for aset in asets for key in keys if key in aset],
+            ))
+    return units, urls
+
+
+def test_threads_first_reading_derived_slots_get_one_object_each(data_dir):
+    """Eight threads first-read every derived slot of freshly parsed records,
+    in seeded orders, a sentence's views before its sets' in half the threads
+    and after them in the rest: each slot gives every thread one object,
+    equal to a sequential read of a second parse."""
+    units, urls = _derived_slots(data_dir)
+    sequential = [[record[key] for record, key in sent + sets] for sent, sets in units]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed in range(3):
+            units = _derived_slots(data_dir)[0]
+            slots = [slot for sent, sets in units for slot in sent + sets]
+            assert all(isinstance(dict.__getitem__(*slot), Derived) for slot in slots)
+            barrier = threading.Barrier(8)
+            seen = [{} for _ in range(8)]
+
+            def work(k):
+                # Threads 2j and 2j + 1 take the units in one order, to meet
+                # on the same slots, with a sentence's first and with its sets' first.
+                order = list(units)
+                random.Random(seed * 8 + k // 2).shuffle(order)
+                barrier.wait(timeout=10)
+                for sent, sets in order:
+                    for record, key in (sent + sets if k % 2 else sets + sent):
+                        seen[k][id(record), key] = record[key]
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            for record, key in slots:
+                value = dict.__getitem__(record, key)
+                assert all(got[id(record), key] is value for got in seen), (record, key)
+            for (sent, sets), expected in zip(units, sequential):
+                assert [record[key] for record, key in sent + sets] == expected
+                for record, key in sent:
+                    aset = record.annotationSet[0 if key == "POS" else 1]
+                    assert dict.__getitem__(record, key) is dict.__getitem__(aset, key)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [record.URL for _, unit in units for record, key in unit if key == "URL"] == urls
+    kinds = {(record._type, key) for sent, sets in units for record, key in sent + sets}
+    assert kinds >= {
+        ("frame", "URL"), ("lu", "URL"), ("lu", "lexemes"), ("lu", "sentenceCount"),
+        ("sentence", "POS"), ("sentence", "GF"), ("sentence", "PT"), ("sentence", "Noun"),
+        ("fulltext_sentence", "POS"), ("annotationset", "layer"), ("annotationset", "GF"),
+        ("annotationset", "PT"), ("annotationset", "POS"), ("annotationset", "Noun"),
+    }
 
 
 # ------------------------------------------------------------ registry rows oracle

@@ -11,8 +11,10 @@ prints:
 - held MB: memory still allocated since the lexicon was opened (tracemalloc);
 - the five source lines that allocated the most of that memory, each with
   its MB and its count of blocks still held;
-- held MB with every frame loaded: the same, on a second fresh lexicon after
-  ``fes()``, which loads every frame file, as a browsing session comes to hold;
+- held MB with every frame loaded: the same, on another fresh lexicon after
+  ``fes()``, which loads every frame file, as a browsing session comes to hold.
+  It is measured first, before the sweep, so that nothing run earlier in the
+  process moves it;
 - GC-tracked objects: ``len(gc.get_objects())`` once a full collection no
   longer lowers it, and the collections that took.  One collection is not
   enough: CPython untracks a tuple only once its items are untracked, so
@@ -20,7 +22,11 @@ prints:
   earlier collections;
 - ``Record``s by kind tag, kindless ones (subcorpora, document index rows,
   and lexemes, sentence counts, labels and layers once read) as "-".  LU
-  index rows are plain tuples, so they are not counted here.
+  index rows are plain tuples, so they are not counted here;
+- values still unbuilt after the sweep, by kind (``Lazy``, or another
+  ``Derived``) and key: raw record values that no read has built yet.  A change that
+  gives each annotation set or LU a thunk object of its own again shows
+  here as a ``Lazy`` count in the tens of thousands.
 
 Usage (from the root of a checkout; stdlib only, no install needed):
 
@@ -40,12 +46,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from framelex import FrameLexicon, Record  # noqa: E402
+from framelex.records import Derived, Lazy  # noqa: E402
 
 
 def census(data_dir):
     """(held bytes, sentences, sweep seconds, collections by generation,
-    tracked objects, settling collections, Records by kind, the five
-    largest allocation sites of the held bytes)."""
+    tracked objects, settling collections, Records by kind, unbuilt values
+    by kind and key, the five largest allocation sites of the held bytes)."""
     collections = Counter()
 
     def count(phase, info):
@@ -71,9 +78,15 @@ def census(data_dir):
     held = tracemalloc.get_traced_memory()[0]
     sites = tracemalloc.take_snapshot().statistics("lineno")[:5]
     tracemalloc.stop()
-    objects = gc.get_objects()
-    kinds = Counter(dict.get(obj, "_type", "-") for obj in objects if isinstance(obj, Record))
-    return held, sentences, seconds, collections, tracked, passes, kinds, sites
+    records = [obj for obj in gc.get_objects() if isinstance(obj, Record)]
+    kinds = Counter(dict.get(record, "_type", "-") for record in records)
+    unbuilt = Counter(
+        ("Lazy" if isinstance(value, Lazy) else "Derived", key)
+        for record in records
+        for key, value in dict.items(record)
+        if isinstance(value, Derived)
+    )
+    return held, sentences, seconds, collections, tracked, passes, kinds, unbuilt, sites
 
 
 def frames_held(data_dir):
@@ -91,7 +104,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--data", required=True, help="corpus directory")
     args = parser.parse_args(argv)
-    held, sentences, seconds, collections, tracked, passes, kinds, sites = census(args.data)
+    frames = frames_held(args.data)
+    held, sentences, seconds, collections, tracked, passes, kinds, unbuilt, sites = census(
+        args.data
+    )
     print(f"sentences          {sentences}")
     print(f"sweep s            {seconds:.2f} (under tracemalloc)")
     counts = " ".join(f"gen{gen} {collections[gen]}" for gen in range(3))
@@ -102,11 +118,14 @@ def main(argv=None):
         where = Path(frame.filename).resolve()
         where = where.relative_to(ROOT) if where.is_relative_to(ROOT) else where
         print(f"  {where}:{frame.lineno:<6} {site.size / 1e6:6.2f} MB {site.count:>9} blocks")
-    print(f"held MB with every frame loaded {frames_held(args.data) / 1e6:.1f}")
+    print(f"held MB with every frame loaded {frames / 1e6:.1f} (measured first)")
     print(f"GC-tracked objects {tracked} (after {passes} full collections)")
     print(f"Records            {sum(kinds.values())}")
     for kind, count in sorted(kinds.items(), key=lambda item: (-item[1], item[0])):
         print(f"  {kind:<18} {count}")
+    print(f"unbuilt values     {sum(unbuilt.values())}")
+    for (kind, key), count in sorted(unbuilt.items(), key=lambda item: (-item[1], item[0])):
+        print(f"  {kind:<7} {key:<14} {count}")
 
 
 if __name__ == "__main__":
