@@ -19,8 +19,8 @@ value together build it once.  A read of any other value pays one
   memo, which keeps a ``Lazy`` per entry, so every file loads by resolving
   one.  A build that fails with a ``ParseError`` or an ``IntegrityError``
   fails the same way on every later resolve, without running again: a file
-  that does not load is read once.  Any other error, such as a read that
-  failed, leaves the thunk to be tried again.
+  that does not load is read once.  Each state change is one store, so any
+  other error, a failed read or an interrupt, leaves the thunk to run again.
 - Every other ``Derived`` is built from data its record already holds, and
   costs no object of its own: the value is that data, as an annotation set's
   flat layer tuple, which sits in its ``layer`` and view slots, or an LU
@@ -44,7 +44,7 @@ when the build raises.
 import gc
 import threading
 
-from .errors import CorpusError, IntegrityError, ParseError
+from .errors import IntegrityError, ParseError
 
 LOCK = threading.RLock()
 
@@ -71,11 +71,10 @@ class Derived:
 class Lazy(Derived):
     """A deferred value: ``fn(*args)``, evaluated at most once."""
 
-    __slots__ = ("_fn", "_args", "_value", "_done")
+    __slots__ = ("_thunk", "_value", "_done")
 
-    def __init__(self, fn, *args):
-        self._fn = fn
-        self._args = args
+    def __init__(self, *thunk):
+        self._thunk = thunk
         self._value = None
         self._done = False
 
@@ -84,14 +83,14 @@ class Lazy(Derived):
             with LOCK:
                 if not self._done:
                     try:
-                        self._value = build(self._fn, *self._args)
+                        self._value = build(*self._thunk)
                     except (ParseError, IntegrityError) as exc:
                         # The type and arguments, not the error: its traceback
                         # would hold the failed parse's frames.
-                        self._fn, self._args = _fail, (type(exc), *exc.args)
+                        self._thunk = (_fail, type(exc), *exc.args)
                         raise
-                    self._fn = self._args = None
                     self._done = True
+                    self._thunk = None
         return self._value
 
     def derive(self, record, key):
@@ -102,17 +101,10 @@ def _fail(error, *args):
     raise error(*args)
 
 
-def _unbound(what):
-    raise CorpusError(f"no data source attached; cannot resolve {what}")
-
-
-def unbound_lazy(what):
-    """A Lazy that fails loudly: used by parsers that have no data source."""
-    return Lazy(_unbound, what)
-
-
 class Record(dict):
     """Dict with attribute access, a kind tag, and transparent lazy and derived values."""
+
+    __slots__ = ()
 
     def __getitem__(self, key):
         value = dict.__getitem__(self, key)

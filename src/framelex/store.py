@@ -105,9 +105,9 @@ class Store:
         self.fileAccessLog.append(relpath)
         return data
 
-    def _table(self, relpath, parse, **kwargs):
+    def _table(self, relpath, parse, *args):
         """The memo's table of index or registry file ``relpath``, as ``parse`` returns it."""
-        return self._load(relpath, lambda: parse(self._read(relpath), **kwargs))
+        return self._load(relpath, lambda: parse(self._read(relpath), relpath, *args))
 
     @staticmethod
     def _index_column(rows, row_name=itemgetter("name")):
@@ -146,7 +146,7 @@ class Store:
 
     def _parse_frame(self, fid, name):
         relpath = f"frame/{name}.xml"
-        frame = xmlio.parse_frame_file(self._read(relpath), relpath, store=self)
+        frame = xmlio.parse_frame_file(self._read(relpath), relpath, self)
         if frame["ID"] != fid or frame["name"] != name:
             raise IntegrityError(
                 f"{relpath}: header ({frame['ID']}, {frame['name']!r}) "
@@ -241,7 +241,7 @@ class Store:
     def load_exemplars(self, lu_stub):
         """An LU stub's subcorpora, from its exemplar file: its ``subCorpus``."""
         relpath = f"lu/lu{lu_stub['ID']}.xml"
-        return xmlio.parse_lu_file(self._read(relpath), source=relpath, lu=lu_stub)
+        return xmlio.parse_lu_file(self._read(relpath), relpath, lu_stub)
 
     def owns_lu(self, lu):
         """Whether LU record ``lu`` is this store's, from the memo alone: its
@@ -276,7 +276,7 @@ class Store:
     def _problem_lu(self, lu_id, lu_name, frame_id, frame_name, source, referrer):
         frame = Lazy(self.resolve_frame_ref, frame_id, frame_name, source, referrer)
         pos = (lu_name or "").rpartition(".")[2].upper()
-        return xmlio.lu_record("Problem", pos, lu_name or "", lu_id, "", [], (0, 0), frame)
+        return xmlio.lu_record("Problem", pos, lu_name or "", lu_id, "", [], (0, 0), frame, self)
 
     # ------------------------------------------------------------ documents
 
@@ -304,7 +304,7 @@ class Store:
             f"fulltext/{row.corpusName}__{row.name}.xml",
         ]
         relpath = next((c for c in candidates if (self.root / c).is_file()), candidates[0])
-        doc = xmlio.parse_fulltext_file(self._read(relpath), relpath, store=self)
+        doc = xmlio.parse_fulltext_file(self._read(relpath), relpath, self)
         if doc["ID"] != row.ID:
             raise IntegrityError(f"{relpath}: file header carries ID {doc['ID']}")
         if doc["corpusID"] != row.corpusID:
@@ -323,7 +323,7 @@ class Store:
 
     def _relations(self):
         """(relation types, {frame ID: relations on either side}), registry order."""
-        return self._table("frRelation.xml", xmlio.parse_relations_file, store=self)
+        return self._table("frRelation.xml", xmlio.parse_relations_file, self)
 
     def relation_types(self):
         """All frame relation types, registry file order."""

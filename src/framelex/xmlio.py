@@ -1,16 +1,16 @@
 """Parsers for the on-disk XML corpus format.
 
 Every function here is pure over bytes: it receives file content, returns
-records, and never touches the file system.  A parser given a ``store`` makes
-each cross-file reference a ``Lazy`` that calls, when forced, one of five of
-its methods: ``frame_relations_involving(frame_id)``, a frame's relations;
+records, and never touches the file system.  Each parser takes a file's bytes
+and its name, for errors, and, for a file that refers to others, the store:
+each reference is a ``Lazy`` that calls, when forced, one of five of its
+methods: ``frame_relations_involving(frame_id)``, a frame's relations;
 ``resolve_semtype_ref(st_id, st_name, source, referrer)``, a frame's or FE's
 semantic type; ``load_exemplars(lu)``, an LU stub's subcorpora;
 ``resolve_annotation_lu(lu_id, lu_name, frame_id, frame_name, source,
 referrer)``, a full-text annotation set's LU; ``resolve_frame_ref(frame_id,
 frame_name, source, referrer)``, the frame of a relation or of a full-text
-annotation set.  ``referrer`` is the record that holds the reference.  With
-no store, each reference raises a clear error if it is ever forced.
+annotation set.  ``referrer`` is the record that holds the reference.
 
 Every file is read in one expat pass, ``_read``, with no element tree.
 Element names lose their namespace, so ``<x:frame>`` is a ``<frame>``, but
@@ -90,7 +90,7 @@ from operator import itemgetter
 from xml.parsers import expat
 
 from .errors import CorpusError, IntegrityError, ParseError
-from .records import Derived, Lazy, Record, unbound_lazy
+from .records import Derived, Lazy, Record
 
 CORE_TYPES = ("Core", "Core-Unexpressed", "Peripheral", "Extra-Thematic")
 
@@ -286,7 +286,7 @@ def _fields(tag, attrs, source, *names):
 # ---------------------------------------------------------------- indexes
 
 
-def parse_frame_index(data, source="frameIndex.xml"):
+def parse_frame_index(data, source):
     """The frame index: {frame ID: (frame ID, frame name)} in file order."""
     rows = {}
     for attrs in _read(data, source, "frameIndex", _Anywhere(frame=None))[3]["frame"]:
@@ -305,7 +305,7 @@ LU_FIELDS = ("ID", "name", "frameID", "frameName", "status")
 LU_ID, LU_NAME, LU_FRAME_ID, LU_FRAME_NAME, LU_STATUS = range(len(LU_FIELDS))
 
 
-def parse_lu_index(data, source="luIndex.xml"):
+def parse_lu_index(data, source):
     """The LU index: {LU ID: its ``LU_FIELDS`` tuple}, in file order."""
     rows = {}
     intern = sys.intern
@@ -329,7 +329,7 @@ def parse_lu_index(data, source="luIndex.xml"):
     return rows
 
 
-def parse_fulltext_index(data, source="fulltextIndex.xml"):
+def parse_fulltext_index(data, source):
     """The document index: {document ID: its row, with its corpus}, in file order.
 
     A document belongs to the innermost ``<corpus>`` it lies in, at any
@@ -372,12 +372,12 @@ _SENTENCE = {"text": _TEXT, "annotationSet": {"layer": {"label": None}}}
 _FULLTEXT = {"header": {"corpus": {"document": None}}, "sentence": _SENTENCE}
 
 
-def parse_frame_file(data, source="<data>", *, store=None):
+def parse_frame_file(data, source, store):
     """One frame file -> a frame record, without exemplar sentences.
 
     The frame's relations, its and its FEs' semantic types and its LUs'
-    subcorpora load through ``store`` on first read; with no store they fail
-    if forced, except that an LU with a zero sentence count has empty lists.
+    subcorpora load through ``store`` on first read, except that an LU with a
+    zero sentence count has empty lists.
     """
     _, attrs, definition, leaves, members = _read(data, source, "frame", _FRAME)
     # The frame is built once the file is read, so its errors come in the
@@ -393,15 +393,12 @@ def parse_frame_file(data, source="<data>", *, store=None):
     frame["_type"] = "frame"
     frame["definition"] = strip_markup(markup)
     frame["definitionMarkup"] = markup
-    frame["frameRelations"] = _ref(
-        store, "frame_relations_involving", f"relations of frame {name!r}", frame_id
-    )
+    frame["frameRelations"] = Lazy(_call, store, "frame_relations_involving", frame_id)
     # Plain locals for the frame's own tables, not a Record read per use.
     frame["FE"] = fes = {}
     frame["FEcoreSets"] = core_sets = []
     frame["lexUnit"] = lexical_units = {}
-    what = "semantic type references"
-    refs = _semtype_refs(leaves["semType"], source, frame, store, what)
+    refs = _semtype_refs(leaves["semType"], source, frame, store)
     frame["semTypes"] = Lazy(_resolve_all, refs) if refs else []
     frame["URL"] = _SHARED
 
@@ -440,23 +437,15 @@ def parse_frame_file(data, source="<data>", *, store=None):
     return frame
 
 
-def _ref(store, method, what, *args):
-    """A ``Lazy`` of ``store``'s ``method`` over ``args``, looked up when
-    forced, or with no store one that fails if forced."""
-    if store is None:
-        return unbound_lazy(what)
-    return Lazy(_call, store, method, *args)
-
-
 def _call(store, method, *args):
     return getattr(store, method)(*args)
 
 
-def _semtype_refs(semtypes, source, referrer, store, what):
+def _semtype_refs(semtypes, source, referrer, store):
     """One reference per ``<semType>``'s attributes, in file order."""
     refs = (_fields("semType", attrs, source, "ID", "name") for attrs in semtypes)
     return [
-        _ref(store, "resolve_semtype_ref", what, st_id, name, source, referrer)
+        Lazy(_call, store, "resolve_semtype_ref", st_id, name, source, referrer)
         for st_id, name in refs
     ]
 
@@ -484,8 +473,7 @@ def _parse_fe(node, source, frame, store):
     fe["coreType"] = sys.intern(core_type)
     fe["definition"] = strip_markup(markup)
     fe["definitionMarkup"] = markup
-    what = f"semantic type of FE {name!r}"
-    refs = _semtype_refs(leaves["semType"], source, fe, store, what)
+    refs = _semtype_refs(leaves["semType"], source, fe, store)
     fe["semType"] = refs[0] if refs else None
     fe["frame"] = frame
     return fe
@@ -517,7 +505,7 @@ def _parse_lu_stub(node, source, frame, store):
     return lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store)
 
 
-def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store=None):
+def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store):
     """An LU record: a frame's LU stub, or a placeholder with no exemplars.
 
     ``lexemes`` are its ``(name, POS, headword, breakBefore, order)`` tuples
@@ -542,7 +530,7 @@ def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store=No
         lu["subCorpus"] = []
         lu["exemplars"] = []
     else:
-        lu["subCorpus"] = _ref(store, "load_exemplars", f"exemplars of {name!r}", lu)
+        lu["subCorpus"] = Lazy(_call, store, "load_exemplars", lu)
         lu["exemplars"] = Lazy(_exemplars_of, lu)
     return lu
 
@@ -791,36 +779,31 @@ def _parse_sentence(node, source, link, doc=None, fe_ids=None):
     return sent
 
 
-def parse_lu_file(data, source="<data>", *, lu=None):
+def parse_lu_file(data, source, lu):
     """One LU exemplar file -> its list of subcorpus records.
 
-    Every sentence and annotation set links to ``lu`` and its frame; with no
-    ``lu`` those links fail if forced.  The root's ``frameID``, ``frame`` and
-    ``name`` must be those of ``lu``'s frame and of ``lu``, a label's ``feID``
-    one of its FEs', where known, and, once the sentences are read, the root's
-    ``ID`` that of ``lu``.
+    Every sentence and annotation set links to LU stub ``lu`` and its frame.
+    The root's ``frameID``, ``frame`` and ``name`` must be those of ``lu``'s
+    frame and of ``lu``, a label's ``feID`` one of its FEs', and, once the
+    sentences are read, the root's ``ID`` that of ``lu``.
     """
     root = _read(data, source, "lexUnit", {"subCorpus": {"sentence": _SENTENCE}})
     attrs = root[1]
     lu_id = _attr("lexUnit", attrs, "ID", source)
-    lu_ref = lu if lu is not None else unbound_lazy("the exemplars' lexical unit")
-    frame_ref = lu["frame"] if lu is not None else unbound_lazy("the exemplars' frame")
-    frame_id = frame_ref.get("ID") if lu is not None else None
-    if frame_id is not None:
-        frame_name = frame_ref.get("name")
-        what = f"{source}: lu {lu['ID']} of frame {frame_name!r} ({frame_id}) names another"
-        if _attr("lexUnit", attrs, "frameID", source, frame_id) != frame_id:
-            raise IntegrityError(f"{what} frame ({attrs['frameID']})")
-        if attrs.get("frame", frame_name) != frame_name:
-            raise IntegrityError(f"{what} frame ({attrs['frame']!r})")
-        if attrs.get("name", lu["name"]) != lu["name"]:
-            raise IntegrityError(f"{what} lexical unit ({attrs['name']!r})")
-    fes = frame_ref.get("FE") if lu is not None else None
-    fe_ids = None if fes is None else {fe["ID"] for fe in fes.values()}
+    frame = lu["frame"]
+    frame_id, frame_name = frame["ID"], frame["name"]
+    what = f"{source}: lu {lu['ID']} of frame {frame_name!r} ({frame_id}) names another"
+    if _attr("lexUnit", attrs, "frameID", source, frame_id) != frame_id:
+        raise IntegrityError(f"{what} frame ({attrs['frameID']})")
+    if attrs.get("frame", frame_name) != frame_name:
+        raise IntegrityError(f"{what} frame ({attrs['frame']!r})")
+    if attrs.get("name", lu["name"]) != lu["name"]:
+        raise IntegrityError(f"{what} lexical unit ({attrs['name']!r})")
+    fe_ids = {fe["ID"] for fe in frame["FE"].values()}
 
     def link(attrs, record):
-        record["LU"] = lu_ref
-        record["frame"] = frame_ref
+        record["LU"] = lu
+        record["frame"] = frame
 
     subcorpora = [
         Record(
@@ -829,12 +812,12 @@ def parse_lu_file(data, source="<data>", *, lu=None):
         )
         for _, attrs, _, _, sentences in root[4]
     ]
-    if lu is not None and lu_id != lu["ID"]:
+    if lu_id != lu["ID"]:
         raise IntegrityError(f"{source}: file header carries ID {lu_id}")
     return subcorpora
 
 
-def parse_fulltext_file(data, source="<data>", *, store=None):
+def parse_fulltext_file(data, source, store):
     """One full-text document file -> a document record with its sentences.
 
     An annotation set's LU resolves through ``store.resolve_annotation_lu``
@@ -856,14 +839,13 @@ def parse_fulltext_file(data, source="<data>", *, store=None):
         lu_id, lu_name = aset.get("luID"), aset.get("luName")
         frame_id, frame_name = aset.get("frameID"), aset.get("frameName")
         if lu_id is not None or lu_name is not None:
-            aset["LU"] = _ref(
-                store, "resolve_annotation_lu", "the annotation set's lexical unit",
+            aset["LU"] = Lazy(
+                _call, store, "resolve_annotation_lu",
                 lu_id, lu_name, frame_id, frame_name, source, aset,
             )
         if frame_id is not None or frame_name is not None:
-            aset["frame"] = _ref(
-                store, "resolve_frame_ref", "the annotation set's frame",
-                frame_id, frame_name, source, aset,
+            aset["frame"] = Lazy(
+                _call, store, "resolve_frame_ref", frame_id, frame_name, source, aset
             )
 
     doc = Record()
@@ -880,7 +862,7 @@ def parse_fulltext_file(data, source="<data>", *, store=None):
 # ---------------------------------------------------------------- relations
 
 
-def parse_relations_file(data, source="frRelation.xml", *, store=None):
+def parse_relations_file(data, source, store):
     """The relation registry -> (relation-type records, {frame ID: relations}).
 
     A type's ``frameRelations`` is a ``Lazy`` over its relations' records,
@@ -947,7 +929,7 @@ def _relation_record(source, store, rtype, row, mappings):
     rel["subID"] = sub_id
     rel["_type"] = "framerelation"
     for side, fid, name in (("superFrame", sup_id, sup_name), ("subFrame", sub_id, sub_name)):
-        rel[side] = _ref(store, "resolve_frame_ref", f"frame {name!r}", fid, name, source, rel)
+        rel[side] = Lazy(_call, store, "resolve_frame_ref", fid, name, source, rel)
     rel["feRelations"] = Lazy(_fe_relation_records, source, rel, mappings)
     return rel
 
@@ -983,7 +965,7 @@ def _relation_fe(source, relation, side, fe_name, fe_id):
 # ---------------------------------------------------------------- semtypes
 
 
-def parse_semtypes_file(data, source="semTypes.xml"):
+def parse_semtypes_file(data, source):
     """The semantic type registry -> {ID: fully linked type record}, in file order.
 
     Types form a forest over their ``superType`` links; dangling parents and

@@ -3,7 +3,7 @@ import pickle
 import pytest
 
 from framelex import Record, attribute_names, record_type
-from framelex.records import Lazy, unbound_lazy
+from framelex.records import Lazy
 
 
 def test_attribute_access_mirrors_item_access():
@@ -67,14 +67,15 @@ def test_lazy_get_also_resolves():
     assert r.get("payload") == "v"
 
 
-def test_unbound_lazy_raises_on_touch():
-    r = Record(_type="sent", ID=1, frame=unbound_lazy("frame"))
-    with pytest.raises(Exception):
-        r.frame
-
-
 def test_records_stay_plain_dicts():
     r = Record(_type="frame", ID=1, name="x")
     assert isinstance(r, dict)
     assert set(r.keys()) == {"_type", "ID", "name"}
     assert pickle.loads(pickle.dumps(dict(r))) == dict(r)
+
+
+def test_a_record_keeps_no_instance_dict():
+    r = Record(_type="frame", ID=1, name="x")
+    assert not hasattr(r, "__dict__")
+    r.payload = 5
+    assert dict(r) == {"_type": "frame", "ID": 1, "name": "x", "payload": 5}

@@ -6,8 +6,6 @@ column sets per marker class with the spans stored on the record.  A
 renderer that drifts by one column anywhere cannot satisfy it.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from framelex import (
@@ -84,7 +82,7 @@ NARROW_SETS = [
 ]
 
 
-def narrow_fulltext_sentence():
+def narrow_fulltext_sentence(store):
     asets = []
     for k, (lu_name, frame_name, status, spans) in enumerate(NARROW_SETS, start=1):
         labels = "".join(f'<label name="Target" start="{s}" end="{e}"/>' for s, e in spans)
@@ -104,19 +102,20 @@ def narrow_fulltext_sentence():
         status = "Problem" if lu_name == "in.prep" else "Created"
         return Record(ID=lu_id, name=lu_name, status=status)
 
-    store = SimpleNamespace(resolve_annotation_lu=lu_resolver)
-    doc = parse_fulltext_file(xml.encode(), "narrow.xml", store=store)
+    # The sets name LUs that the fixture lacks: this store resolves them itself.
+    store.resolve_annotation_lu = lu_resolver
+    doc = parse_fulltext_file(xml.encode(), "narrow.xml", store)
     return doc.sentences[0]
 
 
-def test_narrow_fulltext_sentence_golden(golden, alignment):
-    sent = narrow_fulltext_sentence()
+def test_narrow_fulltext_sentence_golden(store, golden, alignment):
+    sent = narrow_fulltext_sentence(store)
     out = render_fulltext_sentence(sent, DisplayOptions(wrap_width=24))
     assert out == golden("sent_fulltext_w24.txt")
     alignment.fulltext(sent, 24)
 
 
-def test_colliding_abbreviations_stay_distinct():
+def test_colliding_abbreviations_stay_distinct(store):
     sets = [("Commerce_pay", 4, 7), ("Commerce_buy", 16, 19)]
     asets = "".join(
         f'<annotationSet ID="{k}" status="MANUAL" frameName="{frame_name}"><layer name="Target">'
@@ -128,7 +127,7 @@ def test_colliding_abbreviations_stay_distinct():
         '</corpus></header><sentence ID="7"><text>She pays and he buys .</text>'
         f'<annotationSet ID="0" status="UNANN"/>{asets}</sentence></fullTextAnnotation>'
     )
-    sent = parse_fulltext_file(xml.encode(), "collide.xml").sentences[0]
+    sent = parse_fulltext_file(xml.encode(), "collide.xml", store).sentences[0]
     lines = render_fulltext_sentence(sent, DisplayOptions()).splitlines()
     # Both frame names cut to four characters read "Comm".
     label_line = lines[lines.index(sent.text) + 2]
@@ -141,10 +140,10 @@ def test_colliding_abbreviations_stay_distinct():
 DISPLAY_WIDTHS = (20, 37, 70, 120)
 
 
-def _sentence_displays(lexicon):
+def _sentence_displays(lexicon, store):
     """Every exemplar, full-text sentence and annotation set display of the
     fixture, and the narrow sentence's, at each of ``DISPLAY_WIDTHS``."""
-    narrow = narrow_fulltext_sentence()
+    narrow = narrow_fulltext_sentence(store)
     for width in DISPLAY_WIDTHS:
         opts = DisplayOptions(wrap_width=width)
         for sent in lexicon.exemplars():
@@ -155,9 +154,9 @@ def _sentence_displays(lexicon):
             yield from (render_annotation_set(aset, opts) for aset in sent.annotationSet)
 
 
-def test_a_label_has_one_short_form_per_display(lexicon):
+def test_a_label_has_one_short_form_per_display(lexicon, store):
     footers = 0
-    for out in _sentence_displays(lexicon):
+    for out in _sentence_displays(lexicon, store):
         last = out.splitlines()[-1]
         if last.startswith("(") and last.endswith(")") and "=" in last:
             labels = [item.split("=", 1)[1] for item in last[1:-1].split(", ")]
@@ -190,7 +189,7 @@ def _blocks(out):
     return blocks
 
 
-def _tag_end_sentence():
+def _tag_end_sentence(store):
     """A sentence whose last target starts two columns before its end."""
     xml = (
         '<fullTextAnnotation><header><corpus name="C" ID="1"><document ID="1" name="D"/>'
@@ -199,13 +198,13 @@ def _tag_end_sentence():
         'frameName="Commerce_pay"><layer name="Target"><label name="Target" start="9" end="10"/>'
         "</layer></annotationSet></sentence></fullTextAnnotation>"
     )
-    return parse_fulltext_file(xml.encode(), "tag_end.xml").sentences[0]
+    return parse_fulltext_file(xml.encode(), "tag_end.xml", store).sentences[0]
 
 
-def test_every_tag_shows_whole_with_its_flags(lexicon):
+def test_every_tag_shows_whole_with_its_flags(lexicon, store):
     """A tag that lies inside one wrap segment, or starts in the last one,
     shows whole at its target's first column, with nothing run into it."""
-    sents = [*lexicon.ft_sents(), narrow_fulltext_sentence(), _tag_end_sentence()]
+    sents = [*lexicon.ft_sents(), narrow_fulltext_sentence(store), _tag_end_sentence(store)]
     checked = 0
     for width in (*DISPLAY_WIDTHS, 24):
         for sent in sents:
@@ -225,7 +224,7 @@ def test_every_tag_shows_whole_with_its_flags(lexicon):
     assert checked > 50
 
 
-def test_a_fulltext_set_without_a_target_marks_nothing():
+def test_a_fulltext_set_without_a_target_marks_nothing(store):
     """Set 1 has only an empty FE layer, set 2 a target: only set 2 is tagged."""
     xml = (
         '<fullTextAnnotation><header><corpus name="C" ID="1"><document ID="1" name="D"/>'
@@ -236,7 +235,7 @@ def test_a_fulltext_set_without_a_target_marks_nothing():
         '<label name="Target" start="4" end="7"/></layer></annotationSet></sentence>'
         "</fullTextAnnotation>"
     )
-    sent = parse_fulltext_file(xml.encode(), "no_target.xml").sentences[0]
+    sent = parse_fulltext_file(xml.encode(), "no_target.xml", store).sentences[0]
     [[text, *rows]] = _blocks(render_fulltext_sentence(sent))
     assert text == "She paid up"
     assert rows[0] == " " * 4 + "*" * (7 - 4 + 1)  # the target's columns, 4 to 7

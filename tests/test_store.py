@@ -1,9 +1,12 @@
+import ast
+import inspect
 import io
 import os
 import random
 import re
 import shutil
 import sys
+import textwrap
 import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -25,7 +28,7 @@ from framelex.errors import (
     LookupFailure,
     ParseError,
 )
-from framelex.records import Record, attribute_names
+from framelex.records import Lazy, Record, attribute_names
 
 from test_fixture import _tool
 
@@ -406,6 +409,78 @@ def test_any_touch_order_under_threads_builds_the_sequential_records(data_dir):
 )
 def test_full_corpus_under_threads_builds_the_sequential_records():
     _assert_threads_build_the_sequential_records(Path(os.environ["FRAMELEX_DATA"]), [1], 8)
+
+
+def _store_lines(fn):
+    """The lines of ``fn`` that store a value, assignments and
+    ``dict.__setitem__`` calls, and the subset that lies in an ``except``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    first = fn.__code__.co_firstlineno - 1
+    stores = {
+        first + node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        or isinstance(node, ast.Expr) and "dict.__setitem__(" in ast.unparse(node)
+    }
+    handled = {
+        first + node.lineno
+        for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler)
+        for node in ast.walk(handler) if isinstance(node, ast.stmt)
+    }
+    return stores, stores & handled
+
+
+def _interrupt_at(code, line, load):
+    """Run ``load()`` with one ``KeyboardInterrupt`` raised where ``code``
+    first reaches ``line``; whether it was raised."""
+    fired = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == line and not fired:
+            fired.append(line)
+            raise KeyboardInterrupt
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        load()
+    except KeyboardInterrupt:
+        assert fired
+    finally:
+        sys.settrace(None)
+    return bool(fired)
+
+
+# The first load of each kind of entity, on a fresh lexicon.
+_LOADS = {
+    "frame": lambda lex: lex.frame("Revenge"),
+    "LU exemplars": lambda lex: lex.lu(6067).exemplars,
+    "document": lambda lex: lex.doc(23802),
+    "relation registry": lambda lex: lex.frame_relation_types(),
+    "semantic types": lambda lex: lex.semtypes(),
+}
+
+
+def test_a_load_interrupted_anywhere_in_a_resolve_builds_whole_on_the_next_read(data_dir):
+    """A ``KeyboardInterrupt`` at each line of ``Lazy.resolve`` and
+    ``Record._derive`` that stores a value, in the first load of each kind:
+    a later walk of the same lexicon builds the records of a clean one, and
+    reads every file."""
+    clean = _record_digest(data_dir)
+    targets = [Lazy.resolve, Record._derive]
+    fired = set()
+    for fn in targets:
+        lines, handled = _store_lines(fn)
+        assert lines - handled
+        for line in sorted(lines):
+            for kind, load in _LOADS.items():
+                lex = open_lexicon(data_dir)
+                if _interrupt_at(fn.__code__, line, lambda: load(lex)):
+                    fired.add((fn, line))
+                assert _record_digest(lex.store) == clean, (fn.__qualname__, line, kind)
+                assert set(lex.store.fileAccessLog) == set(_corpus_files(data_dir))
+        # A clean load stores through every line but those of a failed build.
+        assert {line for target, line in fired if target is fn} == lines - handled
 
 
 def test_files_that_fail_to_load_fail_alike_in_every_thread(data_dir, tmp_path):

@@ -11,13 +11,12 @@ import re
 import sys
 import threading
 from pathlib import Path
-from types import SimpleNamespace
 from xml.etree import ElementTree
 
 import pytest
 
 from framelex import open_lexicon
-from framelex.errors import CorpusError, IntegrityError, ParseError
+from framelex.errors import IntegrityError, ParseError
 from framelex.records import Derived, Lazy, Record, attribute_names
 from framelex.xmlio import (
     LU_FIELDS,
@@ -45,12 +44,19 @@ def text(data_dir, relpath):
     return raw(data_dir, relpath).decode("utf-8")
 
 
+def _stub(store, lu_id, name):
+    """LU stub ``lu_id`` of a synthetic frame with no FEs, parsed against
+    ``store``: the LU of a synthetic exemplar file."""
+    data = f'<frame {NS} name="F" ID="9"><lexUnit ID="{lu_id}" name="{name}" POS="N"/></frame>'
+    return parse_frame_file(data.encode(), "frame/F.xml", store).lexUnit[name]
+
+
 # ------------------------------------------------------------ count oracles
 
 
 def test_frame_index_count_matches_raw_text(data_dir):
     body = text(data_dir, "frameIndex.xml")
-    rows = list(parse_frame_index(raw(data_dir, "frameIndex.xml")).values())
+    rows = list(parse_frame_index(raw(data_dir, "frameIndex.xml"), "frameIndex.xml").values())
     assert len(rows) == body.count("<frame ")
     assert rows == sorted(rows)
     assert ("347", "Revenge") not in rows   # IDs come out as ints
@@ -59,7 +65,7 @@ def test_frame_index_count_matches_raw_text(data_dir):
 
 def test_lu_index_count_matches_raw_text(data_dir):
     body = text(data_dir, "luIndex.xml")
-    rows = list(parse_lu_index(raw(data_dir, "luIndex.xml")).values())
+    rows = list(parse_lu_index(raw(data_dir, "luIndex.xml"), "luIndex.xml").values())
     assert len(rows) == body.count("<lu ")
     assert [r[LU_ID] for r in rows] == sorted(r[LU_ID] for r in rows)
     by_id = {r[LU_ID]: r for r in rows}
@@ -70,7 +76,9 @@ def test_lu_index_count_matches_raw_text(data_dir):
 
 def test_fulltext_index_counts(data_dir):
     body = text(data_dir, "fulltextIndex.xml")
-    rows = list(parse_fulltext_index(raw(data_dir, "fulltextIndex.xml")).values())
+    rows = list(
+        parse_fulltext_index(raw(data_dir, "fulltextIndex.xml"), "fulltextIndex.xml").values()
+    )
     assert len(rows) == body.count("<document ")
     names = {r["name"] for r in rows}
     assert names == {"Tiger_Of_San_Pedro", "Wisteria_Report"}
@@ -85,14 +93,14 @@ def test_a_document_belongs_to_its_innermost_corpus():
         b'<w><corpus ID="2" name="Inner"><document ID="20" name="b"/></corpus></w>'
         b'<document ID="11" name="c"/></corpus><document ID="30" name="d"/></fulltextIndex>'
     )
-    rows = parse_fulltext_index(data)
+    rows = parse_fulltext_index(data, "fulltextIndex.xml")
     assert [(row.ID, row.corpusID, row.corpusName) for row in rows.values()] == [
         (10, 1, "Outer"), (11, 1, "Outer"), (20, 2, "Inner")]
 
 
-def test_frame_file_fe_and_lu_counts(data_dir):
+def test_frame_file_fe_and_lu_counts(data_dir, store):
     body = text(data_dir, "frame/Revenge.xml")
-    frame = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "frame/Revenge.xml")
+    frame = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "frame/Revenge.xml", store)
     assert len(frame.FE) == body.count("<FE ")
     assert len(frame.lexUnit) == body.count("<lexUnit ")
     assert len(frame.FEcoreSets) == body.count("<FEcoreSet>")
@@ -101,16 +109,8 @@ def test_frame_file_fe_and_lu_counts(data_dir):
     assert frame._type == "frame"
 
 
-def test_frame_file_fe_details(data_dir):
-    frame = parse_frame_file(
-        raw(data_dir, "frame/Revenge.xml"),
-        "x",
-        store=SimpleNamespace(
-            resolve_semtype_ref=lambda st_id, st_name, *_: Record(
-                _type="semtype", ID=st_id, name=st_name
-            )
-        ),
-    )
+def test_frame_file_fe_details(data_dir, store):
+    frame = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x", store)
     avenger = frame.FE["Avenger"]
     assert avenger.ID == 3009
     assert avenger.coreType == "Core"
@@ -119,6 +119,7 @@ def test_frame_file_fe_details(data_dir):
     degree = frame.FE["Degree"]
     assert degree.semType.name == "Non_sentient"
     assert degree.semType.ID == 54
+    assert degree.semType is store.get_semtype(54)
     # core sets hold the FE records themselves
     assert [[fe.name for fe in s] for s in frame.FEcoreSets] == [
         ["Injury", "Injured_party"],
@@ -126,32 +127,32 @@ def test_frame_file_fe_details(data_dir):
     ]
 
 
-def test_frame_definition_is_plain_prose(data_dir):
-    frame = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x")
+def test_frame_definition_is_plain_prose(data_dir, store):
+    frame = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x", store)
     assert "<" not in frame.definition
     assert "Avenger carries out a Punishment" in frame.definition
     assert frame.definitionMarkup.startswith("<def-root>")
 
 
-def test_multiword_lexemes(data_dir):
-    frame = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x")
+def test_multiword_lexemes(data_dir, store):
+    frame = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x", store)
     lu = frame.lexUnit["get back (at).v"]
     assert [lx.name for lx in lu.lexemes] == ["get", "back", "at"]
     assert lu.lexemes[0].headword is True
     assert lu.lexemes[2].breakBefore is True
 
 
-def test_lu_file_sentence_count(data_dir):
+def test_lu_file_sentence_count(data_dir, store):
     body = text(data_dir, "lu/lu6067.xml")
-    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "lu/lu6067.xml")
+    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "lu/lu6067.xml", store.get_lu(6067))
     sents = [s for sub in subcorpora for s in sub.sentence]
     assert len(sents) == body.count("<sentence ")
     assert len(subcorpora) == body.count("<subCorpus ")
     assert {sub.name for sub in subcorpora} == {"manually-added", "other-matched"}
 
 
-def test_lexicographic_sentence_layers(data_dir):
-    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x")
+def test_lexicographic_sentence_layers(data_dir, store):
+    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x", store.get_lu(6067))
     by_id = {s.ID: s for sub in subcorpora for s in sub.sentence}
     sent = by_id[929548]
     assert sent.text == "A short while later Joseph had his revenge on Watney 's ."
@@ -165,9 +166,9 @@ def test_lexicographic_sentence_layers(data_dir):
     assert len(sent.POS) == 12
 
 
-def test_fulltext_file_counts(data_dir):
+def test_fulltext_file_counts(data_dir, store):
     body = text(data_dir, "fulltext/Tiger_Of_San_Pedro.xml")
-    doc = parse_fulltext_file(raw(data_dir, "fulltext/Tiger_Of_San_Pedro.xml"), "x")
+    doc = parse_fulltext_file(raw(data_dir, "fulltext/Tiger_Of_San_Pedro.xml"), "x", store)
     assert len(doc.sentences) == body.count("<sentence ")
     total_sets = sum(len(s.annotationSet) for s in doc.sentences)
     assert total_sets == body.count("<annotationSet ")
@@ -175,8 +176,8 @@ def test_fulltext_file_counts(data_dir):
     assert doc.corpusName == "Sherlock"
 
 
-def test_fulltext_sentence_backrefs(data_dir):
-    doc = parse_fulltext_file(raw(data_dir, "fulltext/Tiger_Of_San_Pedro.xml"), "x")
+def test_fulltext_sentence_backrefs(data_dir, store):
+    doc = parse_fulltext_file(raw(data_dir, "fulltext/Tiger_Of_San_Pedro.xml"), "x", store)
     for sent in doc.sentences:
         assert sent.doc is doc
         assert sent.annotationSet[0].status == "UNANN"
@@ -184,9 +185,9 @@ def test_fulltext_sentence_backrefs(data_dir):
             assert aset.sent is sent
 
 
-def test_relations_file_counts(data_dir):
+def test_relations_file_counts(data_dir, store):
     body = text(data_dir, "frRelation.xml")
-    types, _ = parse_relations_file(raw(data_dir, "frRelation.xml"))
+    types, _ = parse_relations_file(raw(data_dir, "frRelation.xml"), "frRelation.xml", store)
     assert len(types) == body.count("<frameRelationType ")
     rels = [r for t in types for r in t.frameRelations]
     assert len(rels) == body.count("<frameRelation ")
@@ -199,7 +200,7 @@ def test_relations_file_counts(data_dir):
 
 def test_semtypes_forward_references_link(data_dir):
     body = text(data_dir, "semTypes.xml")
-    sts = list(parse_semtypes_file(raw(data_dir, "semTypes.xml")).values())
+    sts = list(parse_semtypes_file(raw(data_dir, "semTypes.xml"), "semTypes.xml").values())
     assert len(sts) == body.count("<semType ")
     by_name = {st.name: st for st in sts}
     # Sentient appears in the file before its whole ancestor chain
@@ -245,14 +246,14 @@ def test_wrong_root_tag_raises_parse_error():
         parse_frame_index(b"<luIndex></luIndex>", "bad.xml")
 
 
-def test_missing_required_attribute():
+def test_missing_required_attribute(store):
     with pytest.raises(ParseError):
-        parse_frame_file(f'<frame {NS} name="X"></frame>'.encode(), "x")
+        parse_frame_file(f'<frame {NS} name="X"></frame>'.encode(), "x", store)
 
 
-def test_non_integer_id():
+def test_non_integer_id(store):
     with pytest.raises(ParseError):
-        parse_frame_file(f'<frame {NS} name="X" ID="forty"></frame>'.encode(), "x")
+        parse_frame_file(f'<frame {NS} name="X" ID="forty"></frame>'.encode(), "x", store)
 
 
 def _sentence_doc(label_attrs):
@@ -270,35 +271,35 @@ def _sentence_doc(label_attrs):
     ).encode()
 
 
-def test_half_open_span_rejected():
+def test_half_open_span_rejected(store):
     with pytest.raises(IntegrityError):
-        parse_lu_file(_sentence_doc('start="0"'), "x")
+        parse_lu_file(_sentence_doc('start="0"'), "x", _stub(store, 1, "a.n"))
 
 
-def test_backwards_span_rejected():
+def test_backwards_span_rejected(store):
     with pytest.raises(IntegrityError):
-        parse_lu_file(_sentence_doc('start="5" end="2"'), "x")
+        parse_lu_file(_sentence_doc('start="5" end="2"'), "x", _stub(store, 1, "a.n"))
 
 
-def test_span_plus_itype_rejected():
+def test_span_plus_itype_rejected(store):
     with pytest.raises(IntegrityError):
-        parse_lu_file(_sentence_doc('start="0" end="5" itype="DNI"'), "x")
+        parse_lu_file(_sentence_doc('start="0" end="5" itype="DNI"'), "x", _stub(store, 1, "a.n"))
 
 
-def test_span_past_text_end_rejected():
+def test_span_past_text_end_rejected(store):
     with pytest.raises(IntegrityError):
-        parse_lu_file(_sentence_doc('start="0" end="11"'), "x")
+        parse_lu_file(_sentence_doc('start="0" end="11"'), "x", _stub(store, 1, "a.n"))
 
 
-def test_span_at_last_character_accepted():
-    subcorpora = parse_lu_file(_sentence_doc('start="7" end="10"'), "x")
+def test_span_at_last_character_accepted(store):
+    subcorpora = parse_lu_file(_sentence_doc('start="7" end="10"'), "x", _stub(store, 1, "a.n"))
     sent = subcorpora[0].sentence[0]
     assert sent.Target == [(7, 10)]
 
 
-def test_strict_layer_needs_span_or_itype():
+def test_strict_layer_needs_span_or_itype(store):
     with pytest.raises(IntegrityError):
-        parse_lu_file(_sentence_doc(""), "x")
+        parse_lu_file(_sentence_doc(""), "x", _stub(store, 1, "a.n"))
 
 
 def test_namespace_prefixes_are_invisible():
@@ -306,7 +307,7 @@ def test_namespace_prefixes_are_invisible():
         '<fn:frameIndex xmlns:fn="http://framenet.icsi.berkeley.edu">'
         '<fn:frame ID="1" name="A"/></fn:frameIndex>'
     ).encode()
-    assert parse_frame_index(data) == {1: (1, "A")}
+    assert parse_frame_index(data, "frameIndex.xml") == {1: (1, "A")}
 
 
 def test_semtype_dangling_parent_rejected():
@@ -315,7 +316,7 @@ def test_semtype_dangling_parent_rejected():
         '<superType superTypeName="B" supID="2"/></semType></semTypes>'
     ).encode()
     with pytest.raises(IntegrityError):
-        parse_semtypes_file(data)
+        parse_semtypes_file(data, "semTypes.xml")
 
 
 def test_semtype_cycle_rejected():
@@ -326,7 +327,7 @@ def test_semtype_cycle_rejected():
         "</semTypes>"
     ).encode()
     with pytest.raises(IntegrityError):
-        parse_semtypes_file(data)
+        parse_semtypes_file(data, "semTypes.xml")
 
 
 # ------------------------------------------------------------ record shapes
@@ -354,14 +355,14 @@ FULLTEXT_SET_KEYS = [
 ]
 
 
-def test_record_attribute_names(data_dir):
-    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x")
+def test_record_attribute_names(data_dir, store):
+    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x", store.get_lu(6067))
     sent = next(s for sub in subcorpora for s in sub.sentence if s.ID == 929548)
     assert attribute_names(sent) == EXEMPLAR_SENTENCE_KEYS
     assert [attribute_names(a) for a in sent.annotationSet] == EXEMPLAR_SET_KEYS
     assert attribute_names(sent.annotationSet[1].layer[0]) == ["rank", "name", "label"]
 
-    doc = parse_fulltext_file(raw(data_dir, "fulltext/Tiger_Of_San_Pedro.xml"), "x")
+    doc = parse_fulltext_file(raw(data_dir, "fulltext/Tiger_Of_San_Pedro.xml"), "x", store)
     ft_sent = doc.sentences[1]
     assert attribute_names(ft_sent) == FULLTEXT_SENTENCE_KEYS
     assert [attribute_names(a) for a in ft_sent.annotationSet[:2]] == FULLTEXT_SET_KEYS
@@ -375,10 +376,10 @@ def test_record_attribute_names(data_dir):
     assert attribute_names(target.label[0]) == ["start", "end", "name"]
 
 
-def test_lu_file_links_sentences_to_the_given_lu(data_dir):
-    frame = Record(_type="frame", ID=347, name="Revenge")
-    stub = Record(_type="lu", ID=6067, name="revenge.n", frame=frame)
-    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x", lu=stub)
+def test_lu_file_links_sentences_to_the_given_lu(data_dir, store):
+    stub = store.get_lu(6067)
+    frame = stub.frame
+    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x", stub)
     sents = [s for sub in subcorpora for s in sub.sentence]
     assert sents
     for sent in sents:
@@ -390,34 +391,22 @@ def test_lu_file_links_sentences_to_the_given_lu(data_dir):
             assert aset.sent is sent
 
 
-def test_lu_file_without_lu_leaves_links_unbound(data_dir):
-    subcorpora = parse_lu_file(raw(data_dir, "lu/lu6067.xml"), "x")
-    sent = subcorpora[0].sentence[0]
-    with pytest.raises(CorpusError):
-        sent.LU
-    with pytest.raises(CorpusError):
-        sent.annotationSet[1].frame
-
-
-def test_lu_file_checks_label_fe_ids_against_the_lu_frame(data_dir):
-    stub = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x").lexUnit["revenge.n"]
+def test_lu_file_checks_label_fe_ids_against_the_lu_frame(data_dir, store):
+    stub = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x", store).lexUnit["revenge.n"]
     data = raw(data_dir, "lu/lu6067.xml")
-    assert parse_lu_file(data, "x", lu=stub)
+    assert parse_lu_file(data, "x", stub)
     damaged = data.replace(b'feID="3012"', b'feID="3009"').replace(b'feID="3018"', b'feID="1"')
     with pytest.raises(IntegrityError, match="label 'Injury' on layer 'FE' names unknown FE ID 1"):
-        parse_lu_file(damaged, "x", lu=stub)
-    # With no LU, or one whose frame has no FEs, there is nothing to check against.
-    parse_lu_file(damaged, "x")
-    parse_lu_file(damaged, "x", lu=Record(_type="lu", ID=6067, frame=Record(_type="frame")))
+        parse_lu_file(damaged, "x", stub)
 
 
-def test_lu_stub_with_more_annotated_than_total_sentences_is_rejected(data_dir):
+def test_lu_stub_with_more_annotated_than_total_sentences_is_rejected(data_dir, store):
     data = raw(data_dir, "frame/Revenge.xml")
     damaged = data.replace(b'annotated="21" total="21"', b'annotated="22" total="21"')
     assert damaged != data
     message = "^x: lexical unit 'revenge.n' has annotated > total sentence count$"
     with pytest.raises(IntegrityError, match=message):
-        parse_frame_file(damaged, "x")
+        parse_frame_file(damaged, "x", store)
 
 
 def _raw_lexeme(attrs):
@@ -432,7 +421,7 @@ def _raw_lexeme(attrs):
     }
 
 
-def test_lu_stub_lexemes_and_sentence_counts_match_raw_xml(data_dir):
+def test_lu_stub_lexemes_and_sentence_counts_match_raw_xml(data_dir, store):
     """Each stub keeps its lexemes and sentence count unbuilt until first
     read, then returns records equal to an ElementTree re-parse, the
     identical ones on every later read."""
@@ -440,7 +429,7 @@ def test_lu_stub_lexemes_and_sentence_counts_match_raw_xml(data_dir):
 
     lexemes = counted = 0
     for path in sorted((data_dir / "frame").glob("*.xml")):
-        frame = parse_frame_file(path.read_bytes(), path.name)
+        frame = parse_frame_file(path.read_bytes(), path.name, store)
         for elt in _children(ElementTree.fromstring(path.read_bytes()), "lexUnit"):
             lu = frame.lexUnit[elt.get("name")]
             expected = [_raw_lexeme(lex.attrib) for lex in _children(elt, "lexeme")]
@@ -460,18 +449,17 @@ def test_lu_stub_lexemes_and_sentence_counts_match_raw_xml(data_dir):
     assert lexemes > 0 and counted > 0
 
 
-def test_repeated_small_vocabulary_strings_are_one_object(data_dir):
+def test_repeated_small_vocabulary_strings_are_one_object(store):
     """Equal values of the interned fields, read from different files, are
     one object."""
-    frames = _frames(data_dir)
+    frames = _frames(store)
     fes = [fe for frame in frames for fe in frame.FE.values()]
     lus = [lu for frame in frames for lu in frame.lexUnit.values()]
-    paths = sorted((data_dir / "lu").glob("*.xml"))
     exemplar_sets = [
         aset
-        for path in paths
-        for sub in parse_lu_file(path.read_bytes(), path.name)
-        for sent in sub.sentence
+        for source, _, sents in _oracle_inputs(store)
+        if source.startswith("lu")
+        for sent in sents
         for aset in sent.annotationSet
     ]
     fields = {
@@ -486,7 +474,7 @@ def test_repeated_small_vocabulary_strings_are_one_object(data_dir):
         "LU POS": [lu.POS for lu in lus],
         "lexeme name": [lex.name for lu in lus for lex in lu.lexemes],
         "lexeme POS": [lex.POS for lu in lus for lex in lu.lexemes],
-        "annotation set status": [aset.status for aset in exemplar_sets + _fulltext_sets(data_dir)],
+        "annotation set status": [aset.status for aset in exemplar_sets + _fulltext_sets(store)],
     }
     for field, values in fields.items():
         first = {}
@@ -496,8 +484,8 @@ def test_repeated_small_vocabulary_strings_are_one_object(data_dir):
     assert {"FE coreType", "FE cBy", "FE name", "LU status", "LU POS"} <= repeated
 
 
-def test_definition_is_its_markup_where_stripping_changes_nothing(data_dir):
-    frames = _frames(data_dir)
+def test_definition_is_its_markup_where_stripping_changes_nothing(store):
+    frames = _frames(store)
     records = [
         record
         for frame in frames
@@ -508,73 +496,102 @@ def test_definition_is_its_markup_where_stripping_changes_nothing(data_dir):
     assert any(same) and not all(same)
 
 
-def _frames(data_dir):
-    paths = sorted((data_dir / "frame").glob("*.xml"))
-    return [parse_frame_file(path.read_bytes(), path.name) for path in paths]
+def _frames(store):
+    paths = sorted((store.root / "frame").glob("*.xml"))
+    return [parse_frame_file(path.read_bytes(), path.name, store) for path in paths]
 
 
-def _fulltext_sets(data_dir):
-    paths = sorted((data_dir / "fulltext").glob("*.xml"))
-    docs = [parse_fulltext_file(path.read_bytes(), path.name) for path in paths]
+def _fulltext_sets(store):
+    paths = sorted((store.root / "fulltext").glob("*.xml"))
+    docs = [parse_fulltext_file(path.read_bytes(), path.name, store) for path in paths]
     return [aset for doc in docs for sent in doc.sentences for aset in sent.annotationSet]
 
 
-def _relations(data_dir):
-    types, _ = parse_relations_file(raw(data_dir, "frRelation.xml"))
+def _relations(store):
+    types, _ = parse_relations_file(raw(store.root, "frRelation.xml"), "frRelation.xml", store)
     return [rel for rtype in types for rel in rtype.frameRelations]
 
 
-def _lu_stubs(data_dir):
-    stubs = [lu for frame in _frames(data_dir) for lu in frame.lexUnit.values()]
+def _lu_stubs(store):
+    stubs = [lu for frame in _frames(store) for lu in frame.lexUnit.values()]
     return [lu for lu in stubs if lu.sentenceCount.total]
 
 
-# Reference -> (record, key, what) triples over the fixture, every parser run
-# without its resolver.
-UNBOUND_REFS = {
-    "frameRelations": lambda d: [
-        (f, "frameRelations", f"relations of frame {f.name!r}") for f in _frames(d)
+def _semtype_ids(elt):
+    return [int(st.get("ID")) for st in _children(elt, "semType")]
+
+
+def _frame_elements(store):
+    """(frame, its ElementTree root) of each fixture frame, parsed against ``store``."""
+    return [(f, ElementTree.fromstring(raw(store.root, f"frame/{f.name}.xml"))) for f in _frames(store)]
+
+
+def _annotation_lu(store, aset):
+    keys = ("luID", "luName", "frameID", "frameName")
+    return store.resolve_annotation_lu(*map(aset.get, keys), "x", aset)
+
+
+# Reference -> (record, key, expected) triples over the fixture, every parser
+# run against the fixture store: the store's own record, or list of records,
+# that the reference resolves to, found through the store's lookups.  An LU's
+# subcorpora are parsed anew for each stub, so they hold the data of the
+# store's own stub's.
+REFERENCES = {
+    "frameRelations": lambda store: [
+        (f, "frameRelations", store.frame_relations_involving(f.ID)) for f in _frames(store)
     ],
-    "frame semTypes": lambda d: [
-        (f, "semTypes", "semantic type references")
-        for f in _frames(d)
-        if dict.__getitem__(f, "semTypes") != []
+    "frame semTypes": lambda store: [
+        (f, "semTypes", [store.get_semtype(st_id) for st_id in _semtype_ids(elt)])
+        for f, elt in _frame_elements(store)
+        if _semtype_ids(elt)
     ],
-    "FE semType": lambda d: [
-        (fe, "semType", f"semantic type of FE {fe.name!r}")
-        for f in _frames(d)
-        for fe in f.FE.values()
-        if dict.__getitem__(fe, "semType") is not None
+    "FE semType": lambda store: [
+        (f.FE[fe_elt.get("name")], "semType", store.get_semtype(_semtype_ids(fe_elt)[0]))
+        for f, elt in _frame_elements(store)
+        for fe_elt in _children(elt, "FE")
+        if _semtype_ids(fe_elt)
     ],
-    "LU subCorpus": lambda d: [
-        (lu, "subCorpus", f"exemplars of {lu.name!r}") for lu in _lu_stubs(d)
+    "LU subCorpus": lambda store: [
+        (lu, "subCorpus", store.get_lu(lu.ID).subCorpus) for lu in _lu_stubs(store)
     ],
-    "LU exemplars": lambda d: [
-        (lu, "exemplars", f"exemplars of {lu.name!r}") for lu in _lu_stubs(d)
+    "LU exemplars": lambda store: [
+        (lu, "exemplars", store.get_lu(lu.ID).exemplars) for lu in _lu_stubs(store)
     ],
-    "full-text LU": lambda d: [
-        (a, "LU", "the annotation set's lexical unit") for a in _fulltext_sets(d) if "LU" in a
+    "full-text LU": lambda store: [
+        (a, "LU", _annotation_lu(store, a)) for a in _fulltext_sets(store) if "LU" in a
     ],
-    "full-text frame": lambda d: [
-        (a, "frame", "the annotation set's frame") for a in _fulltext_sets(d) if "frame" in a
+    "full-text frame": lambda store: [
+        (a, "frame", store.get_frame(a.get("frameID", a.get("frameName"))))
+        for a in _fulltext_sets(store)
+        if "frame" in a
     ],
-    "relation superFrame": lambda d: [
-        (r, "superFrame", f"frame {r.superFrameName!r}") for r in _relations(d)
+    "relation superFrame": lambda store: [
+        (r, "superFrame", store.get_frame(r.supID)) for r in _relations(store)
     ],
-    "relation subFrame": lambda d: [
-        (r, "subFrame", f"frame {r.subFrameName!r}") for r in _relations(d)
+    "relation subFrame": lambda store: [
+        (r, "subFrame", store.get_frame(r.subID)) for r in _relations(store)
     ],
 }
 
 
-@pytest.mark.parametrize("reference", sorted(UNBOUND_REFS))
-def test_references_without_a_resolver_fail_when_forced(data_dir, reference):
-    triples = UNBOUND_REFS[reference](data_dir)
+@pytest.mark.parametrize("reference", sorted(REFERENCES))
+def test_references_without_a_resolver_fail_when_forced(store, reference):
+    """Each reference resolves through the store method it names, to the
+    store's own records: one that names no resolver, as a misspelt method
+    would, fails when forced, and so fails here."""
+    triples = REFERENCES[reference](store)
     assert triples
-    for record, key, what in triples:
-        with pytest.raises(CorpusError) as info:
-            record[key]
-        assert str(info.value) == f"no data source attached; cannot resolve {what}"
+    for record, key, expected in triples:
+        value = record[key]
+        if key in ("subCorpus", "exemplars"):
+            assert _plain(value) == _plain(expected) and value
+            assert all(sent.LU is record for sent in record.exemplars)
+        elif isinstance(expected, list):
+            assert len(value) == len(expected)
+            assert all(got is own for got, own in zip(value, expected)), (reference, record)
+        else:
+            assert value is expected and isinstance(value, Record), (reference, record)
+    assert any(record[key] for record, key, _ in triples)
 
 
 # ------------------------------------------------------------ raw-XML view oracle
@@ -677,24 +694,27 @@ _VIEW_CASES_LU = (
 ).encode()
 
 
-def _oracle_inputs(data_dir):
-    paths = sorted((data_dir / "lu").glob("*.xml")) + sorted((data_dir / "fulltext").glob("*.xml"))
-    assert len(paths) == 5
-    return [(path.name, path.read_bytes()) for path in paths] + [("cases", _VIEW_CASES_LU)]
+def _oracle_inputs(store):
+    """(source, data, sentences) of each LU and full-text file of the fixture,
+    then of the view cases, parsed against ``store``: an LU file with the
+    store's LU, the cases with a synthetic one."""
+    inputs = []
+    for path in sorted((store.root / "lu").glob("*.xml")):
+        subcorpora = parse_lu_file(path.read_bytes(), path.name, store.get_lu(int(path.stem[2:])))
+        inputs.append((path.name, path.read_bytes(), [s for sub in subcorpora for s in sub.sentence]))
+    for path in sorted((store.root / "fulltext").glob("*.xml")):
+        doc = parse_fulltext_file(path.read_bytes(), path.name, store)
+        inputs.append((path.name, path.read_bytes(), doc.sentences))
+    assert len(inputs) == 5
+    subcorpora = parse_lu_file(_VIEW_CASES_LU, "cases", _stub(store, 1, "a.n"))
+    return inputs + [("cases", _VIEW_CASES_LU, subcorpora[0].sentence)]
 
 
-def test_layer_views_match_raw_xml(data_dir):
-    from xml.etree import ElementTree
-
+def test_layer_views_match_raw_xml(store):
     checked = 0
-    for source, data in _oracle_inputs(data_dir):
+    for source, data, sents in _oracle_inputs(store):
         root = ElementTree.fromstring(data)
         sent_elts = [elt for elt in root.iter() if _local(elt.tag) == "sentence"]
-        if _local(root.tag) == "lexUnit":
-            subcorpora = parse_lu_file(data, source)
-            sents = [s for sub in subcorpora for s in sub.sentence]
-        else:
-            sents = parse_fulltext_file(data, source).sentences
         assert [int(elt.get("ID")) for elt in sent_elts] == [s.ID for s in sents]
         for sent_elt, sent in zip(sent_elts, sents):
             set_elts = _children(sent_elt, "annotationSet")
@@ -739,18 +759,11 @@ def _oracle_layers(set_elt):
     return layers
 
 
-def test_lazy_layers_match_raw_xml(data_dir):
-    from xml.etree import ElementTree
-
+def test_lazy_layers_match_raw_xml(store):
     checked = 0
-    for source, data in _oracle_inputs(data_dir):
+    for source, data, sents in _oracle_inputs(store):
         root = ElementTree.fromstring(data)
         set_elts = [elt for elt in root.iter() if _local(elt.tag) == "annotationSet"]
-        if _local(root.tag) == "lexUnit":
-            subcorpora = parse_lu_file(data, source)
-            sents = [s for sub in subcorpora for s in sub.sentence]
-        else:
-            sents = parse_fulltext_file(data, source).sentences
         asets = [aset for sent in sents for aset in sent.annotationSet]
         assert [int(elt.get("ID")) for elt in set_elts] == [aset.ID for aset in asets]
         for set_elt, aset in zip(set_elts, asets):
@@ -825,13 +838,13 @@ def test_full_corpus_sets_match_raw_xml_through_the_lexicon():
     assert checked["lexUnit"] > 1000 and checked["fullTextAnnotation"] > 1000
 
 
-def test_concurrent_first_reads_of_a_layer_build_one_list(data_dir):
-    data = raw(data_dir, "lu/lu6067.xml")
+def test_concurrent_first_reads_of_a_layer_build_one_list(data_dir, store):
+    data, lu = raw(data_dir, "lu/lu6067.xml"), store.get_lu(6067)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            subcorpora = parse_lu_file(data, "x")
+            subcorpora = parse_lu_file(data, "x", lu)
             aset = subcorpora[0].sentence[0].annotationSet[1]
             barrier = threading.Barrier(4)
             seen = []
@@ -857,16 +870,16 @@ def test_concurrent_first_reads_of_a_layer_build_one_list(data_dir):
 _REPORTS = "https://framenet2.icsi.berkeley.edu/fnReports/data"
 
 
-def _derived_slots(data_dir):
+def _derived_slots(store):
     """Freshly parsed fixture records, as units of two lists of ``(record,
     key)`` slots that a first read builds: per sentence its mirrored views,
     then its sets' ``layer`` and views; per frame nothing, then its ``URL``;
     per LU stub nothing, then its ``URL``, ``sentenceCount`` and ``lexemes``.
     Also the URLs that the frame files' ``name`` and ``ID`` give."""
     units, urls = [], []
-    for path in sorted((data_dir / "frame").glob("*.xml")):
+    for path in sorted((store.root / "frame").glob("*.xml")):
         elt = ElementTree.fromstring(path.read_bytes())
-        frame = parse_frame_file(path.read_bytes(), path.name)
+        frame = parse_frame_file(path.read_bytes(), path.name, store)
         units.append(([], [(frame, "URL")]))
         urls.append(f"{_REPORTS}/frame/{elt.get('name')}.xml")
         for lu_elt in _children(elt, "lexUnit"):
@@ -874,11 +887,7 @@ def _derived_slots(data_dir):
             keys = ["URL", "sentenceCount"] + ["lexemes"] * bool(_children(lu_elt, "lexeme"))
             units.append(([], [(lu, key) for key in keys]))
             urls.append(f"{_REPORTS}/lu/lu{lu_elt.get('ID')}.xml")
-    for source, data in _oracle_inputs(data_dir):
-        if b"<lexUnit" in data[:300]:
-            sents = [sent for sub in parse_lu_file(data, source) for sent in sub.sentence]
-        else:
-            sents = parse_fulltext_file(data, source).sentences
+    for _, _, sents in _oracle_inputs(store):
         keys = ("layer", "GF", "PT", "POS") + SUPPORT_LAYERS
         for sent in sents:
             asets = sent.annotationSet
@@ -893,18 +902,18 @@ def _derived_slots(data_dir):
     return units, urls
 
 
-def test_threads_first_reading_derived_slots_get_one_object_each(data_dir):
+def test_threads_first_reading_derived_slots_get_one_object_each(store):
     """Eight threads first-read every derived slot of freshly parsed records,
     in seeded orders, a sentence's views before its sets' in half the threads
     and after them in the rest: each slot gives every thread one object,
     equal to a sequential read of a second parse."""
-    units, urls = _derived_slots(data_dir)
+    units, urls = _derived_slots(store)
     sequential = [[record[key] for record, key in sent + sets] for sent, sets in units]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for seed in range(3):
-            units = _derived_slots(data_dir)[0]
+            units = _derived_slots(store)[0]
             slots = [slot for sent, sets in units for slot in sent + sets]
             assert all(isinstance(dict.__getitem__(*slot), Derived) for slot in slots)
             barrier = threading.Barrier(8)
@@ -963,10 +972,10 @@ def test_lu_index_rows_match_raw_xml(data_dir):
              elt.get("frameName"), elt.get("status", ""))
             for elt in _raw_elements(data, "lu")
         ]
-        rows = list(parse_lu_index(data).values())
+        rows = list(parse_lu_index(data, "luIndex.xml").values())
         assert rows == expected
         assert all(type(row) is tuple and len(row) == len(LU_FIELDS) for row in rows)
-    assert len(parse_lu_index(raw(data_dir, "luIndex.xml"))) > 20
+    assert len(parse_lu_index(raw(data_dir, "luIndex.xml"), "luIndex.xml")) > 20
 
 
 # Each table parser: its file, its record tag, and the root of its parity body.
@@ -986,15 +995,15 @@ def test_table_keys_are_the_raw_ids_in_file_order(data_dir, parse, relpath, tag,
             corpora = _raw_elements(data, "corpus")
             elts = [elt for corpus in corpora for elt in corpus.iter() if _local(elt.tag) == tag]
         ids = [int(elt.get("ID")) for elt in elts]
-        table = parse(data)
+        table = parse(data, relpath)
         assert type(table) is dict and list(table) == ids and len(ids) > 1
         for key, row in table.items():
             assert (row[0] if type(row) is tuple else row["ID"]) == key
 
 
-def test_relations_by_frame_match_raw_ids(data_dir):
+def test_relations_by_frame_match_raw_ids(data_dir, store):
     data = raw(data_dir, "frRelation.xml")
-    types, by_frame = parse_relations_file(data)
+    types, by_frame = parse_relations_file(data, "frRelation.xml", store)
     expected = {}
     for elt in _raw_elements(data, "frameRelation"):
         for frame_id in {int(elt.get("supID")), int(elt.get("subID"))}:
@@ -1006,23 +1015,24 @@ def test_relations_by_frame_match_raw_ids(data_dir):
     assert listed == {id(rel) for rel in records} and len(records) > 1
 
 
-def test_lu_file_checks_its_root_id_against_the_lu_after_its_sentences(data_dir):
-    frame = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x")
+def test_lu_file_checks_its_root_id_against_the_lu_after_its_sentences(data_dir, store):
+    frame = parse_frame_file(raw(data_dir, "frame/Revenge.xml"), "x", store)
     other = Record(_type="lu", ID=6068, name="revenge.n", frame=frame)
     data = raw(data_dir, "lu/lu6067.xml")
     with pytest.raises(IntegrityError) as info:
-        parse_lu_file(data, "x", lu=other)
+        parse_lu_file(data, "x", other)
     assert str(info.value) == "x: file header carries ID 6067"
-    # A label error in the same file comes first, and with no LU there is no check.
+    # A label error in the same file comes first, and the file's own LU passes.
     damaged = data.replace(b'feID="3012"', b'feID="1"', 1)
     with pytest.raises(IntegrityError, match="label 'Offender' on layer 'FE' names unknown FE ID 1"):
-        parse_lu_file(damaged, "x", lu=other)
-    assert parse_lu_file(data, "x")
+        parse_lu_file(damaged, "x", other)
+    assert parse_lu_file(data, "x", frame.lexUnit["revenge.n"])
 
 
-def test_fe_relations_match_raw_xml(data_dir):
+def test_fe_relations_match_raw_xml(data_dir, store):
     data = raw(data_dir, "frRelation.xml")
-    rels = [rel for rtype in parse_relations_file(data)[0] for rel in rtype.frameRelations]
+    types = parse_relations_file(data, "frRelation.xml", store)[0]
+    rels = [rel for rtype in types for rel in rtype.frameRelations]
     rel_elts = _raw_elements(data, "frameRelation")
     assert [int(elt.get("ID")) for elt in rel_elts] == [rel.ID for rel in rels]
     checked = 0
@@ -1097,21 +1107,22 @@ def _attribute_error_doc(records):
 
 
 @pytest.mark.parametrize("records, error, message", ATTRIBUTE_ERRORS)
-def test_registry_attribute_errors_keep_their_messages(records, error, message):
+def test_registry_attribute_errors_keep_their_messages(store, records, error, message):
     parse, source, doc = _attribute_error_doc(records)
     with pytest.raises(error) as info:
-        parse(doc.encode())
+        parse(doc.encode(), source, *_links(parse, store))
     assert type(info.value) is error
     assert str(info.value) == f"{source}: {message}"
 
 
-def test_concurrent_first_reads_of_fe_relations_build_one_list(data_dir):
+def test_concurrent_first_reads_of_fe_relations_build_one_list(data_dir, store):
     data = raw(data_dir, "frRelation.xml")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            rels = [rel for rtype in parse_relations_file(data)[0] for rel in rtype.frameRelations]
+            types = parse_relations_file(data, "frRelation.xml", store)[0]
+            rels = [rel for rtype in types for rel in rtype.frameRelations]
             barrier = threading.Barrier(4)
             seen = []
 
@@ -1196,6 +1207,14 @@ STREAMED = {
 
 # The root attributes each document needs.
 _ROOT_ATTRS = {"lexUnit": ' ID="9" name="a.v"', "frame": ' name="F" ID="9"'}
+
+
+def _links(parse, store):
+    """What ``parse`` takes after a file's bytes and name: the store, for a
+    file that refers to others, and for the LU file, its LU, ``_ROOT_ATTRS``'s."""
+    if parse is parse_lu_file:
+        return (_stub(store, 9, "a.v"),)
+    return (store,) if parse in (parse_frame_file, parse_fulltext_file, parse_relations_file) else ()
 
 
 def _streamed_input(root, case):
@@ -1540,18 +1559,19 @@ STREAMED_PARITY = {
 
 
 @pytest.mark.parametrize("root, case", sorted(STREAMED_PARITY))
-def test_streamed_parsers_match_the_tree_parsers(root, case):
+def test_streamed_parsers_match_the_tree_parsers(store, root, case):
     parse, source = STREAMED[root][:2]
+    links = _links(parse, store)
     data = _streamed_input(root, case)
     expected = STREAMED_PARITY[root, case]
     if isinstance(expected, list):
-        rows = parse(data, source)
+        rows = parse(data, source, *links)
         assert _record_ids(rows) == expected
         if case == "prefixed namespace":
-            assert _plain(rows) == _plain(parse(_streamed_input(root, "plain"), source))
+            assert _plain(rows) == _plain(parse(_streamed_input(root, "plain"), source, *links))
     else:
         with pytest.raises(expected[0]) as info:
-            parse(data, source)
+            parse(data, source, *links)
         assert type(info.value) is expected[0]
         assert str(info.value) == expected[1]
 
@@ -1563,10 +1583,11 @@ def _with_foreign_attributes(markup):
 
 
 @pytest.mark.parametrize("root", sorted(STREAMED))
-def test_namespace_qualified_attributes_are_not_the_formats(root):
+def test_namespace_qualified_attributes_are_not_the_formats(store, root):
     parse, source, tag = STREAMED[root][:3]
     body, root_attrs = STREAMED[root][4], _ROOT_ATTRS.get(root, "")
-    plain = _plain(parse(_streamed_input(root, "plain"), source))
+    links = _links(parse, store)
+    plain = _plain(parse(_streamed_input(root, "plain"), source, *links))
 
     def doc(inner, attrs=root_attrs, prefix=""):
         head = f'{prefix}{root} xmlns="{FN}" xmlns:x="{FN}" xmlns:o="urn:other"{attrs}'
@@ -1575,38 +1596,14 @@ def test_namespace_qualified_attributes_are_not_the_formats(root):
     # A foreign attribute beside each real one is ignored, with element names
     # plain or prefixed.
     foreign, foreign_attrs = _with_foreign_attributes(body), _with_foreign_attributes(root_attrs)
-    assert _plain(parse(doc(foreign, foreign_attrs), source)) == plain
+    assert _plain(parse(doc(foreign, foreign_attrs), source, *links)) == plain
     prefixed = re.sub(r"<(/?)(\w+)", r"<\1x:\2", foreign)
-    assert _plain(parse(doc(prefixed, foreign_attrs, "x:"), source)) == plain
+    assert _plain(parse(doc(prefixed, foreign_attrs, "x:"), source, *links)) == plain
     # An ID written only as a foreign one is missing.
     first = re.search(rf"<{tag} [^>]*>", body)
     qualified = first.group(0).replace(' ID="', ' o:ID="')
     damaged = body[: first.start()] + qualified + body[first.end() :]
     with pytest.raises(ParseError) as info:
-        parse(doc(damaged), source)
+        parse(doc(damaged), source, *links)
     assert type(info.value) is ParseError
     assert str(info.value) == f"{source}: <{tag}> is missing required attribute 'ID'"
-
-
-_FULLTEXT_WITHOUT_ID = (
-    b'<fullTextAnnotation><header><corpus name="C"><document name="D"/></corpus></header>'
-    b"</fullTextAnnotation>"
-)
-
-
-@pytest.mark.parametrize(
-    "parse, data, tag",
-    [
-        (parse_frame_file, b'<frame name="X"/>', "frame"),
-        (parse_lu_file, b'<lexUnit name="x.v"/>', "lexUnit"),
-        (parse_fulltext_file, _FULLTEXT_WITHOUT_ID, "document"),
-    ],
-    ids=["frame", "lu", "fulltext"],
-)
-def test_a_parse_without_a_source_names_its_data(parse, data, tag):
-    with pytest.raises(ParseError) as info:
-        parse(data)
-    assert str(info.value) == f"<data>: <{tag}> is missing required attribute 'ID'"
-    with pytest.raises(ParseError) as info:
-        parse(data[:-2])
-    assert str(info.value).startswith("<data>: line 1: not well-formed XML (")
