@@ -21,12 +21,15 @@ value together build it once.  A read of any other value pays one
   fails the same way on every later resolve, without running again: a file
   that does not load is read once.  Each state change is one store, so any
   other error, a failed read or an interrupt, leaves the thunk to run again.
-- Every other ``Derived`` is built from data its record already holds, and
-  costs no object of its own: the value is that data, as an annotation set's
-  flat layer tuple, which sits in its ``layer`` and view slots, or an LU
-  stub's lexeme and sentence count tuples; or one singleton shared by every
-  record, as the report ``URL`` and a sentence's views that mirror its
-  annotation sets'.
+- Every other ``Derived`` is built from data its record already holds, reads
+  no file and cannot fail, and costs no object of its own: the value is that
+  data, as an annotation set's flat layer tuple, which sits in its ``layer``
+  and view slots, an LU stub's lexeme and sentence count tuples, or a
+  frame's checked LU stub fields, which build its ``lexUnit``; or one
+  singleton shared by every record, as a frame's, FE's or LU's
+  ``definition``, the report ``URL`` and a sentence's views that mirror its
+  annotation sets'.  A frame's LU stub fields hold its store too, but only
+  to give each stub the ``Lazy`` that loads its exemplars.
 
 Resolving a value may load a file and loading a file may resolve values, so
 one re-entrant lock serves both; two could deadlock against each other.

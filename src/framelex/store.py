@@ -18,9 +18,11 @@ same entity parse its file exactly once, repeated lookups return the
 identical cached record, and no collection runs while a file is parsed.  A
 ``Lazy`` is one kind of ``records.Derived``.  Every other kind loads no
 file: it is built from what its record holds (an annotation set's layer
-tuple in its ``layer`` and views, an LU stub's ``lexemes`` and
-``sentenceCount``, a frame's or LU's ``URL``, a sentence's mirrored views),
-under the same lock.
+tuple in its ``layer`` and views, a frame's ``lexUnit``, its LU stubs, an LU
+stub's ``lexemes`` and ``sentenceCount``, a frame's, FE's or LU's
+``definition``, a frame's or LU's ``URL``, a sentence's mirrored views),
+under the same lock.  So ``get_lu`` builds the stubs of one frame, the LU's
+own, and returns the very stub in that frame's ``lexUnit``.
 
 The parsers get the store itself and call back into it only through the five
 methods that ``xmlio``'s docstring names.

@@ -29,15 +29,17 @@ a file (editorial attributes, embedded relation references inside frame files,
 unknown child elements) is ignored without error, except that unknown
 annotation layers are kept verbatim on their annotation set.
 
-Records are complete when a parser returns them.  Back-links are set at
-parse time (set to sentence, full-text sentence to document, exemplar
+Records are complete when a parser returns them, but for the values that a
+first read builds, below, which every check has passed when the file is
+parsed, so that building them reads nothing and cannot fail.  Back-links are
+set at parse time (set to sentence, full-text sentence to document, exemplar
 sentence and set to the ``lu`` given to ``parse_lu_file``), and spans are
 checked as they are read, in one walk over each annotation set's layers.
 
 Span convention: label offsets are 0-based with inclusive ends, exactly as
 stored in the files.  No adjustment happens at parse time.
 
-Annotation sets and LU stubs are compact until read.  A set keeps its layers
+Annotation sets, LU stubs and definitions are compact until read.  A set keeps its layers
 as one flat tuple: ``rank, name, n`` for each layer, then four slots for each
 of its ``n`` labels, ``start, end, name, feID``.  A label without a span (a
 null instantiation) is a ``Record`` at once, in slots ``None, None, record,
@@ -46,22 +48,28 @@ None``.  One helper, ``_view``, computes each span view from the tuple:
 ``PT``, ``POS`` and the POS-specific views on first read.  Until then those
 slots, and the set's ``layer``, which builds the layer and label records,
 hold the tuple itself, a ``_Packed``: a ``records.Derived`` value that
-builds what its slot's key names, so a set costs no object per slot.  An LU
-stub's ``lexemes`` is a ``_Packed`` of its lexemes' checked ``(name, POS,
-headword, breakBefore, order)`` tuples, and its ``sentenceCount`` one of its
-checked counts; each builds its records on first read, and every check runs
+builds what its slot's key names, so a set costs no object per slot.  A
+frame's ``lexUnit`` is a ``_Packed`` of the store and a list of its LU
+stubs' checked ``lu_record`` arguments, in file order; its first read builds
+the ``{name: stub}`` dict.  An LU stub's ``lexemes`` is a ``_Packed`` of its
+lexemes' checked ``(name, POS, headword, breakBefore, order)`` tuples, and
+its ``sentenceCount`` one of its checked counts; each builds its records on
+first read.  Every check of a ``<lexUnit>``, a duplicate name included, runs
 when the frame loads.  One ``Derived`` singleton, ``_SHARED``, sits in every
-frame's and LU's ``URL``, which it builds from the name or ID, and in a
-sentence's ``POS`` and a lexicographic sentence's other unbuilt views, which
-it reads from the set, so that both hold one list.  ``Lazy`` is kept for
-references to other files and for what can fail.
+frame's, FE's and LU's ``definition``, which it strips from the record's
+``definitionMarkup``; in every frame's and LU's ``URL``, which it builds
+from the name or ID; and in a sentence's ``POS`` and a lexicographic
+sentence's other unbuilt views, which it reads from the set, so that both
+hold one list.  ``Lazy`` is kept for references to other files and for what
+can fail.
 
 Strings from a small vocabulary are interned, as they repeat across the
 corpus: label and layer names, the LU index's frame names and statuses, a
 frame's and an FE's ``cBy`` and ``cDate``, an FE's ``name``, ``abbrev`` and
 ``coreType``, an LU stub's ``status`` and ``POS``, a lexeme's ``name`` and
 ``POS``, and an annotation set's ``status``.  A ``definition`` that stripping
-leaves unchanged is its ``definitionMarkup`` itself.
+leaves unchanged is its ``definitionMarkup`` itself.  A semantic type keeps no
+markup, so its ``definition`` is stripped when its file is parsed.
 
 Each index and registry parser returns the table that the store keeps: its
 rows by ID in file order, or the relation types and each frame's relations.
@@ -383,7 +391,6 @@ def parse_frame_file(data, source, store):
     # The frame is built once the file is read, so its errors come in the
     # order of the fields read: the frame's own, then FEs and LUs, then core sets.
     name, frame_id = _fields("frame", attrs, source, "name", "ID")
-    markup = "".join(definition or ())
 
     frame = Record()
     frame["cBy"] = sys.intern(attrs.get("cBy", ""))
@@ -391,13 +398,15 @@ def parse_frame_file(data, source, store):
     frame["name"] = name
     frame["ID"] = frame_id
     frame["_type"] = "frame"
-    frame["definition"] = strip_markup(markup)
-    frame["definitionMarkup"] = markup
+    frame["definition"] = _SHARED
+    frame["definitionMarkup"] = "".join(definition or ())
     frame["frameRelations"] = Lazy(_call, store, "frame_relations_involving", frame_id)
     # Plain locals for the frame's own tables, not a Record read per use.
     frame["FE"] = fes = {}
     frame["FEcoreSets"] = core_sets = []
-    frame["lexUnit"] = lexical_units = {}
+    # Each LU stub's checked ``lu_record`` arguments, built into stubs on first read.
+    lu_rows, lu_names = [], set()
+    frame["lexUnit"] = _Packed((store, lu_rows))
     refs = _semtype_refs(leaves["semType"], source, frame, store)
     frame["semTypes"] = Lazy(_resolve_all, refs) if refs else []
     frame["URL"] = _SHARED
@@ -414,13 +423,14 @@ def parse_frame_file(data, source, store):
             fe_ids.add(fe_id)
             fes[fe_name] = fe
         elif node[0] == "lexUnit":
-            lu = _parse_lu_stub(node, source, frame, store)
-            lu_name = lu["name"]
-            if lu_name in lexical_units:
+            row = _parse_lu_stub(node, source)
+            lu_name = row[2]
+            if lu_name in lu_names:
                 raise IntegrityError(
                     f"{source}: duplicate lexical unit {lu_name!r} in frame {name!r}"
                 )
-            lexical_units[lu_name] = lu
+            lu_names.add(lu_name)
+            lu_rows.append(row)
 
     # Core set membership refers to FEs by name, so resolve after the FE pass.
     for core_set in (node[3]["memberFE"] for node in members if node[0] == "FEcoreSet"):
@@ -461,7 +471,6 @@ def _parse_fe(node, source, frame, store):
         raise IntegrityError(
             f"{source}: frame element {attrs.get('name')!r} has unknown coreType {core_type!r}"
         )
-    markup = "".join(definition or ())
     name, fe_id = _fields("FE", attrs, source, "name", "ID")
     fe = Record()
     fe["cBy"] = sys.intern(attrs.get("cBy", ""))
@@ -471,15 +480,16 @@ def _parse_fe(node, source, frame, store):
     fe["ID"] = fe_id
     fe["_type"] = "fe"
     fe["coreType"] = sys.intern(core_type)
-    fe["definition"] = strip_markup(markup)
-    fe["definitionMarkup"] = markup
+    fe["definition"] = _SHARED
+    fe["definitionMarkup"] = "".join(definition or ())
     refs = _semtype_refs(leaves["semType"], source, fe, store)
     fe["semType"] = refs[0] if refs else None
     fe["frame"] = frame
     return fe
 
 
-def _parse_lu_stub(node, source, frame, store):
+def _parse_lu_stub(node, source):
+    """The checked ``lu_record`` arguments of a ``<lexUnit>``, up to its frame."""
     _, attrs, definition, leaves, _ = node
     markup = "".join(definition or ())
     count_attrs = next(iter(leaves["sentenceCount"]), {})
@@ -501,8 +511,7 @@ def _parse_lu_stub(node, source, frame, store):
     ]
     name, lu_id = _fields("lexUnit", attrs, source, "name", "ID")
     status, pos = sys.intern(attrs.get("status", "")), sys.intern(attrs.get("POS", ""))
-    counts = (annotated, total)
-    return lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store)
+    return status, pos, name, lu_id, markup, lexemes, (annotated, total)
 
 
 def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store):
@@ -520,7 +529,7 @@ def lu_record(status, pos, name, lu_id, markup, lexemes, counts, frame, store):
     lu["name"] = name
     lu["ID"] = lu_id
     lu["_type"] = "lu"
-    lu["definition"] = strip_markup(markup)
+    lu["definition"] = _SHARED
     lu["definitionMarkup"] = markup
     lu["lexemes"] = _Packed(lexemes) if lexemes else []
     lu["sentenceCount"] = _Packed(counts)
@@ -539,14 +548,18 @@ _LEXEME_FIELDS = ("name", "POS", "headword", "breakBefore", "order")
 
 
 class _Packed(tuple, Derived):
-    """Checked data that its record builds into records on first read: an LU
-    stub's lexeme tuples or its (annotated, total) sentence count, or an
+    """Checked data that its record builds into records on first read: a
+    frame's store and its LU stubs' ``lu_record`` arguments, an LU stub's
+    lexeme tuples or its (annotated, total) sentence count, or an
     annotation set's flat layer tuple, which sits in its ``layer`` and in
     each of its views but ``Target`` and ``FE``."""
 
     __slots__ = ()
 
     def derive(self, record, key):
+        if key == "lexUnit":
+            store, rows = self
+            return {row[2]: lu_record(*row, record, store) for row in rows}
         if key == "lexemes":
             return [Record(zip(_LEXEME_FIELDS, lexeme)) for lexeme in self]
         if key == "sentenceCount":
@@ -557,11 +570,15 @@ class _Packed(tuple, Derived):
 
 
 class _Shared(Derived):
-    """The one value in every frame's and LU's ``URL``, built from its name or
-    ID, and in a sentence's unbuilt views, which read its annotation set's
-    own: set 0's ``POS``, and the frame set's (set 1's) others."""
+    """The one value in every frame's, FE's and LU's ``definition``, stripped
+    from its ``definitionMarkup``; in every frame's and LU's ``URL``, built
+    from its name or ID; and in a sentence's unbuilt views, which read its
+    annotation set's own: set 0's ``POS``, and the frame set's (set 1's)
+    others."""
 
     def derive(self, record, key):
+        if key == "definition":
+            return strip_markup(record["definitionMarkup"])
         if key != "URL":
             return record["annotationSet"][0 if key == "POS" else 1][key]
         path = f"frame/{record['name']}" if record["_type"] == "frame" else f"lu/lu{record['ID']}"

@@ -454,11 +454,18 @@ def _interrupt_at(code, line, load):
 # The first load of each kind of entity, on a fresh lexicon.
 _LOADS = {
     "frame": lambda lex: lex.frame("Revenge"),
+    "frame LU stubs": lambda lex: lex.frame("Revenge").lexUnit,
+    "frame definition": lambda lex: lex.frame("Revenge").definition,
     "LU exemplars": lambda lex: lex.lu(6067).exemplars,
+    "exemplars of a built LU stub": lambda lex: lex.lu(6067).exemplars,
     "document": lambda lex: lex.doc(23802),
     "relation registry": lambda lex: lex.frame_relation_types(),
     "semantic types": lambda lex: lex.semtypes(),
 }
+
+# What a load's lexicon reads before it, with no interrupt: the LU stub, so
+# that the first value built in the load is the stub's ``exemplars``.
+_READ_BEFORE = {"exemplars of a built LU stub": lambda lex: lex.lu(6067)}
 
 
 def test_a_load_interrupted_anywhere_in_a_resolve_builds_whole_on_the_next_read(data_dir):
@@ -475,6 +482,8 @@ def test_a_load_interrupted_anywhere_in_a_resolve_builds_whole_on_the_next_read(
         for line in sorted(lines):
             for kind, load in _LOADS.items():
                 lex = open_lexicon(data_dir)
+                if kind in _READ_BEFORE:
+                    _READ_BEFORE[kind](lex)
                 if _interrupt_at(fn.__code__, line, lambda: load(lex)):
                     fired.add((fn, line))
                 assert _record_digest(lex.store) == clean, (fn.__qualname__, line, kind)
@@ -662,6 +671,22 @@ def test_malformed_integer_is_a_parse_error(data_dir, tmp_path, attr, relpath):
 @pytest.mark.parametrize(
     "old, new, error, message",
     [
+        (
+            ' name="avenge.v" ID="6056"', ' ID="6056"',
+            ParseError, "<lexUnit> is missing required attribute 'name'",
+        ),
+        (
+            ' name="avenge.v" ID="6056"', ' name="avenge.v"',
+            ParseError, "<lexUnit> is missing required attribute 'ID'",
+        ),
+        (
+            ' name="avenge.v" ID="6056"', ' name="avenge.v" ID="60x6"',
+            ParseError, "<lexUnit> attribute 'ID' is not an integer: '60x6'",
+        ),
+        (
+            ' name="avenger.n" ID="6057"', ' name="avenge.v" ID="6057"',
+            IntegrityError, "duplicate lexical unit 'avenge.v' in frame 'Revenge'",
+        ),
         (' name="avenge" />', " />", ParseError, "<lexeme> is missing required attribute 'name'"),
         (
             '<lexeme order="1"', '<lexeme order="x"',
@@ -672,11 +697,16 @@ def test_malformed_integer_is_a_parse_error(data_dir, tmp_path, attr, relpath):
             IntegrityError, "lexical unit 'revenge.n' has annotated > total sentence count",
         ),
     ],
-    ids=["lexeme without name", "lexeme order not an integer", "annotated above total"],
+    ids=[
+        "lexUnit without name", "lexUnit without ID", "lexUnit ID not an integer",
+        "duplicate lexUnit name", "lexeme without name", "lexeme order not an integer",
+        "annotated above total",
+    ],
 )
 def test_lu_stub_faults_fail_the_frame_load(data_dir, tmp_path, old, new, error, message):
-    """Lexemes and sentence counts become records on first read, but are
-    checked when their frame loads, in the library and in the CLI."""
+    """LU stubs, their lexemes and their sentence counts become records on
+    first read, but are checked when their frame loads, in the library and
+    in the CLI: the load itself fails, with no read of ``lexUnit``."""
     clone = _corrupt_copy(data_dir, tmp_path, "frame/Revenge.xml", old, new)
     with pytest.raises(error) as info:
         open_lexicon(clone).frame("Revenge")

@@ -421,17 +421,28 @@ def _raw_lexeme(attrs):
     }
 
 
-def test_lu_stub_lexemes_and_sentence_counts_match_raw_xml(data_dir, store):
-    """Each stub keeps its lexemes and sentence count unbuilt until first
-    read, then returns records equal to an ElementTree re-parse, the
-    identical ones on every later read."""
-    from xml.etree import ElementTree
-
-    lexemes = counted = 0
+def _assert_lu_stubs_match_raw_xml(data_dir, frame_of):
+    """Each frame, ``frame_of(path)`` for each frame file of ``data_dir``,
+    keeps its LU stubs unbuilt until ``lexUnit`` is first read, then has one
+    stub per ``<lexUnit>`` of an ElementTree re-parse, in file order, with its
+    ``name``, ``ID``, ``POS``, ``status`` and ``definitionMarkup``.  Each stub
+    keeps its lexemes and sentence count unbuilt until first read, then
+    returns records equal to the re-parse's, the identical ones on every
+    later read.  The counts of stubs, lexemes and sentence counts checked."""
+    stubs = lexemes = counted = 0
     for path in sorted((data_dir / "frame").glob("*.xml")):
-        frame = parse_frame_file(path.read_bytes(), path.name, store)
-        for elt in _children(ElementTree.fromstring(path.read_bytes()), "lexUnit"):
+        frame = frame_of(path)
+        assert isinstance(dict.__getitem__(frame, "lexUnit"), Derived), path.name
+        elts = _children(ElementTree.fromstring(path.read_bytes()), "lexUnit")
+        assert list(frame.lexUnit) == [elt.get("name") for elt in elts]
+        for elt in elts:
             lu = frame.lexUnit[elt.get("name")]
+            definition = (_children(elt, "definition") or [ElementTree.Element("none")])[0]
+            assert (lu.name, lu.ID, lu.POS, lu.status, lu.definitionMarkup) == (
+                elt.get("name"), int(elt.get("ID")), elt.get("POS", ""), elt.get("status", ""),
+                definition.text or "",
+            )
+            assert lu.frame is frame
             expected = [_raw_lexeme(lex.attrib) for lex in _children(elt, "lexeme")]
             count = (_children(elt, "sentenceCount") or [ElementTree.Element("none")])[0]
             total = {key: int(count.get(key, "0")) for key in ("annotated", "total")}
@@ -444,9 +455,35 @@ def test_lu_stub_lexemes_and_sentence_counts_match_raw_xml(data_dir, store):
             assert type(lu.sentenceCount) is Record
             assert lu.lexemes is lu.lexemes and lu.sentenceCount is lu.sentenceCount
             assert dict.__getitem__(lu, "lexemes") is lu.lexemes
+            stubs += 1
             lexemes += len(expected)
             counted += count.tag != "none"
-    assert lexemes > 0 and counted > 0
+        assert frame.lexUnit is frame.lexUnit
+    return stubs, lexemes, counted
+
+
+def test_lu_stub_lexemes_and_sentence_counts_match_raw_xml(data_dir, store):
+    def frame_of(path):
+        return parse_frame_file(path.read_bytes(), path.name, store)
+
+    stubs, lexemes, counted = _assert_lu_stubs_match_raw_xml(data_dir, frame_of)
+    assert stubs > 20 and lexemes > 0 and counted > 0
+
+
+@pytest.mark.skipif(
+    not os.environ.get("FRAMELEX_DATA"),
+    reason="needs a full-size corpus in FRAMELEX_DATA",
+)
+def test_full_corpus_lu_stubs_match_raw_xml_through_the_lexicon():
+    """The same through a lexicon on ``FRAMELEX_DATA`` once ``fes()`` has
+    loaded every frame, which builds no frame's stubs."""
+    data_dir = Path(os.environ["FRAMELEX_DATA"])
+    lex = open_lexicon(data_dir)
+    lex.fes()
+    log = list(lex.store.fileAccessLog)
+    stubs, _, _ = _assert_lu_stubs_match_raw_xml(data_dir, lambda path: lex.frame(path.stem))
+    assert stubs > 10000
+    assert lex.store.fileAccessLog == log
 
 
 def test_repeated_small_vocabulary_strings_are_one_object(store):
@@ -873,18 +910,23 @@ _REPORTS = "https://framenet2.icsi.berkeley.edu/fnReports/data"
 def _derived_slots(store):
     """Freshly parsed fixture records, as units of two lists of ``(record,
     key)`` slots that a first read builds: per sentence its mirrored views,
-    then its sets' ``layer`` and views; per frame nothing, then its ``URL``;
-    per LU stub nothing, then its ``URL``, ``sentenceCount`` and ``lexemes``.
-    Also the URLs that the frame files' ``name`` and ``ID`` give."""
+    then its sets' ``layer`` and views; per frame nothing, then its ``URL``,
+    ``definition`` and ``lexUnit`` and its FEs' ``definition``; per LU stub,
+    from a second parse of its frame, nothing, then its ``URL``,
+    ``definition``, ``sentenceCount`` and ``lexemes``.  Also the URLs that
+    the frame files' ``name`` and ``ID`` give."""
     units, urls = [], []
     for path in sorted((store.root / "frame").glob("*.xml")):
         elt = ElementTree.fromstring(path.read_bytes())
         frame = parse_frame_file(path.read_bytes(), path.name, store)
-        units.append(([], [(frame, "URL")]))
+        fes = [(fe, "definition") for fe in frame.FE.values()]
+        units.append(([], [(frame, "URL"), (frame, "definition"), (frame, "lexUnit"), *fes]))
         urls.append(f"{_REPORTS}/frame/{elt.get('name')}.xml")
+        stubs = parse_frame_file(path.read_bytes(), path.name, store).lexUnit
         for lu_elt in _children(elt, "lexUnit"):
-            lu = frame.lexUnit[lu_elt.get("name")]
-            keys = ["URL", "sentenceCount"] + ["lexemes"] * bool(_children(lu_elt, "lexeme"))
+            lu = stubs[lu_elt.get("name")]
+            keys = ["URL", "definition", "sentenceCount"]
+            keys += ["lexemes"] * bool(_children(lu_elt, "lexeme"))
             units.append(([], [(lu, key) for key in keys]))
             urls.append(f"{_REPORTS}/lu/lu{lu_elt.get('ID')}.xml")
     for _, _, sents in _oracle_inputs(store):
@@ -906,9 +948,10 @@ def test_threads_first_reading_derived_slots_get_one_object_each(store):
     """Eight threads first-read every derived slot of freshly parsed records,
     in seeded orders, a sentence's views before its sets' in half the threads
     and after them in the rest: each slot gives every thread one object,
-    equal to a sequential read of a second parse."""
+    equal to a sequential read of a second parse, with back-links and lazy
+    references left out."""
     units, urls = _derived_slots(store)
-    sequential = [[record[key] for record, key in sent + sets] for sent, sets in units]
+    sequential = [[_plain(record[key]) for record, key in sent + sets] for sent, sets in units]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -939,7 +982,7 @@ def test_threads_first_reading_derived_slots_get_one_object_each(store):
                 value = dict.__getitem__(record, key)
                 assert all(got[id(record), key] is value for got in seen), (record, key)
             for (sent, sets), expected in zip(units, sequential):
-                assert [record[key] for record, key in sent + sets] == expected
+                assert [_plain(record[key]) for record, key in sent + sets] == expected
                 for record, key in sent:
                     aset = record.annotationSet[0 if key == "POS" else 1]
                     assert dict.__getitem__(record, key) is dict.__getitem__(aset, key)
@@ -948,7 +991,8 @@ def test_threads_first_reading_derived_slots_get_one_object_each(store):
     assert [record.URL for _, unit in units for record, key in unit if key == "URL"] == urls
     kinds = {(record._type, key) for sent, sets in units for record, key in sent + sets}
     assert kinds >= {
-        ("frame", "URL"), ("lu", "URL"), ("lu", "lexemes"), ("lu", "sentenceCount"),
+        ("frame", "URL"), ("frame", "definition"), ("frame", "lexUnit"), ("fe", "definition"),
+        ("lu", "URL"), ("lu", "definition"), ("lu", "lexemes"), ("lu", "sentenceCount"),
         ("sentence", "POS"), ("sentence", "GF"), ("sentence", "PT"), ("sentence", "Noun"),
         ("fulltext_sentence", "POS"), ("annotationset", "layer"), ("annotationset", "GF"),
         ("annotationset", "PT"), ("annotationset", "POS"), ("annotationset", "Noun"),
@@ -1329,13 +1373,14 @@ _BUILT_ON_READ = {"framerelationtype": "frameRelations", "framerelation": "feRel
 def _plain(value):
     """``value`` with lazy references and back-links left out, for comparison.
 
-    A relation type's relations and a relation's FE mappings are read, as
-    building them resolves nothing.
+    A relation type's relations, a relation's FE mappings and every
+    ``Derived`` that is not a ``Lazy`` are read, as building them resolves
+    nothing.
     """
     if isinstance(value, Record):
         built = _BUILT_ON_READ.get(dict.get(value, "_type"))
         return {
-            key: _plain(value[key] if key == built else item)
+            key: _plain(value[key] if key == built or isinstance(item, Derived) else item)
             for key, item in dict.items(value)
             if key == built or not isinstance(item, (Lazy, Record))
         }

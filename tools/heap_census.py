@@ -14,7 +14,10 @@ prints:
 - held MB with every frame loaded: the same, on another fresh lexicon after
   ``fes()``, which loads every frame file, as a browsing session comes to hold.
   It is measured first, before the sweep, so that nothing run earlier in the
-  process moves it;
+  process moves it.  The values that ``fes()`` leaves unbuilt follow, by kind
+  and key as below: every frame's ``lexUnit`` and the ``definition`` of every
+  frame and FE are there until read, so a change that builds a frame's LU
+  stubs or strips its definitions when the frame loads drops them;
 - GC-tracked objects: ``len(gc.get_objects())`` once a full collection no
   longer lowers it, and the collections that took.  One collection is not
   enough: CPython untracks a tuple only once its items are untracked, so
@@ -80,32 +83,45 @@ def census(data_dir):
     tracemalloc.stop()
     records = [obj for obj in gc.get_objects() if isinstance(obj, Record)]
     kinds = Counter(dict.get(record, "_type", "-") for record in records)
-    unbuilt = Counter(
+    return held, sentences, seconds, collections, tracked, passes, kinds, unbuilt(records), sites
+
+
+def unbuilt(records):
+    """The values of ``records`` that no read has built yet, counted by kind
+    (``Lazy``, or another ``Derived``) and key."""
+    return Counter(
         ("Lazy" if isinstance(value, Lazy) else "Derived", key)
         for record in records
         for key, value in dict.items(record)
         if isinstance(value, Derived)
     )
-    return held, sentences, seconds, collections, tracked, passes, kinds, unbuilt, sites
 
 
 def frames_held(data_dir):
-    """Bytes still allocated by a fresh lexicon once ``fes()`` has run."""
+    """(bytes still allocated by a fresh lexicon once ``fes()`` has run, the
+    values of its records still unbuilt by kind and key)."""
     tracemalloc.start()
     lexicon = FrameLexicon.open(data_dir)
     lexicon.fes()
     gc.collect()
     held = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
-    return held
+    records = [obj for obj in gc.get_objects() if isinstance(obj, Record)]
+    return held, unbuilt(records)
+
+
+def print_unbuilt(counts):
+    print(f"unbuilt values     {sum(counts.values())}")
+    for (kind, key), count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
+        print(f"  {kind:<7} {key:<14} {count}")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--data", required=True, help="corpus directory")
     args = parser.parse_args(argv)
-    frames = frames_held(args.data)
-    held, sentences, seconds, collections, tracked, passes, kinds, unbuilt, sites = census(
+    frames, frames_unbuilt = frames_held(args.data)
+    held, sentences, seconds, collections, tracked, passes, kinds, swept_unbuilt, sites = census(
         args.data
     )
     print(f"sentences          {sentences}")
@@ -118,14 +134,13 @@ def main(argv=None):
         where = Path(frame.filename).resolve()
         where = where.relative_to(ROOT) if where.is_relative_to(ROOT) else where
         print(f"  {where}:{frame.lineno:<6} {site.size / 1e6:6.2f} MB {site.count:>9} blocks")
-    print(f"held MB with every frame loaded {frames / 1e6:.1f} (measured first)")
+    print(f"held MB with every frame loaded {frames / 1e6:.1f} (measured first), with")
+    print_unbuilt(frames_unbuilt)
     print(f"GC-tracked objects {tracked} (after {passes} full collections)")
     print(f"Records            {sum(kinds.values())}")
     for kind, count in sorted(kinds.items(), key=lambda item: (-item[1], item[0])):
         print(f"  {kind:<18} {count}")
-    print(f"unbuilt values     {sum(unbuilt.values())}")
-    for (kind, key), count in sorted(unbuilt.items(), key=lambda item: (-item[1], item[0])):
-        print(f"  {kind:<7} {key:<14} {count}")
+    print_unbuilt(swept_unbuilt)
 
 
 if __name__ == "__main__":
