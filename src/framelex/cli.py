@@ -348,7 +348,10 @@ def repl(lexicon, options, stdin, stdout):
             stdout.flush()
         except Exception:
             pass
-        line = stdin.readline()
+        try:  # an interrupt only: any other failure to read recurs at every prompt
+            line = stdin.readline()
+        except KeyboardInterrupt:  # Ctrl-C at the prompt leaves, as end-of-file does
+            line = ""
         if not line:
             stdout.write("\n")
             return 0

@@ -23,13 +23,8 @@ value together build it once.  A read of any other value pays one
   other error, a failed read or an interrupt, leaves the thunk to run again.
 - Every other ``Derived`` is built from data its record already holds, reads
   no file and cannot fail, and costs no object of its own: the value is that
-  data, as an annotation set's flat layer tuple, which sits in its ``layer``
-  and view slots, an LU stub's lexeme and sentence count tuples, or a
-  frame's checked LU stub fields, which build its ``lexUnit``; or one
-  singleton shared by every record, as a frame's, FE's or LU's
-  ``definition``, the report ``URL`` and a sentence's views that mirror its
-  annotation sets'.  A frame's LU stub fields hold its store too, but only
-  to give each stub the ``Lazy`` that loads its exemplars.
+  data, or one singleton shared by every record.  ``xmlio``'s docstring
+  lists the slots that hold one.
 
 Resolving a value may load a file and loading a file may resolve values, so
 one re-entrant lock serves both; two could deadlock against each other.

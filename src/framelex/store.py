@@ -8,21 +8,20 @@ semantic type registries on first relation or type access, and full-text
 documents when requested.  The parsers link exemplar sentences to the LU
 record that loaded them, so the store returns their records unchanged.
 
-Every file actually opened is appended to ``fileAccessLog`` (path relative to
-the corpus root, posix separators), which makes load behavior observable and
-replayable.  Every load resolves a ``records.Lazy``, the package's one
+One method, ``Store._file``, is the one place that reads a corpus file: it
+reads it, appends it to ``fileAccessLog`` (path relative to the corpus root,
+posix separators), which makes load behavior observable and replayable, and
+parses it.  Every load resolves a ``records.Lazy``, the package's one
 once-only mechanism for a value that reads a file or can fail: the memo,
 ``Store._load``, keeps one ``Lazy`` per key, and an LU's exemplar file loads
 as its stub's ``subCorpus`` ``Lazy``.  So concurrent first accesses to the
 same entity parse its file exactly once, repeated lookups return the
 identical cached record, and no collection runs while a file is parsed.  A
 ``Lazy`` is one kind of ``records.Derived``.  Every other kind loads no
-file: it is built from what its record holds (an annotation set's layer
-tuple in its ``layer`` and views, a frame's ``lexUnit``, its LU stubs, an LU
-stub's ``lexemes`` and ``sentenceCount``, a frame's, FE's or LU's
-``definition``, a frame's or LU's ``URL``, a sentence's mirrored views),
-under the same lock.  So ``get_lu`` builds the stubs of one frame, the LU's
-own, and returns the very stub in that frame's ``lexUnit``.
+file: it is built from what its record holds, under the same lock, and
+``xmlio``'s docstring lists the slots that hold one.  So ``get_lu`` builds
+the stubs of one frame, the LU's own, and returns the very stub in that
+frame's ``lexUnit``.
 
 The parsers get the store itself and call back into it only through the five
 methods that ``xmlio``'s docstring names.
@@ -98,18 +97,20 @@ class Store:
             entry = self._cache.setdefault(key, Lazy(fn, *args))
         return entry.resolve()
 
-    def _read(self, relpath):
+    def _file(self, relpath, parse, *args):
+        """``parse(data, relpath, *args)`` of corpus file ``relpath``'s bytes,
+        logged in ``fileAccessLog``: the one place that reads a corpus file."""
         path = self.root / relpath
         try:
             data = path.read_bytes()
         except OSError as exc:
             raise CorpusError(f"cannot read corpus file {path}: {exc.strerror}") from None
         self.fileAccessLog.append(relpath)
-        return data
+        return parse(data, relpath, *args)
 
     def _table(self, relpath, parse, *args):
         """The memo's table of index or registry file ``relpath``, as ``parse`` returns it."""
-        return self._load(relpath, lambda: parse(self._read(relpath), relpath, *args))
+        return self._load(relpath, self._file, relpath, parse, *args)
 
     @staticmethod
     def _index_column(rows, row_name=itemgetter("name")):
@@ -148,7 +149,7 @@ class Store:
 
     def _parse_frame(self, fid, name):
         relpath = f"frame/{name}.xml"
-        frame = xmlio.parse_frame_file(self._read(relpath), relpath, self)
+        frame = self._file(relpath, xmlio.parse_frame_file, self)
         if frame["ID"] != fid or frame["name"] != name:
             raise IntegrityError(
                 f"{relpath}: header ({frame['ID']}, {frame['name']!r}) "
@@ -242,8 +243,7 @@ class Store:
 
     def load_exemplars(self, lu_stub):
         """An LU stub's subcorpora, from its exemplar file: its ``subCorpus``."""
-        relpath = f"lu/lu{lu_stub['ID']}.xml"
-        return xmlio.parse_lu_file(self._read(relpath), relpath, lu_stub)
+        return self._file(f"lu/lu{lu_stub['ID']}.xml", xmlio.parse_lu_file, lu_stub)
 
     def owns_lu(self, lu):
         """Whether LU record ``lu`` is this store's, from the memo alone: its
@@ -306,7 +306,7 @@ class Store:
             f"fulltext/{row.corpusName}__{row.name}.xml",
         ]
         relpath = next((c for c in candidates if (self.root / c).is_file()), candidates[0])
-        doc = xmlio.parse_fulltext_file(self._read(relpath), relpath, self)
+        doc = self._file(relpath, xmlio.parse_fulltext_file, self)
         if doc["ID"] != row.ID:
             raise IntegrityError(f"{relpath}: file header carries ID {doc['ID']}")
         if doc["corpusID"] != row.corpusID:

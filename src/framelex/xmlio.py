@@ -51,17 +51,18 @@ hold the tuple itself, a ``_Packed``: a ``records.Derived`` value that
 builds what its slot's key names, so a set costs no object per slot.  A
 frame's ``lexUnit`` is a ``_Packed`` of the store and a list of its LU
 stubs' checked ``lu_record`` arguments, in file order; its first read builds
-the ``{name: stub}`` dict.  An LU stub's ``lexemes`` is a ``_Packed`` of its
-lexemes' checked ``(name, POS, headword, breakBefore, order)`` tuples, and
-its ``sentenceCount`` one of its checked counts; each builds its records on
-first read.  Every check of a ``<lexUnit>``, a duplicate name included, runs
-when the frame loads.  One ``Derived`` singleton, ``_SHARED``, sits in every
-frame's, FE's and LU's ``definition``, which it strips from the record's
-``definitionMarkup``; in every frame's and LU's ``URL``, which it builds
-from the name or ID; and in a sentence's ``POS`` and a lexicographic
-sentence's other unbuilt views, which it reads from the set, so that both
-hold one list.  ``Lazy`` is kept for references to other files and for what
-can fail.
+the ``{name: stub}`` dict.  It holds the store only to give each stub the
+``Lazy`` that loads its exemplars.  An LU stub's ``lexemes`` is a
+``_Packed`` of its lexemes' checked ``(name, POS, headword, breakBefore,
+order)`` tuples, and its ``sentenceCount`` one of its checked counts; each
+builds its records on first read.  Every check of a ``<lexUnit>``, a
+duplicate name included, runs when the frame loads.  One ``Derived``
+singleton, ``_SHARED``, sits in every frame's, FE's and LU's
+``definition``, which it strips from the record's ``definitionMarkup``; in
+every frame's and LU's ``URL``, which it builds from the name or ID; and in
+a sentence's ``POS`` and a lexicographic sentence's other unbuilt views,
+which it reads from the set, so that both hold one list.  ``Lazy`` is kept
+for references to other files and for what can fail.
 
 Strings from a small vocabulary are interned, as they repeat across the
 corpus: label and layer names, the LU index's frame names and statuses, a

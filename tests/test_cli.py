@@ -326,6 +326,44 @@ def test_repl_eof_is_clean_exit():
     assert code == 0
 
 
+class _Keyboard(io.StringIO):
+    """Console input whose text is followed by one error raised at the
+    prompt's read, then by end-of-file."""
+
+    def __init__(self, text, error):
+        super().__init__(text)
+        self.pending = [error]
+
+    def readline(self):
+        line = super().readline()
+        if not line and self.pending:
+            raise self.pending.pop()
+        return line
+
+
+def _browse(stdin):
+    out = io.StringIO()
+    return run(["--data", str(DATA_DIR), "browse"], stdin=stdin, stdout=out), out.getvalue()
+
+
+def test_repl_ctrl_c_at_the_prompt_is_clean_exit(golden):
+    try:
+        code, out = _browse(_Keyboard("frame Revenge\n", KeyboardInterrupt))
+    except KeyboardInterrupt:  # escaping, it would stop the whole test session
+        pytest.fail("Ctrl-C at the prompt escaped the shell")
+    assert code == 0
+    assert golden("frame_revenge.txt") in out
+    assert out.endswith("Revenge> \n")
+
+
+def test_repl_input_that_cannot_be_read_is_not_retried():
+    # Any failure of the read other than an interrupt would fail again at
+    # every later prompt, so it escapes instead of being shown as an error.
+    stdin = _Keyboard("", ValueError("I/O operation on closed file."))
+    with pytest.raises(ValueError, match="closed file"):
+        _browse(stdin)
+
+
 def _random_lines(seed, alphabet, count=1000):
     rng = random.Random(seed)
     return ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60))) for _ in range(count)]

@@ -61,6 +61,59 @@ def test_every_file_is_parsed_through_the_xmlio_module(data_dir, monkeypatch):
     assert len(lex.store.fileAccessLog) == len(parsed)
 
 
+# The paths that the interpreter's ``open`` audit event names while
+# ``_OPENED`` is a list.  An audit hook cannot be removed, so one hook is
+# added, on first use, and records nothing between uses.
+_OPENED = None
+
+
+def _audit_open(event, args):
+    if event == "open" and _OPENED is not None and not isinstance(args[0], int):
+        _OPENED.append(os.fsdecode(args[0]))
+
+
+def _opened_under(root, load):
+    """The files under ``root`` that ``load()`` opens, relative to it, in order."""
+    global _OPENED
+    if not hasattr(_audit_open, "added"):
+        sys.addaudithook(_audit_open)
+        _audit_open.added = True
+    _OPENED = []
+    try:
+        load()
+        opened = _OPENED
+    finally:
+        _OPENED = None
+    prefix = os.path.join(str(root), "")
+    return [Path(path[len(prefix):]).as_posix() for path in opened if path.startswith(prefix)]
+
+
+def test_the_access_log_lists_exactly_the_files_opened(data_dir, monkeypatch):
+    """Every file that a walk of every record, or the CLI's ``stats``, opens
+    under the corpus root, as the interpreter's audit hook sees it, is its
+    store's ``fileAccessLog``, entry for entry."""
+    lexicons = []
+    monkeypatch.setattr(
+        "framelex.cli.open_lexicon",
+        lambda *args: lexicons.append(open_lexicon(*args)) or lexicons[-1],
+    )
+
+    def walk():
+        lexicons.append(open_lexicon(data_dir))
+        _record_digest(lexicons[-1].store)
+
+    def stats():
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["--data", str(data_dir), "stats"], stdout=out, stderr=err) == 0
+
+    for load in (walk, stats):
+        lexicons.clear()
+        opened = _opened_under(data_dir, load)
+        assert len(lexicons) == 1
+        assert opened == lexicons[0].store.fileAccessLog, load.__name__
+        assert sorted(opened) == _corpus_files(data_dir)
+
+
 def test_open_store_without_location(monkeypatch):
     monkeypatch.delenv("FRAMELEX_DATA", raising=False)
     with pytest.raises(CorpusError):
@@ -490,6 +543,56 @@ def test_a_load_interrupted_anywhere_in_a_resolve_builds_whole_on_the_next_read(
                 assert set(lex.store.fileAccessLog) == set(_corpus_files(data_dir))
         # A clean load stores through every line but those of a failed build.
         assert {line for target, line in fired if target is fn} == lines - handled
+
+
+# The first load of each corrupt file, by the file.
+_FAILING_LOADS = {
+    "frame/Omen.xml": lambda lex: lex.frame("Omen"),
+    "lu/lu5331.xml": lambda lex: lex.lu(5331).exemplars,
+    "fulltext/Sherlock__Wisteria_Report.xml": lambda lex: lex.doc(23803),
+}
+
+
+def _error_of(load, lex):
+    """The class and message of the ``FramelexError`` that ``load(lex)``
+    raises, or None."""
+    try:
+        load(lex)
+    except FramelexError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_a_failing_load_interrupted_anywhere_in_a_resolve_fails_alike_on_the_next_read(
+    data_dir, tmp_path
+):
+    """A ``KeyboardInterrupt`` at each line of ``Lazy.resolve`` and
+    ``Record._derive`` that stores a value, in the first load of a corrupt
+    frame, LU or document file: the next read raises the error of a fresh
+    store's first read, a third raises it again and reads no file, and the
+    corrupt file is read at most twice."""
+    clone = tmp_path / "corpus"
+    shutil.copytree(data_dir, clone)
+    for relpath in _FAILING_LOADS:
+        (clone / relpath).write_bytes((clone / relpath).read_bytes()[:200])
+    fired = set()
+    for fn in [Lazy.resolve, Record._derive]:
+        lines, _ = _store_lines(fn)
+        for line in sorted(lines):
+            for relpath, load in _FAILING_LOADS.items():
+                error = _error_of(load, open_lexicon(clone))
+                assert error[0] is ParseError and error[1].startswith(f"{relpath}:")
+                lex = open_lexicon(clone)
+                if _interrupt_at(fn.__code__, line, lambda: _error_of(load, lex)):
+                    fired.add((fn, line))
+                where = (fn.__qualname__, line, relpath)
+                assert _error_of(load, lex) == error, where
+                log = list(lex.store.fileAccessLog)
+                assert _error_of(load, lex) == error, where
+                assert lex.store.fileAccessLog == log, where
+                assert 1 <= log.count(relpath) <= 2, where
+    # Among them the store of a failed build, which a clean load never reaches.
+    assert {(Lazy.resolve, line) for line in _store_lines(Lazy.resolve)[1]} <= fired
 
 
 def test_files_that_fail_to_load_fail_alike_in_every_thread(data_dir, tmp_path):

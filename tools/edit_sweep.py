@@ -9,7 +9,8 @@ The edits, each made alone, at every spot it applies to:
 - an element deleted, duplicated, or replaced by a stray ``>``.
 
 Each edited file is served from memory, with the other files as they are,
-by a ``Store`` whose ``_read`` logs each file as ``Store._read`` does.
+by a ``Store`` whose ``_file`` logs and parses each file as ``Store._file``
+does.
 Every record read from the edited file is then walked and rendered
 (``walk_file``).  Only a ``FramelexError`` may escape, and a run that
 ends without one must have read the edited file: ``walk_file`` finds a
@@ -154,12 +155,12 @@ class MemoryStore(Store):
         self._files = files
         super().__init__(root)
 
-    def _read(self, relpath):
+    def _file(self, relpath, parse, *args):
         data = self._files.get(relpath)
         if data is None:
-            return super()._read(relpath)
+            return super()._file(relpath, parse, *args)
         self.fileAccessLog.append(relpath)
-        return data
+        return parse(data, relpath, *args)
 
 
 def sweep(root):
