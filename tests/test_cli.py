@@ -326,7 +326,7 @@ def test_repl_eof_is_clean_exit():
     assert code == 0
 
 
-class _Keyboard(io.StringIO):
+class _Console(io.StringIO):
     """Console input whose text is followed by one error raised at the
     prompt's read, then by end-of-file."""
 
@@ -348,7 +348,7 @@ def _browse(stdin):
 
 def test_repl_ctrl_c_at_the_prompt_is_clean_exit(golden):
     try:
-        code, out = _browse(_Keyboard("frame Revenge\n", KeyboardInterrupt))
+        code, out = _browse(_Console("frame Revenge\n", KeyboardInterrupt))
     except KeyboardInterrupt:  # escaping, it would stop the whole test session
         pytest.fail("Ctrl-C at the prompt escaped the shell")
     assert code == 0
@@ -359,7 +359,7 @@ def test_repl_ctrl_c_at_the_prompt_is_clean_exit(golden):
 def test_repl_input_that_cannot_be_read_is_not_retried():
     # Any failure of the read other than an interrupt would fail again at
     # every later prompt, so it escapes instead of being shown as an error.
-    stdin = _Keyboard("", ValueError("I/O operation on closed file."))
+    stdin = _Console("", ValueError("I/O operation on closed file."))
     with pytest.raises(ValueError, match="closed file"):
         _browse(stdin)
 
