@@ -12,17 +12,23 @@ referrer)``, a full-text annotation set's LU; ``resolve_frame_ref(frame_id,
 frame_name, source, referrer)``, the frame of a relation or of a full-text
 annotation set.  ``referrer`` is the record that holds the reference.
 
-Every file is read in one expat pass, ``_read``, with no element tree.
+Every file is read in one expat pass, ``_parse``, with no element tree.
 Element names lose their namespace, so ``<x:frame>`` is a ``<frame>``, but
 attributes are read by the names they are written with: a qualified one
-(``o:ID``) is never one of the format's attributes.  The LU index and the
-relation registry build each record at its start tag.  The full-text index
-keeps each corpus's document attributes at their start tags and builds its
-rows once the file is read.  The other files keep what a schema of their
-elements names, as a small tree of nodes, and build the records once the
-file is read.  Either way errors come in the same words and order: XML that
-is not well-formed first, then a wrong root element, then the first record
-that breaks a rule.
+(``o:ID``) is never one of the format's attributes.  The files of attributes
+only, the frame, LU and full-text indexes and the relation registry, have
+their parser's own start handler.  The frame and LU indexes build each row
+at its start tag, with no end handler.  The relation registry builds each
+relation and FE mapping at its start tag, and tracks end tags for its three
+levels.  The full-text index keeps each corpus's document attributes at
+their start tags, tracks end tags for the innermost ``<corpus>``, and builds
+its rows once the file is read.  The files with text are read by ``_read``:
+they keep what a schema of their elements names, as a small tree of nodes,
+and build the records once the file is read.  Either way errors come in the
+same words and order: XML that is not well-formed first, then a wrong root
+element, then the first record that breaks a rule.  A handler's error ends
+the pass at once; ``_parse`` then reads the file again, with no element
+handler, to raise a not-well-formed error in its place if there is one.
 
 The parsers read a fixed subset of elements and attributes.  Anything else in
 a file (editorial attributes, embedded relation references inside frame files,
@@ -85,8 +91,8 @@ records; each is built on first read.
 Attributes are read by one checked reader, ``_attr``.  It converts exactly the
 format's integer attributes, named once in ``_INTEGERS``, and returns any
 other as its string; ``_fields`` reads a run of required ones in order.
-Labels, LU index rows, relations and FE mappings, the most numerous records,
-read their attributes directly and fall back to ``_attr`` only when a lookup
+Labels, frame and LU index rows, relations and FE mappings, the most
+numerous records, read their attributes directly and fall back to ``_attr`` only when a lookup
 or a check fails, so every error keeps its message and precedence.
 """
 
@@ -146,94 +152,41 @@ class _Anywhere(dict):
 _TEXT = "#text"
 
 
-def _read(data, source, root_tag, schema):
-    """One expat pass over a ``<root_tag>`` document, with no element tree.
+class _LocalNames(dict):
+    """{element name as expat gives it, ``uri}name``: that name without its
+    namespace, interned}, each computed on first lookup."""
 
-    Returns the root as a node ``[tag, attrs, text, leaves, nodes]``.  Element
-    names are stripped of their namespace; attribute names are as written, a
-    qualified one keeping its namespace (``uri}ID``).  ``schema`` maps the
-    name of each child that a node keeps to what it keeps: None lists the
-    child's attributes in ``leaves[name]``; a schema adds the child to
-    ``nodes`` as a node of that schema; ``_TEXT`` keeps the first such child's
-    text, as ``Element.text`` holds it, as a list of parts (``text`` is None
-    without one); a function gets the child's attributes and may return the
-    schema for its content.  Other content goes unread, unless the schema is
-    an ``_Anywhere`` one.  Errors come in a fixed order: XML that is not
-    well-formed, then a wrong root, then the first ``CorpusError`` a function
-    raised; none runs after.
+    __slots__ = ()
+
+    def __missing__(self, tag):
+        local = self[tag] = sys.intern(tag.split("}", 1)[-1])
+        return local
+
+
+def _parse(data, source, root_tag=None, handlers=None):
+    """One expat pass over a ``<root_tag>`` document; returns the root's attributes.
+
+    Attribute names are as written, a qualified one keeping its namespace
+    (``uri}ID``).  Once the root is found to be a ``<root_tag>``,
+    ``handlers(parser)`` gives the ``(start, end)`` handlers, either may be
+    None, of the elements below it, which get their names with a namespace
+    for ``_LocalNames`` to strip.  Errors come in a fixed order: XML that is
+    not well-formed, then a wrong root, then the first ``CorpusError`` a
+    handler raised.  Either of the last two stops the pass at once; a second
+    pass over ``data``, with no element handlers, then raises the first
+    not-well-formed error in its place, if there is one.  With no
+    ``root_tag``, that second pass is all this does.
     """
     parser = expat.ParserCreate(namespace_separator="}")
-    local_names = {}
-    found = [root_tag, None, None, defaultdict(list), []]
-    skipped = ({}, None)  # for content that nothing reads, and as "not in the schema"
-    # (schema, node) for each open element's content.  Until some content gets
-    # a schema of its own, all have the root's, and ends are not tracked.
-    stack = [(schema, found)]
-    tracking = False
-    failure = None
+    root_attrs = None
 
     def root(tag, attrs):
-        nonlocal failure, tracking
+        nonlocal root_attrs
         local = tag.split("}", 1)[-1]
         if local != root_tag:
-            failure = ParseError(f"{source}: expected a <{root_tag}> document, got <{local}>")
-            parser.StartElementHandler = None
-            return
-        found[1] = attrs
-        parser.StartElementHandler = start
-        if type(schema) is not _Anywhere:
-            tracking = True
-            parser.EndElementHandler = end
-
-    def start(tag, attrs):
-        nonlocal failure, tracking
-        local = local_names.get(tag)
-        if local is None:
-            local = local_names[tag] = tag.split("}", 1)[-1]
-        schema, node = stack[-1]
-        kept = schema.get(local, skipped)
-        content = None
-        if kept is None:
-            node[3][local].append(attrs)
-        elif callable(kept):
-            try:
-                kept = kept(attrs)
-            except CorpusError as exc:
-                failure = exc
-                parser.StartElementHandler = parser.EndElementHandler = None
-                return
-            if kept is not None:
-                content = (kept, node)
-        elif isinstance(kept, dict):
-            child = [local, attrs, None, defaultdict(list), []]
-            node[4].append(child)
-            content = (kept, child)
-        elif kept is _TEXT and node[2] is None:
-            # Collect the element's text until its first child or its end.
-            node[2] = []
-            tracking = True
-            parser.CharacterDataHandler = node[2].append
-            parser.StartElementHandler, parser.EndElementHandler = text_start, text_end
-            content = skipped
-        if content is None:
-            if not tracking:
-                return
-            content = stack[-1] if type(schema) is _Anywhere else skipped
-        elif not tracking:
-            tracking = True
-            parser.EndElementHandler = end
-        stack.append(content)
-
-    def end(tag):
-        if len(stack) > 1:
-            stack.pop()
-
-    def end_text(handler, *args):
-        parser.CharacterDataHandler = None
-        parser.StartElementHandler, parser.EndElementHandler = start, end
-        handler(*args)
-
-    text_start, text_end = partial(end_text, start), partial(end_text, end)
+            raise ParseError(f"{source}: expected a <{root_tag}> document, got <{local}>")
+        root_attrs = attrs
+        parser.StartElementHandler, parser.EndElementHandler = handlers(parser)
 
     def undefined_entity(name):
         # Expat skips a reference that an external DTD may declare, and one to an
@@ -244,25 +197,89 @@ def _read(data, source, root_tag, schema):
         exc.lineno = line
         raise exc
 
-    parser.StartElementHandler = root
+    if root_tag is not None:
+        parser.StartElementHandler = root
     parser.SkippedEntityHandler = lambda name, is_parameter: is_parameter or undefined_entity(name)
     # An external entity's context ends with its name.
     parser.ExternalEntityRefHandler = lambda context, *_: undefined_entity(context.split("\f")[-1])
     try:
         parser.Parse(data, True)
+    except CorpusError:
+        _parse(data, source)
+        raise
     except expat.ExpatError as exc:
         raise ParseError(f"{source}: line {exc.lineno}: not well-formed XML ({exc})") from None
     except (LookupError, ValueError) as exc:
         # An unknown or unsupported encoding declaration.
         raise ParseError(f"{source}: cannot decode XML ({exc})") from None
     finally:
-        # The handlers refer to the parser and to each other: break those
-        # cycles, so that the nodes are freed now, not by the garbage collector.
+        # The handlers refer to the parser: break those cycles, so that what
+        # they built is freed now, not by the garbage collector.
         parser.StartElementHandler = parser.EndElementHandler = None
         parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
-        text_start = text_end = None
-    if failure is not None:
-        raise failure
+    return root_attrs
+
+
+def _read(data, source, root_tag, schema):
+    """A ``<root_tag>`` document's content as a small tree of nodes, read in
+    one ``_parse`` pass.
+
+    Returns the root as a node ``[tag, attrs, text, leaves, nodes]``, element
+    names stripped of their namespace.  ``schema`` maps the name of each
+    child that a node keeps to what it keeps: None lists the child's
+    attributes in ``leaves[name]``; a schema adds the child to ``nodes`` as a
+    node of that schema; ``_TEXT`` keeps the first such child's text, as
+    ``Element.text`` holds it, as a list of parts (``text`` is None without
+    one).  Other content goes unread, unless the schema is an ``_Anywhere``
+    one.  This reads the files with text; the indexes and the relation
+    registry give ``_parse`` their own start handlers instead.  Only a wrong
+    root raises here, and ``_parse``'s second pass puts XML that is not
+    well-formed before it; the records' errors come once this returns.
+    """
+    local_names = _LocalNames()
+    found = [root_tag, None, None, defaultdict(list), []]
+    skipped = ({}, None)  # for content that nothing reads, and as "not in the schema"
+    stack = [(schema, found)]  # (schema, node) for each open element's content
+    parser = None
+
+    def handlers(new_parser):
+        nonlocal parser
+        parser = new_parser
+        return start, end
+
+    def start(tag, attrs):
+        local = local_names[tag]
+        schema, node = content = stack[-1]
+        kept = schema.get(local, skipped)
+        if kept is None:
+            node[3][local].append(attrs)
+        elif isinstance(kept, dict):
+            child = [local, attrs, None, defaultdict(list), []]
+            node[4].append(child)
+            stack.append((kept, child))
+            return
+        elif kept is _TEXT and node[2] is None:
+            # Collect the element's text until its first child or its end.
+            node[2] = []
+            parser.CharacterDataHandler = node[2].append
+            parser.StartElementHandler, parser.EndElementHandler = text_start, text_end
+            stack.append(skipped)
+            return
+        stack.append(content if type(schema) is _Anywhere else skipped)
+
+    def end(tag):
+        stack.pop()
+
+    def end_text(handler, *args):
+        parser.CharacterDataHandler = None
+        parser.StartElementHandler, parser.EndElementHandler = start, end
+        handler(*args)
+
+    text_start, text_end = partial(end_text, start), partial(end_text, end)
+    try:
+        found[1] = _parse(data, source, root_tag, handlers)
+    finally:
+        text_start = text_end = None  # they and ``start`` refer to each other
     return found
 
 
@@ -298,13 +315,20 @@ def _fields(tag, attrs, source, *names):
 def parse_frame_index(data, source):
     """The frame index: {frame ID: (frame ID, frame name)} in file order."""
     rows = {}
-    for attrs in _read(data, source, "frameIndex", _Anywhere(frame=None))[3]["frame"]:
-        # Two reads, not ``_fields``, which made this parse, paid by every open, 25 % slower.
-        fid = _attr("frame", attrs, "ID", source)
-        name = _attr("frame", attrs, "name", source)
+    local_names = _LocalNames()
+
+    def frame(tag, attrs):
+        if local_names[tag] != "frame":
+            return
+        try:
+            fid, name = int(attrs["ID"]), attrs["name"]
+        except (KeyError, ValueError):  # the checked reader, to name the fault
+            fid, name = _fields("frame", attrs, source, "ID", "name")
         if fid in rows:
             raise IntegrityError(f"{source}: duplicate frame ID {fid}")
         rows[fid] = (fid, name)
+
+    _parse(data, source, "frameIndex", lambda _: (frame, None))
     return rows
 
 
@@ -318,8 +342,11 @@ def parse_lu_index(data, source):
     """The LU index: {LU ID: its ``LU_FIELDS`` tuple}, in file order."""
     rows = {}
     intern = sys.intern
+    local_names = _LocalNames()
 
-    def lu(attrs):
+    def lu(tag, attrs):
+        if local_names[tag] != "lu":
+            return
         try:
             lu_id, name, frame_id = int(attrs["ID"]), attrs["name"], int(attrs["frameID"])
             frame_name = attrs["frameName"]
@@ -334,7 +361,7 @@ def parse_lu_index(data, source):
         # Frame names and statuses repeat across rows, so they are interned.
         rows[lu_id] = (lu_id, name, frame_id, intern(frame_name), intern(attrs.get("status", "")))
 
-    _read(data, source, "luIndex", _Anywhere(lu=lu))
+    _parse(data, source, "luIndex", lambda _: (lu, None))
     return rows
 
 
@@ -346,13 +373,23 @@ def parse_fulltext_index(data, source):
     follow those of the corpus around it.
     """
     corpora = []  # (corpus attributes, its documents' attributes), start tag order
+    open_docs = []  # the documents' attributes of each open corpus, innermost last
+    local_names = _LocalNames()
 
-    def corpus(attrs):
-        docs = []
-        corpora.append((attrs, docs))
-        return _Anywhere(corpus=corpus, document=docs.append)
+    def start(tag, attrs):
+        local = local_names[tag]
+        if local == "corpus":
+            docs = []
+            corpora.append((attrs, docs))
+            open_docs.append(docs)
+        elif local == "document" and open_docs:
+            open_docs[-1].append(attrs)
 
-    _read(data, source, "fulltextIndex", _Anywhere(corpus=corpus))
+    def end(tag):
+        if local_names[tag] == "corpus":
+            open_docs.pop()
+
+    _parse(data, source, "fulltextIndex", lambda _: (start, end))
     rows = {}
     for attrs, docs in corpora:
         corpus_id = _attr("corpus", attrs, "ID", source, None)
@@ -880,6 +917,11 @@ def parse_fulltext_file(data, source, store):
 # ---------------------------------------------------------------- relations
 
 
+# What ``parse_relations_file`` reads of the children of an element whose
+# content it does not read.
+_NOTHING = {}
+
+
 def parse_relations_file(data, source, store):
     """The relation registry -> (relation-type records, {frame ID: relations}).
 
@@ -891,6 +933,7 @@ def parse_relations_file(data, source, store):
     types = []
     by_frame = {}
     mappings = []  # those of the relation last opened
+    local_names = _LocalNames()
 
     def relation_type(attrs):
         names = ("ID", "name", "superFrameName", "subFrameName")
@@ -913,9 +956,21 @@ def parse_relations_file(data, source, store):
 
     def fe_relation(attrs):
         mappings.append(_relation_row("FERelation", attrs, source, "superFEName", "subFEName"))
+        return _NOTHING
 
     fe_relations = {"FERelation": fe_relation}
-    _read(data, source, "frameRelations", {"frameRelationType": relation_type})
+    # For each open element, the children it reads: {name: the reader of such
+    # a child's attributes, which returns the same for the child's children}.
+    stack = [{"frameRelationType": relation_type}]
+
+    def start(tag, attrs):
+        read = stack[-1].get(local_names[tag])
+        stack.append(read(attrs) if read else _NOTHING)
+
+    def end(tag):
+        stack.pop()
+
+    _parse(data, source, "frameRelations", lambda _: (start, end))
     return types, by_frame
 
 
