@@ -7,6 +7,7 @@ early; 1 name or ID not found; 2 usage or bad pattern; 3 unusable data.
 """
 
 import argparse
+import io
 import os
 import re
 import shlex
@@ -199,7 +200,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None):
         options = render.DisplayOptions(wrap_width=getattr(args, "width", 70))
         lexicon = open_lexicon(getattr(args, "data", None))
         if args.command == "browse":
-            return repl(lexicon, options, stdin if stdin is not None else sys.stdin, stdout)
+            stdin = sys.stdin if stdin is None else stdin
+            # With no standard input at all, the shell ends as at end-of-file.
+            return repl(lexicon, options, io.StringIO() if stdin is None else stdin, stdout)
         query, output, _ = COMMANDS[args.command]
         stdout.write(output(query(lexicon, args), options, getattr(args, "ids", False)))
         return 0

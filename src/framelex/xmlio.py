@@ -15,20 +15,17 @@ annotation set.  ``referrer`` is the record that holds the reference.
 Every file is read in one expat pass, ``_parse``, with no element tree.
 Element names lose their namespace, so ``<x:frame>`` is a ``<frame>``, but
 attributes are read by the names they are written with: a qualified one
-(``o:ID``) is never one of the format's attributes.  The files of attributes
-only, the frame, LU and full-text indexes and the relation registry, have
-their parser's own start handler.  The frame and LU indexes build each row
-at its start tag, with no end handler.  The relation registry builds each
-relation and FE mapping at its start tag, and tracks end tags for its three
-levels.  The full-text index keeps each corpus's document attributes at
-their start tags, tracks end tags for the innermost ``<corpus>``, and builds
-its rows once the file is read.  The files with text are read by ``_read``:
-they keep what a schema of their elements names, as a small tree of nodes,
-and build the records once the file is read.  Either way errors come in the
-same words and order: XML that is not well-formed first, then a wrong root
-element, then the first record that breaks a rule.  A handler's error ends
-the pass at once; ``_parse`` then reads the file again, with no element
-handler, to raise a not-well-formed error in its place if there is one.
+(``o:ID``) is never one of the format's attributes.  The four files of
+attributes only give expat their parser's own handlers: the frame and LU
+indexes build each row at its start tag, with no end handler; the relation
+registry builds each relation and FE mapping at its start tag, and tracks
+end tags for its three levels; the full-text index keeps the document
+attributes of each innermost ``<corpus>``, and builds its rows once the file
+is read.  The files with text keep what a schema of their elements names, as
+a small tree of nodes (``_read``), and build the records once the file is
+read.  Either way errors come in the same words and order: XML that is not
+well-formed first, then a wrong root element, then the first record that
+breaks a rule, as ``_parse`` keeps them when a handler raises.
 
 The parsers read a fixed subset of elements and attributes.  Anything else in
 a file (editorial attributes, embedded relation references inside frame files,
@@ -92,8 +89,9 @@ Attributes are read by one checked reader, ``_attr``.  It converts exactly the
 format's integer attributes, named once in ``_INTEGERS``, and returns any
 other as its string; ``_fields`` reads a run of required ones in order.
 Labels, frame and LU index rows, relations and FE mappings, the most
-numerous records, read their attributes directly and fall back to ``_attr`` only when a lookup
-or a check fails, so every error keeps its message and precedence.
+numerous records, read their attributes directly and fall back to ``_attr``
+only when a lookup or a check fails, so every error keeps its message and
+precedence.
 """
 
 import html

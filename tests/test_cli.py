@@ -2,6 +2,7 @@ import io
 import random
 import shlex
 import shutil
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -354,6 +355,14 @@ def test_repl_ctrl_c_at_the_prompt_is_clean_exit(golden):
     assert code == 0
     assert golden("frame_revenge.txt") in out
     assert out.endswith("Revenge> \n")
+
+
+def test_repl_without_standard_input_ends_as_at_end_of_file(monkeypatch):
+    # A process started with its standard input closed has no ``sys.stdin``.
+    monkeypatch.setattr(sys, "stdin", None)
+    out = io.StringIO()
+    assert run(["--data", str(DATA_DIR), "browse"], stdout=out) == 0
+    assert out.getvalue() == "> \n"
 
 
 def test_repl_input_that_cannot_be_read_is_not_retried():

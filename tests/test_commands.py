@@ -298,15 +298,23 @@ def test_table_parser_and_repl_help_agree():
     assert set(re.findall(r"[\w-]+", listing)) - {"optional", "pattern", "argument"} == patterned
 
 
-# ------------------------------------------------------------ closed output
+# ------------------------------------------------------------ closed input and output
 
 
-def _framelex(*args, **kwargs):
+def _framelex(*args, stdin_closed=False, **kwargs):
     src = str(Path(framelex.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")])))
-    return subprocess.Popen([sys.executable, "-m", "framelex.cli", "--data", str(DATA_DIR),
-                             *args], env=env, **kwargs)
+    command = [sys.executable, "-m", "framelex.cli", "--data", str(DATA_DIR), *args]
+    if stdin_closed:  # as ``framelex ... 0<&-`` starts it
+        command = ["sh", "-c", 'exec "$@" 0<&-', "sh", *command]
+    return subprocess.Popen(command, env=env, **kwargs)
+
+
+def test_browse_with_standard_input_closed_exits_0_quietly():
+    proc = _framelex("browse", stdin_closed=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (0, b"> \n", b"")
 
 
 def test_reader_closing_the_pipe_after_one_line_is_not_an_error():

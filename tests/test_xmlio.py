@@ -1106,6 +1106,80 @@ def test_fe_relations_match_raw_xml(data_dir, store):
     assert checked > 10
 
 
+def _tables_by_elementtree(data_dir):
+    """The tables of the four files of attributes only, from ElementTree
+    re-parses alone: the frame index rows, the LU index rows, each document's
+    (ID, corpus ID, corpus name) by its innermost corpus, in corpus start tag
+    order, and {frame ID: (relation ID, its FE-mapping tuples) of each
+    relation with the frame on either side}, in registry order."""
+
+    def root(relpath):
+        return ElementTree.fromstring(raw(data_dir, relpath))
+
+    frames = [(int(elt.get("ID")), elt.get("name")) for elt in root("frameIndex.xml").iter()
+              if _local(elt.tag) == "frame"]
+    lus = [
+        (int(elt.get("ID")), elt.get("name"), int(elt.get("frameID")), elt.get("frameName"),
+         elt.get("status", ""))
+        for elt in root("luIndex.xml").iter() if _local(elt.tag) == "lu"
+    ]
+
+    corpora = []  # (corpus, the documents it is the innermost corpus of)
+
+    def walk(elt, docs):
+        for child in elt:
+            if _local(child.tag) == "corpus":
+                corpora.append((child, []))
+                walk(child, corpora[-1][1])
+            else:
+                if _local(child.tag) == "document" and docs is not None:
+                    docs.append(child)
+                walk(child, docs)
+
+    walk(root("fulltextIndex.xml"), None)
+    docs = [
+        (int(doc.get("ID")), None if corpus.get("ID") is None else int(corpus.get("ID")),
+         corpus.get("name", ""))
+        for corpus, own in corpora for doc in own
+    ]
+
+    relations = {}
+    for rtype in _children(root("frRelation.xml"), "frameRelationType"):
+        for rel in _children(rtype, "frameRelation"):
+            mappings = [
+                (int(fe.get("ID")), fe.get("superFEName"), fe.get("subFEName"),
+                 int(fe.get("supID")), int(fe.get("subID")))
+                for fe in _children(rel, "FERelation")
+            ]
+            for frame_id in {int(rel.get("supID")), int(rel.get("subID"))}:
+                relations.setdefault(frame_id, []).append((int(rel.get("ID")), mappings))
+    return frames, lus, docs, relations
+
+
+@pytest.mark.skipif(
+    not os.environ.get("FRAMELEX_DATA"),
+    reason="needs a full-size corpus in FRAMELEX_DATA",
+)
+def test_full_corpus_tables_match_an_elementtree_reparse():
+    """The store's tables of ``FRAMELEX_DATA``'s indexes and relation registry
+    are those of ElementTree re-parses of the files."""
+    data_dir = Path(os.environ["FRAMELEX_DATA"])
+    frames, lus, docs, relations = _tables_by_elementtree(data_dir)
+    store = open_lexicon(data_dir).store
+    assert store.frame_index() == frames and len(frames) > 1000
+    assert store.lu_index() == lus and len(lus) > 10000
+    assert [(row.ID, row.corpusID, row.corpusName) for row in store.doc_index()] == docs
+    assert len(docs) > 50
+    for frame_id in {fid for fid, _ in frames} | set(relations):
+        got = [
+            (rel.ID, [(fe.ID, fe.superFEName, fe.subFEName, fe.supID, fe.subID)
+                      for fe in rel.feRelations])
+            for rel in store.frame_relations_involving(frame_id)
+        ]
+        assert got == relations.get(frame_id, []), frame_id
+    assert sum(len(mappings) for rels in relations.values() for _, mappings in rels) > 1000
+
+
 # Record attributes that break a rule, one case per rule the readers check:
 # (parser, record start tag, exception class, message).  Where a record breaks
 # two rules, the first in field order wins, and a duplicate LU ID comes before
@@ -1308,6 +1382,8 @@ def _streamed_input(root, case):
         return doc(f'<corpus ID="8" name="Outer">{body}</corpus>')
     if case == "undefined entity under an external DTD":
         return f'<!DOCTYPE {root} SYSTEM "x.dtd">'.encode() + doc(body + "&e;")
+    if case == "duplicate ID, then an undefined entity":
+        return f'<!DOCTYPE {root} SYSTEM "x.dtd">'.encode() + doc(duplicate + "&e;")
     # Cases for the files with text content.
     text, definition = "<text>abc def</text>", "<definition>fe</definition>"
     if case == "text after the sets":
@@ -1416,6 +1492,8 @@ STREAMED_PARITY = {
     ("frameIndex", "duplicate ID"): (IntegrityError, "frameIndex.xml: duplicate frame ID 1"),
     ("frameIndex", "duplicate ID, then a mismatched tag"): (
         ParseError, _MISMATCH.format("frameIndex.xml", 104)),
+    ("frameIndex", "duplicate ID, then an undefined entity"): (
+        ParseError, _ENTITY.format("frameIndex.xml", 138)),
     ("frameIndex", "foo"): (ParseError, _FOO.format("frameIndex.xml")),
     ("frameIndex", "shift_jis"): (ParseError, _SJIS.format("frameIndex.xml")),
     ("frameIndex", "prefixed namespace"): [1, 2],
@@ -1435,6 +1513,8 @@ STREAMED_PARITY = {
     ("luIndex", "duplicate ID"): (IntegrityError, "luIndex.xml: duplicate lexical unit ID 1"),
     ("luIndex", "duplicate ID, then a mismatched tag"): (
         ParseError, _MISMATCH.format("luIndex.xml", 162)),
+    ("luIndex", "duplicate ID, then an undefined entity"): (
+        ParseError, _ENTITY.format("luIndex.xml", 193)),
     ("luIndex", "foo"): (ParseError, _FOO.format("luIndex.xml")),
     ("luIndex", "shift_jis"): (ParseError, _SJIS.format("luIndex.xml")),
     ("luIndex", "prefixed namespace"): [1, 2],
@@ -1456,6 +1536,8 @@ STREAMED_PARITY = {
         IntegrityError, "fulltextIndex.xml: duplicate document ID 1"),
     ("fulltextIndex", "duplicate ID, then a mismatched tag"): (
         ParseError, _MISMATCH.format("fulltextIndex.xml", 195)),
+    ("fulltextIndex", "duplicate ID, then an undefined entity"): (
+        ParseError, _ENTITY.format("fulltextIndex.xml", 232)),
     ("fulltextIndex", "foo"): (ParseError, _FOO.format("fulltextIndex.xml")),
     ("fulltextIndex", "shift_jis"): (ParseError, _SJIS.format("fulltextIndex.xml")),
     ("fulltextIndex", "prefixed namespace"): [1, 2],
@@ -1482,6 +1564,9 @@ STREAMED_PARITY = {
     ("frameRelations", "duplicate ID"): [1, 1],
     ("frameRelations", "duplicate ID, then a mismatched tag"): (
         ParseError, _MISMATCH.format("frRelation.xml", 394)),
+    # The registry lets two relations share an ID, so here the entity is the first fault.
+    ("frameRelations", "duplicate ID, then an undefined entity"): (
+        ParseError, _ENTITY.format("frRelation.xml", 432)),
     ("frameRelations", "foo"): (ParseError, _FOO.format("frRelation.xml")),
     ("frameRelations", "shift_jis"): (ParseError, _SJIS.format("frRelation.xml")),
     ("frameRelations", "prefixed namespace"): [1, 2],
